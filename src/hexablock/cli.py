@@ -118,6 +118,13 @@ def _inner_arg(data) -> RationalHexaInner:
     return RationalHexaInner.from_json(json.dumps(data))
 
 
+def _tetra_arg(data) -> RationalTetraInner:
+    n = int(data["n"])
+    E1, E2, D = (Poly(np.array([_cx(v) for v in data[key]]), n)
+                 for key in ("E1", "E2", "D"))
+    return RationalTetraInner(E1, E2, D, n)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -164,8 +171,6 @@ def cmd_classify(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown domain {args.domain}")
     region = verdict.region
-    if args.closed and region is Region.BOUNDARY:
-        pass  # closure membership already reflected in the region value
     payload = {"domain": args.domain, "region": region.value,
                "tolerance": tol,
                "margins": {k: v for k, v in verdict.margins.items()},
@@ -217,11 +222,7 @@ def cmd_aut(args) -> int:
 def cmd_inner(args) -> int:
     if args.action == "construct":
         data = _parse_json(args.data, "inner data")
-        n = int(data["n"])
-        tetra = RationalTetraInner(
-            Poly(np.array([_cx(v) for v in data["E1"]]), n),
-            Poly(np.array([_cx(v) for v in data["E2"]]), n),
-            Poly(np.array([_cx(v) for v in data["D"]]), n), n)
+        tetra = _tetra_arg(data)
         B = BlaschkeProduct(_cx(data.get("B_phase", 1.0)),
                             tuple(_cx(z) for z in data.get("B_zeros", [])))
         f = hexa_inner_construct(tetra, B, _cx(data.get("c", 1.0)))
@@ -253,12 +254,7 @@ def cmd_schwarz(args) -> int:
         return EXIT_INFEASIBLE
     supplied = None
     if args.tetra_data:
-        data = _parse_json(args.tetra_data, "tetra data")
-        n = int(data["n"])
-        supplied = RationalTetraInner(
-            Poly(np.array([_cx(v) for v in data["E1"]]), n),
-            Poly(np.array([_cx(v) for v in data["E2"]]), n),
-            Poly(np.array([_cx(v) for v in data["D"]]), n), n)
+        supplied = _tetra_arg(_parse_json(args.tetra_data, "tetra data"))
     try:
         f = schwarz_construct(prob, supplied_tetra=supplied)
     except DomainError as exc:
@@ -376,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="-", help="CSV path or - for stdout")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_sample)
     return ap
 

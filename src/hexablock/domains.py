@@ -152,6 +152,13 @@ def tetra_closure_margin(x) -> float:
     return 1.0 - (abs(b1) + abs(b2))
 
 
+def bE_margin(x) -> float:
+    """Signed distance-like margin to the distinguished boundary of E."""
+    x1, x2, x3 = (cx(t) for t in x)
+    return -max(abs(x1 - x2.conjugate() * x3), abs(abs(x3) - 1.0),
+                abs(x2) - 1.0)
+
+
 def tetra_classify(x, tol: float = TOL) -> RegionVerdict:
     """Classify x = (x1, x2, x3) against the tetrablock E.
 
@@ -188,15 +195,14 @@ def tetra_classify(x, tol: float = TOL) -> RegionVerdict:
         witnesses["beta2"] = b2
     inside = _vote(flags, margins, tol, "tetrablock interior")
 
+    # part 4's margin also serves the closure, with the non-strict inequality
     mc = tetra_closure_margin(x)
-    mc4 = min(1.0 + abs(x1) ** 2 - abs(x2) ** 2 - abs(x3) ** 2
-              - 2.0 * abs(x1 - x2.conjugate() * x3), 1.0 - abs(x1))
     margins["closure_beta"] = mc
-    margins["closure_part4"] = mc4
-    in_closure = _vote({"closure_beta": mc >= -tol, "closure_part4": mc4 >= -tol},
-                       {"closure_beta": mc, "closure_part4": mc4},
+    margins["closure_part4"] = m4
+    in_closure = _vote({"closure_beta": mc >= -tol, "closure_part4": m4 >= -tol},
+                       {"closure_beta": mc, "closure_part4": m4},
                        tol, "tetrablock closure")
-    if mc < -tol or mc4 < -tol:
+    if mc < -tol or m4 < -tol:
         in_closure = False
 
     # boundary equalities (only meaningful inside the closure)
@@ -210,8 +216,7 @@ def tetra_classify(x, tol: float = TOL) -> RegionVerdict:
     margins["boundary_part4"] = b4_eq
     margins["boundary_part5"] = b5_eq
 
-    mb = -max(abs(x1 - x2.conjugate() * x3), abs(abs(x3) - 1.0),
-              abs(x2) - 1.0)
+    mb = bE_margin(x)
     mb6 = -abs(abs(x3) - 1.0) if in_closure else -1.0
     margins["b_tetra_part1"] = mb
     margins["b_tetra_part6"] = mb6
@@ -235,17 +240,14 @@ def tetra_classify(x, tol: float = TOL) -> RegionVerdict:
 # Pentablock
 # ---------------------------------------------------------------------------
 
-def penta_radius(s: complex, p: complex) -> float:
-    """c_plus = |1 - conj(l2) l1|/2 + sqrt((1-|l1|^2)(1-|l2|^2))/2."""
+def penta_radii(s: complex, p: complex) -> tuple[float, float]:
+    """(c_minus, c_plus) = |1 - conj(l2) l1|/2 -/+ sqrt((1-|l1|^2)(1-|l2|^2))/2
+    for the roots l1, l2 of t^2 - s t + p."""
     l1, l2 = stable_quadratic_roots(s, p)
     prod = (1.0 - abs(l1) ** 2) * (1.0 - abs(l2) ** 2)
-    return 0.5 * abs(1.0 - l2.conjugate() * l1) + 0.5 * math.sqrt(max(prod, 0.0))
-
-
-def penta_radius_minus(s: complex, p: complex) -> float:
-    l1, l2 = stable_quadratic_roots(s, p)
-    prod = (1.0 - abs(l1) ** 2) * (1.0 - abs(l2) ** 2)
-    return 0.5 * abs(1.0 - l2.conjugate() * l1) - 0.5 * math.sqrt(max(prod, 0.0))
+    mid = 0.5 * abs(1.0 - l2.conjugate() * l1)
+    half = 0.5 * math.sqrt(max(prod, 0.0))
+    return mid - half, mid + half
 
 
 def penta_classify(a: complex, s: complex, p: complex,
@@ -259,7 +261,7 @@ def penta_classify(a: complex, s: complex, p: complex,
     """
     a, s, p = cx(a), cx(s), cx(p)
     g2 = g2_classify(s, p, tol)
-    cp = penta_radius(s, p)
+    _, cp = penta_radii(s, p)
     m_cp = cp - abs(a)
     margins = {"c_plus": m_cp}
     margins["g2_closure"] = g2.margins["closure"]
@@ -364,8 +366,7 @@ def penta_hn_witness(a: complex, s: complex, p: complex, tol: float = TOL):
     a, s, p = cx(a), cx(s), cx(p)
     if not penta_classify(a, s, p, tol).in_interior:
         raise DomainError("penta_hn_witness needs a point of the open pentablock")
-    cm = penta_radius_minus(s, p)
-    cp = penta_radius(s, p)
+    cm, cp = penta_radii(s, p)
     if cm < abs(a) < cp:
         return (a, s / 2.0, s / 2.0, p)
     l1, l2 = stable_quadratic_roots(s, p)
@@ -381,13 +382,6 @@ def penta_hn_witness(a: complex, s: complex, p: complex, tol: float = TOL):
 # ---------------------------------------------------------------------------
 # Distinguished-boundary generation for the tetrablock
 # ---------------------------------------------------------------------------
-
-def bE_margin(x) -> float:
-    """Signed distance-like margin to the distinguished boundary of E."""
-    x1, x2, x3 = (cx(t) for t in x)
-    return -max(abs(x1 - x2.conjugate() * x3), abs(abs(x3) - 1.0),
-                abs(x2) - 1.0)
-
 
 def bE_generator_params(x, tol: float = 1e-9):
     """Normal-form parameters reproducing a distinguished-boundary point.

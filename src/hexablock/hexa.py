@@ -6,14 +6,15 @@ the Hartogs potential of the hexablock over the tetrablock.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 from .numerics import (TOL, ConsistencyError, DomainError, Mat2, cx,
                        op_norm, spectral_radius)
 from .psi import (is_triangular, k_star, maximizer, tetra_interior_margin)
-from .domains import Region, penta_classify, tetra_classify
-from .oracles import GridSpec, grid_sup_kappa
+from .domains import Region, bE_margin, penta_classify, tetra_classify
+from .oracles import grid_sup_kappa
 
 _INF = math.inf
 
@@ -26,7 +27,7 @@ def _point4(p):
     return a, (x1, x2, x3)
 
 
-def psi_sup(p, tol: float = TOL, spec: GridSpec | None = None):
+def psi_sup(p, tol: float = TOL):
     """sup over the open bidisc of |psi_{z1,z2}(p)|.
 
     Returns (sup, witness, method).  Closed forms are used on the open
@@ -56,40 +57,47 @@ def psi_sup(p, tol: float = TOL, spec: GridSpec | None = None):
     # also covers interior points below the maximizer's refusal margin)
     if abs(x1) >= 1.0 - tol or abs(x2) >= 1.0 - tol:
         return _INF, None, "circle_coordinate"
-    sup, arg = grid_sup_kappa(x, spec or GridSpec())
+    sup, arg = grid_sup_kappa(x)
     return abs(a) * sup, arg, "grid"
 
 
 def hmu_member(p, tol: float = TOL):
-    """Membership of the mu-hexablock: (x1,x2,x3) in E, |a| K* < 1, and the
+    """Membership of the mu-hexablock: the open hexablock test plus the
     triangularity obstruction x1 x2 = x3 when a = 0.
 
     Returns (flag, margin)."""
     a, x = _point4(p)
-    m_int = tetra_interior_margin(x)
-    if not m_int > tol:
-        return False, min(m_int, 0.0)
-    margin = 1.0 - abs(a) * k_star(x)
-    if abs(a) <= tol and not is_triangular(x, tol):
+    if abs(a) <= tol and tetra_interior_margin(x) > tol \
+            and not is_triangular(x, tol):
         x1, x2, x3 = x
         return False, -abs(x1 * x2 - x3)
-    return margin > tol, margin
+    return h_member(p, tol=tol)
 
 
-def hmu_closure_member(p, tol: float = TOL, spec: GridSpec | None = None):
+def _closure_test(p, tol: float):
+    """((flag, margin), tetra verdict of x, psi_sup(p)) of the closed
+    mu-hexablock test.  Outside the closed tetrablock psi_sup is not
+    evaluated; its answer there for a != 0, (None, None, "exterior"),
+    stands in."""
+    _, x = _point4(p)
+    v = tetra_classify(x, tol)
+    if v.region is Region.EXTERIOR:
+        margin = min(v.margins["closure_beta"], v.margins["closure_part4"])
+        return (False, margin), v, (None, None, "exterior")
+    sup_res = psi_sup(p, tol)
+    sup = sup_res[0]
+    if sup is None or math.isinf(sup):
+        return (False, -1.0), v, sup_res
+    margin = 1.0 - sup
+    return (margin >= -tol, margin), v, sup_res
+
+
+def hmu_closure_member(p, tol: float = TOL):
     """Membership of the closed mu-hexablock (equivalently the closed
     hexablock): (x1,x2,x3) in closed E and sup |psi| <= 1.
 
     Returns (flag, margin)."""
-    a, x = _point4(p)
-    v = tetra_classify(x, tol)
-    if v.region is Region.EXTERIOR:
-        return False, min(v.margins["closure_beta"], v.margins["closure_part4"])
-    sup, _, _ = psi_sup(p, tol, spec)
-    if sup is None or math.isinf(sup):
-        return False, -1.0
-    margin = 1.0 - sup
-    return margin >= -tol, margin
+    return _closure_test(p, tol)[0]
 
 
 def hn_params(x):
@@ -102,15 +110,6 @@ def hn_params(x):
     disc = max(disc, 0.0)
     root = math.sqrt(disc)
     return beta, wsq, 0.5 * (beta - root), 0.5 * (beta + root)
-
-
-def _hn_quartic_margin(a: complex, x) -> float:
-    """-(|a|^4 - beta |a|^2 + |w|^4): positive exactly on m < |a|^2 < M."""
-    x1, x2, x3 = (cx(t) for t in x)
-    beta = 1.0 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2
-    w4 = abs(x1 * x2 - x3) ** 2
-    t = abs(a) ** 2
-    return -(t * t - beta * t + w4)
 
 
 def hn_member(p, closed: bool = False, tol: float = TOL):
@@ -135,20 +134,22 @@ def hn_member(p, closed: bool = False, tol: float = TOL):
         x1, x2, x3 = x
         marg = -abs(x1 * x2 - x3)
         return marg >= -tol * (1.0 + abs(x3)), marg
-    q = _hn_quartic_margin(a, x)
+    # -(|a|^4 - beta |a|^2 + |w|^4): positive exactly on m < |a|^2 < M
+    beta, wsq, _, _ = hn_params(x)
+    t = abs(a) ** 2
+    q = -(t * t - beta * t + abs(wsq) ** 2)
     if closed:
         return q >= -tol, q
     return q > tol, q
 
 
-def h_member(p, closed: bool = False, tol: float = TOL,
-             spec: GridSpec | None = None):
+def h_member(p, closed: bool = False, tol: float = TOL):
     """Membership of the hexablock H (open) or its closure.
 
     Open: (x1,x2,x3) in E and |a| K* < 1.  Closed: delegates to the closed
     mu-hexablock, the two closures coincide.  Returns (flag, margin)."""
     if closed:
-        return hmu_closure_member(p, tol, spec)
+        return hmu_closure_member(p, tol)
     a, x = _point4(p)
     m_int = tetra_interior_margin(x)
     if not m_int > tol:
@@ -157,7 +158,7 @@ def h_member(p, closed: bool = False, tol: float = TOL,
     return margin > tol, margin
 
 
-def classify_boundary(p, tol: float = TOL, spec: GridSpec | None = None):
+def classify_boundary(p, tol: float = TOL):
     """Boundary-part flags for a point of the topological boundary of H.
 
     Returns (parts, witness) where parts is a subset of {"d0", "d1", "d2"}:
@@ -165,21 +166,26 @@ def classify_boundary(p, tol: float = TOL, spec: GridSpec | None = None):
     at an interior point (returned as witness); d2 needs a != 0, x on dE and
     sup <= 1.  The parts can overlap only through the sup = 1 on dE case.
     """
-    a, x = _point4(p)
     in_h, _ = h_member(p, tol=tol)
-    in_hbar, mbar = h_member(p, closed=True, tol=tol, spec=spec)
+    (in_hbar, mbar), v, sup_res = _closure_test(p, tol)
     if in_h or (not in_hbar and mbar < -10 * tol):
         raise DomainError("point is not on the boundary of H")
+    return _boundary_parts(p, v, sup_res, tol)
+
+
+def _boundary_parts(p, v, sup_res, tol: float):
+    """`classify_boundary` for a point known to be on the boundary of H,
+    given the tetra verdict of x and psi_sup(p)."""
+    a, _ = _point4(p)
     parts: set[str] = set()
     witness = None
-    v = tetra_classify(x, tol)
     on_dE = v.region in (Region.BOUNDARY, Region.DISTINGUISHED_BOUNDARY)
     if abs(a) <= tol and on_dE:
         parts.add("d0")
     if abs(a) > tol:
         if on_dE:
             parts.add("d2")
-        sup, arg, method = psi_sup(p, tol, spec)
+        sup, arg, method = sup_res
         budget = GRID_SUP_BUDGET if method == "grid" else 10 * tol
         attained = arg is not None
         if method == "grid" and attained:
@@ -200,10 +206,8 @@ def bh_member(p, tol: float = TOL):
 
     Returns (flag, margin)."""
     a, x = _point4(p)
-    x1, x2, x3 = x
-    mb = -max(abs(x1 - x2.conjugate() * x3), abs(abs(x3) - 1.0),
-              abs(x2) - 1.0)
-    ms = -abs(abs(a) ** 2 + abs(x1) ** 2 - 1.0)
+    mb = bE_margin(x)
+    ms = -abs(abs(a) ** 2 + abs(x[0]) ** 2 - 1.0)
     margin = min(mb, ms)
     return margin >= -tol, margin
 
@@ -235,12 +239,12 @@ class HexaVerdict:
     margins: dict = field(default_factory=dict)
 
 
-def classify_hexa(p, tol: float = TOL, spec: GridSpec | None = None) -> HexaVerdict:
+def classify_hexa(p, tol: float = TOL) -> HexaVerdict:
     """Full verdict (H, H_mu, H_N, closures, interiors, bH, boundary parts)
     with the lattice H_N <= H_mu <= H <= H-closure asserted."""
     a, x = _point4(p)
     f_h, m_h = h_member(p, tol=tol)
-    f_hc, m_hc = h_member(p, closed=True, tol=tol, spec=spec)
+    (f_hc, m_hc), v, sup_res = _closure_test(p, tol)
     f_mu, m_mu = hmu_member(p, tol)
     f_hn, m_hn = hn_member(p, closed=False, tol=tol)
     f_hnc, m_hnc = hn_member(p, closed=True, tol=tol)
@@ -252,7 +256,7 @@ def classify_hexa(p, tol: float = TOL, spec: GridSpec | None = None) -> HexaVerd
     parts: frozenset = frozenset()
     if f_hc and not f_h:
         try:
-            got, _ = classify_boundary(p, tol, spec)
+            got, _ = _boundary_parts(p, v, sup_res, tol)
             parts = frozenset(got)
         except DomainError:
             parts = frozenset()
@@ -274,52 +278,89 @@ def classify_hexa(p, tol: float = TOL, spec: GridSpec | None = None) -> HexaVerd
 # Structured singular values
 # ---------------------------------------------------------------------------
 
+def _mu_tetra(A: Mat2) -> float:
+    """The norm of B = D A D^-1 at the balancing diagonal D, whose
+    off-diagonal entries both have modulus sqrt(|p|), p = a12 a21.
+
+    With f = ||B||_F^2 and d = |det A|, mu^2 = (f + sqrt(f^2 - 4 d^2))/2,
+    that is mu = (sqrt(f + 2d) + sqrt(f - 2d))/2.  f -/+ 2d are evaluated
+    as sums of squares, so mu keeps full precision when the two singular
+    values of B nearly coincide: with w^2 det A = d for a unit w and
+    q = w^2 p, f -/+ 2d = |w a11 -/+ conj(w a22)|^2 + |q +/- |p||^2 / |p|.
+    """
+    det = A.det
+    s = cmath.sqrt(det)
+    w = s.conjugate() / abs(s) if s != 0 else 1.0
+    u, v = w * A.a11, (w * A.a22).conjugate()
+    p = A.a12 * A.a21
+    g = abs(p)
+    q = w * w * p
+    off_minus = abs(q + g) ** 2 / g if g > 0.0 else 0.0
+    off_plus = abs(q - g) ** 2 / g if g > 0.0 else 0.0
+    return 0.5 * (math.sqrt(abs(u + v) ** 2 + off_plus)
+                  + math.sqrt(abs(u - v) ** 2 + off_minus))
+
+
 def _strict_member(A: Mat2, t: float, structure: str, tol: float) -> bool:
     """Strict membership criterion for the scaled matrix A/t."""
-    B = A.scaled(1.0 / t)
-    if structure == "tetra":
-        return tetra_interior_margin((B.a11, B.a22, B.det)) > 0.0
+    r = 1.0 / t
     if structure == "penta":
+        B = A.scaled(r)
         return penta_classify(B.a21, B.trace, B.det, tol).in_interior
-    if structure == "hexa":
-        x = (B.a11, B.a22, B.det)
-        if not tetra_interior_margin(x) > 0.0:
-            return False
-        return abs(B.a21) * k_star(x, refuse_margin=0.0) < 1.0
-    raise DomainError(f"unknown structure {structure!r}")
+    b11, b22 = r * A.a11, r * A.a22
+    x = (b11, b22, b11 * b22 - (r * A.a12) * (r * A.a21))
+    if not tetra_interior_margin(x) > 0.0:
+        return False
+    return abs(r * A.a21) * k_star(x, refuse_margin=0.0) < 1.0
 
 
 def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
-    """Structured singular value of a 2x2 matrix by bisection.
+    """Structured singular value of a 2x2 matrix.
 
     structure is one of 'tetra' (diagonal perturbations), 'penta'
     (span{I, e12}), 'hexa' (upper triangular), 'spectral' or 'norm'.
-    The bisection bracket [spectral radius, operator norm] is valid because
-    each structure contains the scalars and sits inside M2, so
-    r <= mu <= norm (the three mu values themselves are not totally
-    ordered: diagonal and span{I, e12} perturbations are not nested).
-    The value 0 is returned when the membership criterion holds at a
-    vanishing scale.
+
+    tetra is the diagonal D-scaling bound inf ||D A D^-1||, exact for two
+    1x1 blocks (Packard & Doyle 1993).  hexa is max(|a11|, |a22|) when
+    a21 = 0 (det(I - A Delta) then does not involve the corner of Delta)
+    and ||A|| when a12 = 0 (the triangular case of K*).  Otherwise hexa and
+    penta bisect their strict membership criterion.  Each structure contains the
+    scalars and sits inside M2, so r <= mu <= norm; hexa also contains the
+    diagonal matrices and [[0, 1/a21], [0, 0]], which makes I - A Delta
+    singular, so its bracket starts at max(mu_tetra, |a21|).  The three mu
+    values are not totally ordered: diagonal and span{I, e12}
+    perturbations are not nested.  0 is returned for a vanishing matrix
+    and when the penta criterion holds at a vanishing scale.
     """
     if structure == "norm":
         return op_norm(A)
     if structure == "spectral":
         return spectral_radius(A)
+    if structure == "tetra":
+        return _mu_tetra(A)
     hi = op_norm(A)
     if hi <= 1e-300:
         return 0.0
-    lo = spectral_radius(A)
-    probe = max(lo, hi * 1e-13)
-    if _strict_member(A, probe, structure, tol):
-        if lo <= hi * 1e-12:
-            return 0.0
-        # mu equals the spectral radius up to roundoff
-        return lo
+    if structure == "hexa":
+        if A.a21 == 0:
+            return max(abs(A.a11), abs(A.a22))
+        if A.a12 == 0:
+            return hi
+        lo_b = max(_mu_tetra(A), abs(A.a21))
+    elif structure == "penta":
+        lo = spectral_radius(A)
+        lo_b = max(lo, hi * 1e-13)
+        if _strict_member(A, lo_b, structure, tol):
+            if lo <= hi * 1e-12:
+                return 0.0
+            # mu equals the spectral radius up to roundoff
+            return lo
+    else:
+        raise DomainError(f"unknown structure {structure!r}")
     hi_b = hi * (1.0 + 1e-12) + 1e-300
     if not _strict_member(A, hi_b * (1.0 + 1e-6), structure, tol):
         # numerical guard; mu <= norm always holds mathematically
         return hi
-    lo_b = probe
     target = tol * max(1.0, hi)
     while hi_b - lo_b > target:
         mid = 0.5 * (lo_b + hi_b)

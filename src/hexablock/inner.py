@@ -20,7 +20,7 @@ import numpy as np
 from .numerics import (BlaschkeProduct, ConsistencyError, DomainError, Poly,
                        cx, fejer_riesz, poly_abs2_trig, trig_sub)
 from .psi import k_star
-from .domains import tetra_classify
+from .domains import bE_margin, tetra_classify
 from .hexa import h_member
 
 _CIRCLE_N = 512
@@ -63,10 +63,6 @@ class RationalTetraInner:
         return (E1(lam) / dv, E2(lam) / dv, Dr(lam) / dv)
 
 
-def tetra_inner_eval(t: RationalTetraInner, lam):
-    return t(lam)
-
-
 def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
     """Validation report for tetrablock inner data.
 
@@ -101,11 +97,7 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
 
     worst_b = 0.0
     for lam in circ[:: max(1, len(circ) // 64)]:
-        x = t(lam)
-        x1, x2, x3 = (cx(s) for s in x)
-        mb = max(abs(x1 - x2.conjugate() * x3), abs(abs(x3) - 1.0),
-                 abs(x2) - 1.0)
-        worst_b = max(worst_b, mb)
+        worst_b = max(worst_b, -bE_margin(t(lam)))
     report["circle_bE_violation"] = worst_b
     if worst_b > tol:
         report["ok"] = False
@@ -220,8 +212,7 @@ def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6,
     for lam in circ:
         a, x1, x2, x3 = f(lam)
         worst_norm = max(worst_norm, abs(abs(a) ** 2 + abs(x1) ** 2 - 1.0))
-        worst_b = max(worst_b, abs(x1 - x2.conjugate() * x3),
-                      abs(abs(x3) - 1.0), abs(x2) - 1.0)
+        worst_b = max(worst_b, -bE_margin((x1, x2, x3)))
     report["circle_norm_residual"] = worst_norm
     report["circle_bE_violation"] = worst_b
     if worst_norm > tol:
@@ -365,34 +356,22 @@ def schwarz_feasible(prob: SchwarzProblem, tol: float = 1e-9) -> FeasibilityRepo
     return FeasibilityReport(feasible, margins, violated)
 
 
-def _interp_zero_blaschke(lambda0: complex, eta: complex,
+def _interp_zero_blaschke(lambda0: complex, ratio: complex,
                           tol: float = 1e-10) -> BlaschkeProduct:
-    """Blaschke product with value 0 at 0 and eta at lambda0, |eta| <= 1.
+    """Blaschke product B with B(0) = 0 and B(lambda0) = lambda0 * ratio.
 
-    Degree 1 rotation when |eta| = 1 (then the value at 0 is not 0; callers
-    use this only for the x-components); degree 2 with zeros {0, zeta}
-    otherwise, zeta = (lambda0 - eta)/(1 - eta conj(lambda0))."""
+    The rotation ratio * t when |ratio| = 1 within tol; otherwise t times
+    the disc automorphism taking lambda0 to ratio, with zeros {0, zeta},
+    zeta = (lambda0 - ratio)/(1 - ratio conj(lambda0))."""
     lam = cx(lambda0)
-    eta = cx(eta)
-    if abs(eta) > 1.0 + 1e-12:
-        raise DomainError("interpolation value outside the closed disc")
-    if abs(abs(eta) - 1.0) <= tol:
-        m = eta / lam * abs(lam)
-        return BlaschkeProduct(-m / abs(m), (0.0,))
-    zeta = (lam - eta) / (1.0 - eta * lam.conjugate())
-    u = (1.0 - eta * lam.conjugate()) / (1.0 - eta.conjugate() * lam)
-    return BlaschkeProduct(u, (0.0, zeta))
-
-
-def _blaschke_interp_unit(lambda0: complex, eta: complex) -> BlaschkeProduct:
-    """Inner function with value 0 at 0, eta at lambda0; handles |eta| = |lambda0|
-    subcase with a pure rotation times the identity zero."""
-    lam = cx(lambda0)
-    eta = cx(eta)
-    ratio = eta / lam
-    if abs(abs(ratio) - 1.0) <= 1e-10:
+    ratio = cx(ratio)
+    if abs(abs(ratio) - 1.0) <= tol:
         return BlaschkeProduct(-ratio, (0.0,))
-    return _interp_zero_blaschke(lam, ratio)
+    if abs(ratio) > 1.0 + 1e-12:
+        raise DomainError("interpolation value outside the closed disc")
+    zeta = (lam - ratio) / (1.0 - ratio * lam.conjugate())
+    u = (1.0 - ratio * lam.conjugate()) / (1.0 - ratio.conjugate() * lam)
+    return BlaschkeProduct(u, (0.0, zeta))
 
 
 def _phase_align_tetra(parts, n: int) -> RationalTetraInner:
@@ -430,17 +409,15 @@ def _phase_align_tetra(parts, n: int) -> RationalTetraInner:
     return RationalTetraInner(E1, E2, D, n)
 
 
-def _blaschke_as_polys(b: BlaschkeProduct) -> tuple[Poly, Poly]:
-    return b.as_rational()
-
-
 def construct_from_tetra(t: RationalTetraInner, lambda0: complex,
                          a_target: complex, tol: float = 1e-9) -> RationalHexaInner:
     """Lift tetrablock inner data interpolating x(0) = 0, x(lambda0) = x to a
     hexablock inner function with a(0) = 0, a(lambda0) = a_target.
 
-    B is chosen by the rotation/Moebius recipe according to whether
-    |a| = |lambda0| sqrt(1 - |x1|^2) holds with equality (detected at 1e-10).
+    B is conj(A(lambda0)/D(lambda0)) / |A/D| times the interpolating
+    Blaschke product of `_interp_zero_blaschke`: a rotation when
+    |a| = |lambda0| |A/D|(lambda0) holds with equality (detected at 1e-10
+    relative), degree 2 otherwise.
     """
     lam = cx(lambda0)
     a = cx(a_target)
@@ -459,14 +436,8 @@ def construct_from_tetra(t: RationalTetraInner, lambda0: complex,
             "general synthesis requires external tetrablock inner "
             "interpolation data")
     c2 = ratio / s
-    if abs(abs(a) - cap) <= 1e-10:
-        c1 = a / (lam * s)
-        B = BlaschkeProduct(-c2.conjugate(), (0.0,))
-        return RationalHexaInner(t, A, B, c1)
-    eta0 = a / (lam * s)
-    zeta = (lam - eta0) / (1.0 - eta0 * lam.conjugate())
-    u = (1.0 - eta0 * lam.conjugate()) / (1.0 - eta0.conjugate() * lam)
-    B = BlaschkeProduct(c2.conjugate() * u, (0.0, zeta))
+    B = _interp_zero_blaschke(lam, a / (lam * s))
+    B = BlaschkeProduct(c2.conjugate() * B.phase, B.zeros)
     return RationalHexaInner(t, A, B, 1.0)
 
 
@@ -515,10 +486,9 @@ def schwarz_construct(prob: SchwarzProblem,
                 "triangular targets with a != 0 are outside the automatic "
                 "g-pair construction; general synthesis requires external "
                 "tetrablock inner interpolation data (pass supplied_tetra)")
-        b1 = _blaschke_interp_unit(lam, x1)
-        b2 = _blaschke_interp_unit(lam, x2)
-        t = _phase_align_tetra([_blaschke_as_polys(b1),
-                                _blaschke_as_polys(b2)],
+        b1 = _interp_zero_blaschke(lam, x1 / lam)
+        b2 = _interp_zero_blaschke(lam, x2 / lam)
+        t = _phase_align_tetra([b1.as_rational(), b2.as_rational()],
                                b1.degree + b2.degree)
         return construct_from_tetra(t, lam, a, tol)
 

@@ -227,22 +227,6 @@ class DiscAut:
         return abs(self.xi - other.xi) <= tol and abs(self.z - other.z) <= tol
 
 
-def disc_aut_eval(v: DiscAut, lam: complex) -> complex:
-    return v(lam)
-
-
-def disc_aut_compose(v1: DiscAut, v2: DiscAut) -> DiscAut:
-    return v1.compose(v2)
-
-
-def disc_aut_invert(v: DiscAut) -> DiscAut:
-    return v.invert()
-
-
-def disc_aut_star(v: DiscAut) -> DiscAut:
-    return v.star()
-
-
 # ---------------------------------------------------------------------------
 # Polynomials with a declared degree bound
 # ---------------------------------------------------------------------------
@@ -418,7 +402,7 @@ def trig_sub(f, g) -> np.ndarray:
 
 
 def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
-                degeneracy_tol: float = 1e-10, pair_tol: float = 1e-8) -> Poly:
+                degeneracy_tol: float = 1e-10) -> Poly:
     """Spectral factor of a nonnegative trigonometric polynomial.
 
     Parameters
@@ -482,6 +466,7 @@ def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
             continue
         used[i] = True
         target = 1.0 / roots[i].conjugate()
+        # nearest unused root; a wrong pairing fails the reconstruction check
         best, best_d = -1, np.inf
         for j in range(len(roots)):
             if used[j]:
@@ -491,10 +476,6 @@ def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
                 best, best_d = j, d
         if best < 0:
             raise ConsistencyError("unpaired root in spectral factorization")
-        if best_d > max(pair_tol, pair_tol * abs(target)) * 1e4:
-            # generous cap: genuine pairing failures are caught by the
-            # reconstruction check below
-            pass
         used[best] = True
         # average the two estimates of the outside representative
         rho = 0.5 * (roots[i] + 1.0 / roots[best].conjugate())

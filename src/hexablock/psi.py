@@ -90,11 +90,14 @@ class MaximizerResult:
     d2: float
 
 
-def _half_maximizer(b_this: complex, b_other: complex) -> tuple[complex, float]:
+def _half_maximizer(b_this: complex, b_other: complex,
+                    x3: complex) -> tuple[complex, float]:
     t = 1.0 + abs(b_this) ** 2 - abs(b_other) ** 2
     d = t * t - 4.0 * abs(b_this) ** 2
     if d < 0.0:
-        if d < -1e-12:
+        # the betas divide by 1 - |x3|^2: their rounding error, and that
+        # of d, grows like its reciprocal
+        if d < -1e-12 / (1.0 - abs(x3) ** 2):
             raise DomainError(f"negative maximizer discriminant {d:.3e}")
         d = 0.0
     z = 2.0 * b_this.conjugate() / (t + math.sqrt(d))
@@ -122,8 +125,8 @@ def maximizer(x, refuse_margin: float = 1e-9) -> MaximizerResult:
         raise DomainError(f"maximizer needs interior margin > {refuse_margin} "
                           f"(got {m:.3e})")
     b1, b2 = betas(x)
-    z1, d1 = _half_maximizer(b1, b2)
-    z2, d2 = _half_maximizer(b2, b1)
+    z1, d1 = _half_maximizer(b1, b2, x[2])
+    z2, d2 = _half_maximizer(b2, b1, x[2])
     k = abs(kappa_eval(z1, z2, x))
     return MaximizerResult(z1, z2, b1, b2, k, d1, d2)
 

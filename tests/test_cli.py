@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hexablock
 from hexablock.cli import main
 
 
@@ -63,6 +65,13 @@ def test_mu_hexa_nilpotent():
                          "--matrix", "[[[0,0],[5,0]],[[0,0],[0,0]]]", "--json"])
     assert code == 0
     assert json.loads(out)["value"] <= 1.0
+
+
+def test_mu_hexa_triangular():
+    code, out = run_cli(["mu", "--structure", "hexa",
+                         "--matrix", "[[1,1],[0,1]]", "--json"])
+    assert code == 0
+    assert json.loads(out)["value"] == 1.0
 
 
 def test_mu_with_oracle():
@@ -184,6 +193,10 @@ def test_sample_boundary(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the same package as the tests, installed or not
+    root = os.path.dirname(os.path.dirname(hexablock.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "hexablock.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0

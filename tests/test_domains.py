@@ -8,10 +8,9 @@ from hexablock.psi import Psi_eval
 from hexablock.domains import (Region, bE_generator_params, diamond,
                                embed_biball, embed_g2, embed_penta,
                                embed_tetra, g2_classify, penta_classify,
-                               penta_hn_witness, penta_radius,
-                               penta_radius_minus, retract_g2, retract_penta,
-                               retract_tetra, solve_beta, tau_of,
-                               tetra_classify)
+                               penta_hn_witness, penta_radii, retract_g2,
+                               retract_penta, retract_tetra, solve_beta,
+                               tau_of, tetra_classify)
 from hexablock.hexa import h_member, hn_member
 from hexablock.oracles import GridSpec, tetra_definitional
 from hexablock.autos import TetraAut, tetra_aut_apply
@@ -141,7 +140,7 @@ def test_penta_root_swap_invariance(rng):
         l1 = rand_disc(rng, 0.95)
         l2 = rand_disc(rng, 0.95)
         a = complex(*rng.normal(0, 0.4, 2))
-        r1 = penta_radius(l1 + l2, l1 * l2)
+        _, r1 = penta_radii(l1 + l2, l1 * l2)
         # swapping the roots leaves the closed-form radius unchanged
         direct = 0.5 * abs(1 - l1.conjugate() * l2) + 0.5 * math.sqrt(
             (1 - abs(l1) ** 2) * (1 - abs(l2) ** 2))
@@ -258,7 +257,7 @@ def test_penta_hn_witness(rng):
 def test_penta_hn_witness_symmetric_branch():
     # c_- < |a| < c_+ keeps the symmetric point
     a, s, p = 0.3, 0.2, 0.1
-    cm, cp = penta_radius_minus(s, p), penta_radius(s, p)
+    cm, cp = penta_radii(s, p)
     assert cm < abs(a) < cp
     w = penta_hn_witness(a, s, p)
     assert w == pytest.approx((a, s / 2, s / 2, p))
@@ -268,7 +267,7 @@ def test_penta_hn_witness_symmetric_branch():
 def test_penta_hn_witness_shifted_branch():
     # small |a| <= c_- needs the zeta shift
     s, p = 1.0, 0.21  # real distinct roots 0.7 and 0.3
-    cm = penta_radius_minus(s, p)
+    cm, _ = penta_radii(s, p)
     assert cm > 0.01
     a = 0.5 * cm
     w = penta_hn_witness(a, s, p)

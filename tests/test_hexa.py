@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hexablock import hexa
 from hexablock.numerics import DomainError, Mat2, op_norm, pi_hexa, \
     spectral_radius
 from hexablock.psi import k_star
@@ -242,6 +244,23 @@ def test_classify_boundary_d2_off_distinguished(rng):
         assert parts_crit == {"d2"}
 
 
+def test_classify_hexa_one_grid_call_off_bE(monkeypatch):
+    # (a, 0, r, 1-r) lies over dE off bE: the closure test and the
+    # boundary-part labels share one grid supremum
+    calls = []
+    real = hexa.grid_sup_kappa
+
+    def counted(x, *args):
+        calls.append(x)
+        return real(x, *args)
+
+    monkeypatch.setattr(hexa, "grid_sup_kappa", counted)
+    v = classify_hexa((0.5, 0.0, 0.3, 0.7))
+    assert v.in_h_closure and not v.in_h
+    assert v.boundary_parts == {"d2"}
+    assert len(calls) == 1
+
+
 def test_classify_boundary_overlap(rng):
     # sup = 1 attained on bE: both d1 and d2
     b = rand_be_point(rng, 0.7)
@@ -396,6 +415,60 @@ def test_mu_oracle_agreement(rng):
         mh = mu_value(A, "hexa")
         mo = mu_bruteforce(A)
         assert abs(mo - mh) / max(mh, 1e-3) <= 2e-2
+
+
+def _triangular_mats(rng, zero, count):
+    """Seeded Gaussian matrices with the entry `zero` ("a12" or "a21") set
+    to 0."""
+    out = []
+    for _ in range(count):
+        m = [complex(*rng.normal(0.0, 1.0, 2)) for _ in range(4)]
+        m[1 if zero == "a12" else 2] = 0.0
+        out.append(Mat2(*m))
+    return out
+
+
+def test_mu_hexa_upper_triangular_closed_form():
+    # a21 = 0: det(I - A Delta) does not involve the corner of Delta, so
+    # mu_hexa = mu_tetra = max(|a11|, |a22|)
+    rng = np.random.default_rng(7)
+    for k, A in enumerate(_triangular_mats(rng, "a21", 150)):
+        mh = mu_value(A, "hexa")
+        assert mh == max(abs(A.a11), abs(A.a22))
+        assert mu_value(A, "tetra") == pytest.approx(mh, rel=1e-12)
+        if k < 3:
+            assert abs(mu_bruteforce(A) - mh) <= 2e-2 * max(mh, 1e-3)
+
+
+def test_mu_hexa_lower_triangular_closed_form():
+    # a12 = 0: K* factors on triangular points and mu_hexa = ||A||
+    rng = np.random.default_rng(7)
+    for k, A in enumerate(_triangular_mats(rng, "a12", 150)):
+        mh = mu_value(A, "hexa")
+        assert mh == pytest.approx(np.linalg.norm(A.to_array(), 2), rel=1e-12)
+        assert mh >= abs(A.a21)
+        if k < 3:
+            assert abs(mu_bruteforce(A) - mh) <= 2e-2 * max(mh, 1e-3)
+
+
+_entry = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+
+
+@given(st.lists(_entry, min_size=4, max_size=4),
+       st.sampled_from([None, 1, 2]), _entry.filter(lambda c: abs(c) > 0.1))
+@settings(max_examples=150, deadline=None)
+def test_mu_hexa_bounds_and_homogeneity(entries, zero, c):
+    # dense, upper-triangular (a21 = 0) and lower-triangular (a12 = 0)
+    if zero is not None:
+        entries[zero] = 0.0
+    A = Mat2(*entries)
+    mh, mt, n = mu_value(A, "hexa"), mu_value(A, "tetra"), op_norm(A)
+    slack = 1e-8 * max(1.0, n)
+    assert max(mt, abs(A.a21)) <= mh + slack
+    assert mh <= n + slack
+    for s, base in (("hexa", mh), ("tetra", mt)):
+        assert mu_value(A.scaled(c), s) == pytest.approx(
+            abs(c) * base, rel=1e-6, abs=1e-8 * max(1.0, abs(c) * n))
 
 
 def test_mu_structures_spectral_norm(rng):
