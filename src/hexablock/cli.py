@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -332,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="test closure membership for the hexa domains")
     c.add_argument("--tol", type=float, default=1e-9)
     c.add_argument("--json", action="store_true", help="machine-readable output")
-    c.set_defaults(func=cmd_classify)
 
     m = sub.add_parser("mu", help="structured singular value of a 2x2 matrix")
     m.add_argument("--structure", required=True,
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--oracle", action="store_true",
                    help="also run the sweep oracle and report the gap")
     m.add_argument("--json", action="store_true")
-    m.set_defaults(func=cmd_mu)
 
     a = sub.add_parser("aut", help="hexablock automorphism algebra")
     a.add_argument("action", choices=["apply", "compose", "invert"])
@@ -351,13 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--no-check", action="store_true",
                    help="skip the closure membership check on apply")
     a.add_argument("--json", action="store_true")
-    a.set_defaults(func=cmd_aut)
 
     i = sub.add_parser("inner", help="rational inner functions")
     i.add_argument("action", choices=["construct", "validate"])
     i.add_argument("--data", required=True, help="JSON inner-function data")
     i.add_argument("--json", action="store_true")
-    i.set_defaults(func=cmd_inner)
 
     s = sub.add_parser("schwarz", help="two-point interpolation")
     s.add_argument("action", choices=["check", "solve"])
@@ -365,25 +362,29 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--target", required=True, help="JSON 4-point")
     s.add_argument("--tetra-data", help="optional supplied tetra inner data")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_schwarz)
 
     sp = sub.add_parser("sample", help="deterministic CSV sampling")
     sp.add_argument("what", choices=["real-slice", "boundary"])
     sp.add_argument("--out", default="-", help="CSV path or - for stdout")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=100)
-    sp.set_defaults(func=cmd_sample)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # looked up at call time, so a rebinding of cmd_<command> takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

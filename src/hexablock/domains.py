@@ -152,11 +152,25 @@ def tetra_closure_margin(x) -> float:
     return 1.0 - (abs(b1) + abs(b2))
 
 
-def bE_margin(x) -> float:
-    """Signed distance-like margin to the distinguished boundary of E."""
-    x1, x2, x3 = (cx(t) for t in x)
-    return -max(abs(x1 - x2.conjugate() * x3), abs(abs(x3) - 1.0),
-                abs(x2) - 1.0)
+def bE_margin(x):
+    """Signed distance-like margin to the distinguished boundary of E.
+
+    The coordinates may be scalars (the margin is a float) or arrays that
+    broadcast together (the margin is an array, elementwise)."""
+    x1, x2, x3 = x
+    batch = isinstance(x1, np.ndarray) or isinstance(x2, np.ndarray) \
+        or isinstance(x3, np.ndarray)
+    if batch:
+        x1, x2, x3 = (np.asarray(t, dtype=complex) for t in x)
+        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))
+                and np.all(np.isfinite(x3))):
+            raise DomainError("non-finite complex value in array")
+    else:
+        x1, x2, x3 = cx(x1), cx(x2), cx(x3)
+    gaps = (abs(x1 - x2.conjugate() * x3), abs(abs(x3) - 1.0), abs(x2) - 1.0)
+    if batch:
+        return -np.maximum(np.maximum(gaps[0], gaps[1]), gaps[2])
+    return -max(gaps)
 
 
 def tetra_classify(x, tol: float = TOL) -> RegionVerdict:

@@ -321,9 +321,10 @@ def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
     (span{I, e12}), 'hexa' (upper triangular), 'spectral' or 'norm'.
 
     tetra is the diagonal D-scaling bound inf ||D A D^-1||, exact for two
-    1x1 blocks (Packard & Doyle 1993).  hexa is max(|a11|, |a22|) when
-    a21 = 0 (det(I - A Delta) then does not involve the corner of Delta)
-    and ||A|| when a12 = 0 (the triangular case of K*).  Otherwise hexa and
+    1x1 blocks (Packard & Doyle 1993).  hexa and penta are max(|a11|, |a22|)
+    when a21 = 0: for upper-triangular A and Delta, det(I - A Delta) =
+    (1 - a11 d11)(1 - a22 d22) does not involve the corner of Delta.  hexa
+    is ||A|| when a12 = 0 (the triangular case of K*).  Otherwise hexa and
     penta bisect their strict membership criterion.  Each structure contains the
     scalars and sits inside M2, so r <= mu <= norm; hexa also contains the
     diagonal matrices and [[0, 1/a21], [0, 0]], which makes I - A Delta
@@ -338,12 +339,12 @@ def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
         return spectral_radius(A)
     if structure == "tetra":
         return _mu_tetra(A)
+    if structure in ("hexa", "penta") and A.a21 == 0:
+        return max(abs(A.a11), abs(A.a22))
     hi = op_norm(A)
     if hi <= 1e-300:
         return 0.0
     if structure == "hexa":
-        if A.a21 == 0:
-            return max(abs(A.a11), abs(A.a22))
         if A.a12 == 0:
             return hi
         lo_b = max(_mu_tetra(A), abs(A.a21))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,15 +27,30 @@ from .hexa import h_member
 _CIRCLE_N = 512
 
 
-def _circle(n: int = _CIRCLE_N) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(n) / n)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
-def _disc_samples(n: int = 100, rmax: float = 0.93) -> np.ndarray:
+def _circle(n: int) -> np.ndarray:
+    return _frozen(np.exp(2j * np.pi * np.arange(n) / n))
+
+
+def _disc_samples(n: int, rmax: float = 0.93) -> np.ndarray:
     k = np.arange(n)
     r = rmax * np.sqrt((k + 0.5) / n)
     th = 2.0 * np.pi * k * 0.6180339887498949
-    return r * np.exp(1j * th)
+    return _frozen(r * np.exp(1j * th))
+
+
+# Sample grids shared by every validation: each check evaluates its function
+# once on a whole grid.
+_CIRCLE = _circle(_CIRCLE_N)
+_CIRCLE_K0 = _circle(128)
+_CIRCLE_SPOT = _circle(16)
+_CLOSED_DISC = _frozen(np.concatenate([_disc_samples(200, 0.999), _circle(256)]))
+_DISC_TETRA = _disc_samples(60)
+_DISC_HEXA = _disc_samples(100)
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +67,16 @@ class RationalTetraInner:
     D: Poly
     n: int
 
-    def components(self):
+    @cached_property
+    def components(self) -> tuple[Poly, Poly, Poly, Poly]:
+        """(E1, E2, D, D~n), each at the declared bound n."""
         E1 = self.E1.with_bound(self.n)
         E2 = self.E2.with_bound(self.n)
         D = self.D.with_bound(self.n)
         return E1, E2, D, D.reflect()
 
     def __call__(self, lam):
-        E1, E2, D, Dr = self.components()
+        E1, E2, D, Dr = self.components
         dv = D(lam)
         return (E1(lam) / dv, E2(lam) / dv, Dr(lam) / dv)
 
@@ -70,11 +88,10 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
     E1 = E2~n, the circle bounds |Ei| <= |D|, circle images on the
     distinguished boundary and disc images in the closed tetrablock.
     """
-    E1, E2, D, Dr = t.components()
+    E1, E2, D, Dr = t.components
     report = {"ok": True, "issues": []}
 
-    grid = np.concatenate([_disc_samples(200, 0.999), _circle(256)])
-    dmin = float(np.min(np.abs(D(grid))))
+    dmin = float(np.min(np.abs(D(_CLOSED_DISC))))
     report["min_abs_D"] = dmin
     if dmin <= 1e-9:
         report["ok"] = False
@@ -86,7 +103,7 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
         report["ok"] = False
         report["issues"].append("E1 != E2~n")
 
-    circ = _circle()
+    circ = _CIRCLE
     dv = np.abs(D(circ))
     excess = max(float(np.max(np.abs(E1(circ)) - dv)),
                  float(np.max(np.abs(E2(circ)) - dv)))
@@ -95,17 +112,16 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
         report["ok"] = False
         report["issues"].append("|E_i| exceeds |D| on the circle")
 
-    worst_b = 0.0
-    for lam in circ[:: max(1, len(circ) // 64)]:
-        worst_b = max(worst_b, -bE_margin(t(lam)))
+    worst_b = max(0.0, -float(np.min(
+        bE_margin(t(circ[:: max(1, len(circ) // 64)])))))
     report["circle_bE_violation"] = worst_b
     if worst_b > tol:
         report["ok"] = False
         report["issues"].append("circle image leaves the distinguished boundary")
 
     worst_in = 0.0
-    for lam in _disc_samples(60):
-        v = tetra_classify(t(lam), 1e-9)
+    for x in zip(*t(_DISC_TETRA)):
+        v = tetra_classify(x, 1e-9)
         m = min(v.margins["closure_beta"], v.margins["closure_part4"])
         if m < 0.0:
             worst_in = max(worst_in, -m)
@@ -132,13 +148,10 @@ class RationalHexaInner:
     a_in: BlaschkeProduct | None = None
 
     def __call__(self, lam):
-        x1, x2, x3 = self.tetra(lam)
-        D = self.tetra.D.with_bound(self.tetra.n)
-        a = self.c * self.B(lam) * self.A(lam) / D(lam)
-        return (a, x1, x2, x3)
+        return (self.a_component(lam), *self.tetra(lam))
 
     def a_component(self, lam):
-        D = self.tetra.D.with_bound(self.tetra.n)
+        D = self.tetra.components[2]
         return self.c * self.B(lam) * self.A(lam) / D(lam)
 
     def to_json(self) -> str:
@@ -180,7 +193,7 @@ def hexa_inner_construct(t: RationalTetraInner, B: BlaschkeProduct,
     rep = tetra_inner_validate(t)
     if not rep["ok"]:
         raise DomainError(f"invalid tetrablock inner data: {rep['issues']}")
-    E1, _, D, _ = t.components()
+    E1, _, D, _ = t.components
     d2 = poly_abs2_trig(D)
     f = trig_sub(d2, poly_abs2_trig(E1))
     scale = float(np.max(np.abs(d2)))
@@ -206,13 +219,9 @@ def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6,
         report["ok"] = False
         report["issues"].append("tetra part invalid")
 
-    circ = _circle()
-    worst_norm = 0.0
-    worst_b = 0.0
-    for lam in circ:
-        a, x1, x2, x3 = f(lam)
-        worst_norm = max(worst_norm, abs(abs(a) ** 2 + abs(x1) ** 2 - 1.0))
-        worst_b = max(worst_b, -bE_margin((x1, x2, x3)))
+    a, x1, x2, x3 = f(_CIRCLE)
+    worst_norm = float(np.max(np.abs(np.abs(a) ** 2 + np.abs(x1) ** 2 - 1.0)))
+    worst_b = max(0.0, -float(np.min(bE_margin((x1, x2, x3)))))
     report["circle_norm_residual"] = worst_norm
     report["circle_bE_violation"] = worst_b
     if worst_norm > tol:
@@ -223,8 +232,8 @@ def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6,
         report["issues"].append("circle image off the distinguished boundary")
 
     worst_marg = 0.0
-    for lam in _disc_samples(100):
-        ok, margin = h_member(f(lam), closed=True, tol=1e-9)
+    for p in zip(*f(_DISC_HEXA)):
+        ok, margin = h_member(p, closed=True, tol=1e-9)
         if margin < -interior_tol:
             worst_marg = max(worst_marg, -margin)
     report["disc_closure_violation"] = worst_marg
@@ -241,10 +250,10 @@ def rational_inner_outer(num: Poly, den: Poly, tol: float = 1e-9):
     over the zeros of `num` in the open disc (with multiplicity) and the
     outer part is zero-free on the disc with a_in * out = num/den exactly.
     """
-    grid = np.concatenate([_disc_samples(200, 0.999), _circle(256)])
-    if float(np.min(np.abs(den(grid)))) <= 1e-9:
+    dv = den(_CLOSED_DISC)
+    if float(np.min(np.abs(dv))) <= 1e-9:
         raise DomainError("denominator vanishes on the closed disc")
-    if float(np.max(np.abs(num(grid) / den(grid)))) > 1.0 + 1e-7:
+    if float(np.max(np.abs(num(_CLOSED_DISC) / dv))) > 1.0 + 1e-7:
         raise DomainError("rational data exceeds modulus 1 on the disc")
     zero_list = [] if num.degree <= 0 else list(num.roots())
     inner_zeros = [z for z in zero_list if abs(z) < 1.0 - tol]
@@ -401,11 +410,11 @@ def _phase_align_tetra(parts, n: int) -> RationalTetraInner:
     if resid > 1e-8:
         raise ConsistencyError(f"phase alignment failed, residual {resid:.3e}")
     # spot-check D~n/D against the product of the component maps
-    for lam in np.exp(2j * np.pi * np.arange(16) / 16):
-        lhs = D.reflect()(lam) / D(lam)
-        rhs = (n1(lam) / m1(lam)) * (n2(lam) / m2(lam))
-        if abs(lhs - rhs) > 1e-8:
-            raise ConsistencyError("x3 does not match the product map")
+    lam = _CIRCLE_SPOT
+    lhs = D.reflect()(lam) / D(lam)
+    rhs = (n1(lam) / m1(lam)) * (n2(lam) / m2(lam))
+    if np.any(np.abs(lhs - rhs) > 1e-8):
+        raise ConsistencyError("x3 does not match the product map")
     return RationalTetraInner(E1, E2, D, n)
 
 
@@ -555,12 +564,10 @@ def penta_inner_validate(f: RationalPentaInner, tol: float = 1e-6) -> dict:
     """Validate pentablock inner data through the hexablock bridge and the
     direct circle conditions |a|^2 + |s|^2/4 = 1, (s, p) in b Gamma."""
     report = hexa_inner_validate(penta_inner_to_hexa(f), tol)
-    worst = 0.0
-    for lam in _circle(128):
-        a, s, p = f(lam)
-        worst = max(worst,
-                    abs(abs(a) ** 2 + abs(s) ** 2 / 4.0 - 1.0),
-                    abs(abs(p) - 1.0), abs(s - s.conjugate() * p))
+    a, s, p = f(_CIRCLE_K0)
+    worst = max(float(np.max(np.abs(np.abs(a) ** 2 + np.abs(s) ** 2 / 4.0 - 1.0))),
+                float(np.max(np.abs(np.abs(p) - 1.0))),
+                float(np.max(np.abs(s - s.conjugate() * p))))
     report["circle_K0_violation"] = worst
     if worst > 10.0 * tol:
         report["ok"] = False

@@ -171,6 +171,60 @@ def test_cli_deterministic_output():
     assert out1 == out2
 
 
+def _run_cli_all(args):
+    """(exit code, stdout, stderr) of an in-process call."""
+    import contextlib
+    import io
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_reuses_one_parser(monkeypatch):
+    import hexablock.cli as cli
+    inner_data = json.dumps({"n": 1, "E1": [[0, 0]], "E2": [[0, 0]],
+                             "D": [[1, 0]]})
+    calls = [
+        ["classify", "--domain", "tetra", "--point", "[[0,0],[0,0],[0.5,0]]",
+         "--json"],
+        ["classify", "--domain", "tetra", "--point", "[[0,0],[0,0],[0.5,0]]"],
+        ["mu", "--structure", "penta", "--matrix", "[[1,1],[0,1]]"],
+        ["classify", "--domain", "banana", "--point", "[]"],
+        ["--version"],
+        ["inner", "construct", "--data", inner_data, "--json"],
+        ["mu", "--structure", "norm", "--matrix", "[[1,0],[0,2]]", "--json"],
+        ["schwarz", "check", "--lam", "[0.5,0]",
+         "--target", "[[0.6,0],[0,0],[0,0],[0.5,0]]"],
+        ["classify", "--domain", "tetra", "--point", "[[0,0"],
+        [],
+    ]
+    reused = [_run_cli_all(args) for args in calls]
+    parser = cli._parser()
+    assert all(_run_cli_all(args) == r for args, r in zip(calls, reused))
+    assert cli._parser() is parser
+    fresh = []
+    for args in calls:
+        cli._parser.cache_clear()
+        fresh.append(_run_cli_all(args))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 0, 2, 0, 0, 0, 3, 64, 2]
+    assert reused[4][1].strip() == hexablock.__version__
+    assert "invalid choice: 'banana'" in reused[3][2]
+
+    # subcommands are looked up when called: a rebinding takes effect
+    seen = []
+    real = cli.cmd_inner
+
+    def recorded(args):
+        seen.append(args.action)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_inner", recorded)
+    assert _run_cli_all(calls[5]) == reused[5]
+    assert seen == ["construct"]
+
+
 def test_sample_real_slice(tmp_path):
     out = tmp_path / "slice.csv"
     code, _ = run_cli(["sample", "real-slice", "--seed", "7", "--count", "40",

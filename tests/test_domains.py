@@ -5,8 +5,8 @@ import pytest
 
 from hexablock.numerics import DiscAut, DomainError, pi_tetra
 from hexablock.psi import Psi_eval
-from hexablock.domains import (Region, bE_generator_params, diamond,
-                               embed_biball, embed_g2, embed_penta,
+from hexablock.domains import (Region, bE_generator_params, bE_margin,
+                               diamond, embed_biball, embed_g2, embed_penta,
                                embed_tetra, g2_classify, penta_classify,
                                penta_hn_witness, penta_radii, retract_g2,
                                retract_penta, retract_tetra, solve_beta,
@@ -83,6 +83,28 @@ def test_tetra_distinguished(rng):
         assert v.region is Region.DISTINGUISHED_BOUNDARY
     # triangular corner
     assert tetra_classify((1, 1, 1)).region is Region.DISTINGUISHED_BOUNDARY
+
+
+def test_bE_margin_array_matches_scalar(rng):
+    pts = [rand_be_point(rng) for _ in range(20)] \
+        + [pi_tetra(rand_contraction(rng, 0.98)) for _ in range(20)] \
+        + [(0.3, 1.5, 1.2j), (1, 1, 1)]
+    scalar = [bE_margin(x) for x in pts]
+    assert all(type(m) is float for m in scalar)
+    assert scalar[:20] == pytest.approx([0.0] * 20, abs=1e-12)
+    assert all(m < -1e-3 for m in scalar[20:-2])
+    cols = tuple(np.array(c, dtype=complex) for c in zip(*pts))
+    batch = bE_margin(cols)
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(pts),)
+    # numpy's complex product and modulus round differently from Python's
+    # in the last bit, so the two agree to rounding, not bit for bit
+    assert batch.tolist() == pytest.approx(scalar, rel=1e-14, abs=1e-15)
+    # scalar coordinates broadcast against array ones
+    assert bE_margin((cols[0], 0.5, cols[2])).tolist() == pytest.approx(
+        [bE_margin((x1, 0.5, x3)) for x1, x3 in zip(cols[0], cols[2])],
+        rel=1e-14, abs=1e-15)
+    with pytest.raises(DomainError):
+        bE_margin((cols[0], cols[1], np.full(len(pts), np.nan)))
 
 
 def test_tetra_from_contractions(rng):

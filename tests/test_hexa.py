@@ -12,6 +12,7 @@ from hexablock.hexa import (bh_member, classify_boundary, classify_hexa,
                             h_member, hartogs_u, hmu_closure_member,
                             hmu_member, hn_member, hn_params, hp_param,
                             mu_value, psi_sup)
+from hexablock.domains import penta_classify
 from hexablock.oracles import mu_bruteforce
 
 from conftest import (rand_be_point, rand_contraction, rand_disc,
@@ -440,6 +441,29 @@ def test_mu_hexa_upper_triangular_closed_form():
             assert abs(mu_bruteforce(A) - mh) <= 2e-2 * max(mh, 1e-3)
 
 
+def test_mu_penta_upper_triangular_pinned():
+    # span{I, e12} lies in the upper-triangular matrices, so on
+    # upper-triangular A: r(A) <= mu_penta <= mu_hexa = r(A)
+    assert mu_value(Mat2(1, 1, 0, 1), "penta") == 1.0
+    assert mu_value(Mat2(0.5, 0.3, 0, 0.5), "penta") == 0.5
+
+
+def test_mu_penta_upper_triangular_closed_form():
+    rng = np.random.default_rng(7)
+    for k, A in enumerate(_triangular_mats(rng, "a21", 150)):
+        mp = mu_value(A, "penta")
+        assert mp == max(abs(A.a11), abs(A.a22))
+        assert mp == pytest.approx(
+            max(abs(np.linalg.eigvals(A.to_array()))), rel=1e-12)
+        if k < 20:
+            # the voting classifier puts pi_P(A/t) inside P just above mu
+            # and outside just below
+            for t, inside in ((1.001 * mp, True), (0.999 * mp, False)):
+                B = A.scaled(1.0 / t)
+                assert penta_classify(B.a21, B.trace, B.det).in_interior \
+                    == inside
+
+
 def test_mu_hexa_lower_triangular_closed_form():
     # a12 = 0: K* factors on triangular points and mu_hexa = ||A||
     rng = np.random.default_rng(7)
@@ -466,6 +490,9 @@ def test_mu_hexa_bounds_and_homogeneity(entries, zero, c):
     slack = 1e-8 * max(1.0, n)
     assert max(mt, abs(A.a21)) <= mh + slack
     assert mh <= n + slack
+    if zero is not None:
+        # span{I, e12} lies in the upper-triangular matrices
+        assert mu_value(A, "penta") <= mh + 1e-9 * n
     for s, base in (("hexa", mh), ("tetra", mt)):
         assert mu_value(A.scaled(c), s) == pytest.approx(
             abs(c) * base, rel=1e-6, abs=1e-8 * max(1.0, abs(c) * n))

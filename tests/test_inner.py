@@ -18,6 +18,9 @@ from hexablock.inner import (RationalHexaInner,
 from conftest import rand_disc, rand_tetra_point, rand_unit
 
 
+_CIRC = np.exp(2j * np.pi * np.arange(512) / 512)
+
+
 def _const_tetra(n, d_const=1.0):
     return RationalTetraInner(Poly.const(0, n), Poly.const(0, n),
                               Poly.const(d_const, n), n)
@@ -162,6 +165,112 @@ def test_hexa_inner_json_round_trip(rng):
     for lam in (0.3, 0.2 - 0.4j, np.exp(0.5j)):
         assert np.allclose(np.array(f(lam), dtype=complex),
                            np.array(g(lam), dtype=complex), atol=1e-12)
+
+
+def test_hexa_inner_validate_rejects_corrupted_c(rng):
+    t = _random_tetra_inner(rng)
+    f = hexa_inner_construct(t, BlaschkeProduct(1.0, (0.2,)), 1.0)
+    rep = hexa_inner_validate(RationalHexaInner(f.tetra, f.A, f.B, 1.2))
+    assert "|a|^2 + |x1|^2 != 1 on the circle" in rep["issues"]
+    # |a|^2 grows by 1.44 where |a|^2 = 1 - |x1|^2
+    x1 = np.abs(t.E1(_CIRC) / t.D(_CIRC))
+    assert rep["circle_norm_residual"] == pytest.approx(
+        0.44 * float(np.max(1.0 - x1 ** 2)), rel=1e-9)
+
+
+def test_hexa_inner_validate_rejects_circle_off_bE(rng):
+    t = _random_tetra_inner(rng)
+    f = hexa_inner_construct(t, BlaschkeProduct(), 1.0)
+    bad = RationalTetraInner(t.E1, t.E2.scale(1.1), t.D, t.n)
+    rep = hexa_inner_validate(RationalHexaInner(bad, f.A, f.B, f.c))
+    assert "circle image off the distinguished boundary" in rep["issues"]
+    # x1 - conj(1.1 x2) x3 = -0.1 x1 on the circle
+    assert rep["circle_bE_violation"] == pytest.approx(
+        0.1 * float(np.max(np.abs(t.E1(_CIRC) / t.D(_CIRC)))), rel=1e-9)
+
+
+def test_tetra_inner_validate_rejects_circle_bound(rng):
+    t = _random_tetra_inner(rng)
+    big = RationalTetraInner(t.E1.scale(3.0), t.E2.scale(3.0), t.D, t.n)
+    rep = tetra_inner_validate(big)
+    assert "|E_i| exceeds |D| on the circle" in rep["issues"]
+    dv = np.abs(t.D(_CIRC))
+    assert rep["circle_bound_excess"] == pytest.approx(3.0 * max(
+        float(np.max(np.abs(E(_CIRC)) - dv / 3.0)) for E in (t.E1, t.E2)),
+        rel=1e-9)
+
+
+def test_tetra_inner_validate_rejects_circle_off_bE(rng):
+    t = _random_tetra_inner(rng)
+    rep = tetra_inner_validate(
+        RationalTetraInner(t.E1, t.E2.scale(1.1), t.D, t.n))
+    assert "circle image leaves the distinguished boundary" in rep["issues"]
+    # checked on every eighth point of the circle
+    circ = _CIRC[::8]
+    assert rep["circle_bE_violation"] == pytest.approx(
+        0.1 * float(np.max(np.abs(t.E1(circ) / t.D(circ)))), rel=1e-9)
+
+
+def test_penta_inner_validate_rejects_non_inner_s():
+    # s = 1/2 is not inner: s != conj(s) p and |a|^2 + |s|^2/4 = 17/16 on
+    # the circle
+    n = 2
+    p = RationalPentaInner(Poly.const(0.5, n), Poly.const(1.0, n),
+                           Poly.const(1.0, n), BlaschkeProduct(-1.0, (0.0,)),
+                           1.0, n)
+    rep = penta_inner_validate(p)
+    assert "circle image off K0" in rep["issues"]
+    assert rep["circle_K0_violation"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_inner_array_evaluation_matches_scalar(rng):
+    lam = np.concatenate([np.exp(2j * np.pi * np.arange(37) / 37),
+                          [rand_disc(rng, 0.95) for _ in range(40)]])
+    t = _random_tetra_inner(rng)
+    B = BlaschkeProduct(rand_unit(rng), (0.3, rand_disc(rng, 0.7)))
+    f = hexa_inner_construct(t, B, rand_unit(rng))
+    p = RationalPentaInner(Poly(np.array([0.1, 0.3 + 0.2j, 0.1]), 2),
+                           Poly.from_roots([1.7, -2.1j], n=2), f.A, B, 1.0, 2)
+    for fn in (t, f, p, B):
+        batch = np.array(fn(lam), dtype=complex)
+        scalar = np.array([fn(z) for z in lam], dtype=complex)
+        scalar = scalar.T if batch.ndim == 2 else scalar
+        assert batch.shape == scalar.shape
+        assert np.all(np.abs(batch - scalar) <= 1e-14 * np.abs(scalar) + 1e-300)
+
+
+def test_hexa_inner_validate_work_is_independent_of_circle_size(rng,
+                                                               monkeypatch):
+    # each circle check evaluates its function once on the whole circle
+    import hexablock.domains
+    import hexablock.hexa
+    import hexablock.inner as inner
+    f = hexa_inner_construct(_random_tetra_inner(rng),
+                             BlaschkeProduct(1.0, (0.2,)), 1.0)
+    counts = {"poly": 0, "bE": 0}
+    poly_call = Poly.__call__
+    margin = inner.bE_margin
+
+    def counted_poly(self, lam):
+        counts["poly"] += 1
+        return poly_call(self, lam)
+
+    def counted_margin(x):
+        counts["bE"] += 1
+        return margin(x)
+
+    monkeypatch.setattr(Poly, "__call__", counted_poly)
+    for mod in (inner, hexablock.domains, hexablock.hexa):
+        monkeypatch.setattr(mod, "bE_margin", counted_margin)
+    seen = []
+    for n in (inner._CIRCLE_N, 8 * inner._CIRCLE_N):
+        monkeypatch.setattr(inner, "_CIRCLE", inner._circle(n))
+        counts.update(poly=0, bE=0)
+        assert hexa_inner_validate(f)["ok"]
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    # tetra part: 12 polynomial evaluations; circle and disc: 6 each
+    assert seen[0]["poly"] == 24
 
 
 # ---------------------------------------------------------------------------
