@@ -14,11 +14,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, DiscAut, cx,
-                       stable_quadratic_roots)
+                       cx_arrays, cx_coords, stable_quadratic_roots)
 from .psi import betas, is_triangular, k_star, tetra_interior_margin
 
 
@@ -68,6 +69,28 @@ def _vote(flags: dict, margins: dict, tol: float, what: str) -> bool:
             f"{what}: equivalent criteria disagree beyond tolerance: {votes} "
             f"margins={{{', '.join(f'{k}: {v:.3e}' for k, v in margins.items())}}}")
     return vals.pop()
+
+
+def _vote_each(flags: dict, margins: dict, tol: float, what: str, point):
+    """`_vote` at every entry of flag and margin arrays; nan margins abstain.
+
+    `point` holds the coordinate arrays, named in the `ConsistencyError`
+    of the first point with a split vote."""
+    names = list(flags)
+    flag = np.array([flags[k] for k in names])
+    margin = np.array([margins[k] for k in names])
+    decisive = np.abs(margin) > tol
+    yes = (decisive & flag).any(axis=0)
+    split = yes & (decisive & ~flag).any(axis=0)
+    if split.any():
+        i = np.unravel_index(np.argmax(split), split.shape)
+        at = tuple(complex(c[i]) for c in point)
+        votes = {k: bool(flag[j][i]) for j, k in enumerate(names) if decisive[j][i]}
+        raise ConsistencyError(
+            f"{what} at point {at}: equivalent criteria disagree beyond "
+            f"tolerance: {votes} margins={{"
+            f"{', '.join(f'{k}: {margin[j][i]:.3e}' for j, k in enumerate(names))}}}")
+    return np.where(decisive.any(axis=0), yes, flag[0])
 
 
 # ---------------------------------------------------------------------------
@@ -139,38 +162,110 @@ def g2_classify(s: complex, p: complex, tol: float = TOL) -> RegionVerdict:
 # Tetrablock
 # ---------------------------------------------------------------------------
 
-def tetra_closure_margin(x) -> float:
-    """Non-strict beta-decomposition margin: 1 - (|b1| + |b2|) when |x3| < 1,
-    extended continuously through |x3| = 1."""
-    x1, x2, x3 = (cx(t) for t in x)
-    if abs(x3) > 1.0:
-        return 1.0 - abs(x3)
-    if abs(abs(x3) - 1.0) < 1e-13:
-        # on |x3| = 1 the closure forces x1 = conj(x2) x3 (b E directions)
-        return -max(abs(x1 - x2.conjugate() * x3), abs(x1) - 1.0, abs(x2) - 1.0)
-    b1, b2 = betas(x)
-    return 1.0 - (abs(b1) + abs(b2))
-
-
 def bE_margin(x):
     """Signed distance-like margin to the distinguished boundary of E.
 
     The coordinates may be scalars (the margin is a float) or arrays that
     broadcast together (the margin is an array, elementwise)."""
-    x1, x2, x3 = x
-    batch = isinstance(x1, np.ndarray) or isinstance(x2, np.ndarray) \
-        or isinstance(x3, np.ndarray)
-    if batch:
-        x1, x2, x3 = (np.asarray(t, dtype=complex) for t in x)
-        if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))
-                and np.all(np.isfinite(x3))):
-            raise DomainError("non-finite complex value in array")
-    else:
-        x1, x2, x3 = cx(x1), cx(x2), cx(x3)
+    x1, x2, x3 = cx_coords(x)
     gaps = (abs(x1 - x2.conjugate() * x3), abs(abs(x3) - 1.0), abs(x2) - 1.0)
-    if batch:
+    if isinstance(x1, np.ndarray):
         return -np.maximum(np.maximum(gaps[0], gaps[1]), gaps[2])
     return -max(gaps)
+
+
+def _pick(cond, if_true, if_false):
+    """`if_true if cond else if_false`, elementwise when cond is an array."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, if_true, if_false)
+    return if_true if cond else if_false
+
+
+# regions by the codes of `_tetra_verdict` on arrays
+_REGIONS = np.array([Region.BOUNDARY, Region.INTERIOR,
+                     Region.DISTINGUISHED_BOUNDARY, Region.EXTERIOR], dtype=object)
+
+
+def _tetra_verdict(x1, x2, x3, tol: float):
+    """(region, margins, witnesses) of `tetra_classify` for coerced
+    coordinates: scalars, or arrays of one shape, on which every margin,
+    vote and region is elementwise.  On arrays part 7 is nan (abstaining)
+    where |x3| >= 1 and the beta witnesses are not kept."""
+    batch = isinstance(x1, np.ndarray)
+    lo, hi = (np.minimum, np.maximum) if batch else (min, max)
+    vote = partial(_vote_each, point=(x1, x2, x3)) if batch else _vote
+    a1, a2, a3 = abs(x1), abs(x2), abs(x3)
+    s1, s2, s3 = a1 ** 2, a2 ** 2, a3 ** 2
+    d12 = abs(x1 - x2.conjugate() * x3)
+    d21 = abs(x2 - x1.conjugate() * x3)
+    w = abs(x1 * x2 - x3)
+
+    # part 8 needs |x3| < 1 alongside the displayed inequality (the stated
+    # triangular guard alone does not exclude e.g. (0, 0, 1.2))
+    m8 = lo(1.0 - s1 - s2 + s3 - 2.0 * w, 1.0 - a3)
+    m8 = _pick(is_triangular((x1, x2, x3), tol), lo(m8, 2.0 - a1 - a2), m8)
+    m4 = lo(1.0 + s1 - s2 - s3 - 2.0 * d12, 1.0 - a1)
+    margins = {"part3": 1.0 - (s1 + d21 + w), "part3_flip": 1.0 - (s2 + d12 + w),
+               "part4": m4, "part5": (1.0 - s3) - (d12 + d21), "part8": m8}
+    witnesses = {}
+    below = a3 < 1.0
+    if batch:
+        m7 = np.full(a3.shape, np.nan)
+        if below.any():
+            b1, b2 = betas((x1[below], x2[below], x3[below]))
+            m7[below] = 1.0 - (abs(b1) + abs(b2))
+        margins["part7"] = m7
+    elif below:
+        b1, b2 = betas((x1, x2, x3))
+        m7 = margins["part7"] = 1.0 - (abs(b1) + abs(b2))
+        witnesses["beta1"] = b1
+        witnesses["beta2"] = b2
+    else:
+        m7 = math.nan
+    inside = vote({k: v > 0.0 for k, v in margins.items()}, margins, tol,
+                  "tetrablock interior")
+
+    # the closure: the non-strict beta margin, extended continuously through
+    # |x3| = 1, where it forces x1 = conj(x2) x3 (bE directions), and part
+    # 4's margin with the non-strict inequality
+    mc = _pick(a3 > 1.0, 1.0 - a3,
+               _pick(abs(a3 - 1.0) < 1e-13, -hi(hi(d12, a1 - 1.0), a2 - 1.0), m7))
+    margins["closure_beta"] = mc
+    margins["closure_part4"] = m4
+    in_closure = vote({"closure_beta": mc >= -tol, "closure_part4": m4 >= -tol},
+                      {"closure_beta": mc, "closure_part4": m4},
+                      tol, "tetrablock closure")
+
+    # boundary equalities (only meaningful inside the closure)
+    margins["boundary_part2"] = s2 + d12 + w - 1.0
+    margins["boundary_part3"] = s1 + d21 + w - 1.0
+    margins["boundary_part4"] = 1.0 - s1 - s2 + s3 - 2.0 * w
+    margins["boundary_part5"] = d12 + d21 - (1.0 - s3)
+
+    # outside the closure part 6 reads -1 and part 1 is never positive, so
+    # the vote cannot split there
+    mb = bE_margin((x1, x2, x3))
+    mb6 = _pick(in_closure, -abs(a3 - 1.0), -1.0)
+    margins["b_tetra_part1"] = mb
+    margins["b_tetra_part6"] = mb6
+    on_b = in_closure & vote(
+        {"b_tetra_part1": mb >= -tol, "b_tetra_part6": mb6 >= -tol},
+        {"b_tetra_part1": mb, "b_tetra_part6": mb6}, tol,
+        "tetrablock distinguished boundary")
+
+    interior = inside & (mc > tol)
+    if batch:
+        region = _REGIONS[np.where(in_closure,
+                                   np.where(on_b, 2, np.where(interior, 1, 0)), 3)]
+    elif not in_closure:
+        region = Region.EXTERIOR
+    elif on_b:
+        region = Region.DISTINGUISHED_BOUNDARY
+    elif interior:
+        region = Region.INTERIOR
+    else:
+        region = Region.BOUNDARY
+    return region, margins, witnesses
 
 
 def tetra_classify(x, tol: float = TOL) -> RegionVerdict:
@@ -180,74 +275,18 @@ def tetra_classify(x, tol: float = TOL) -> RegionVerdict:
     beta decomposition), the closure criteria, the boundary equalities and
     the distinguished-boundary characterizations, asserting agreement.
     """
-    x1, x2, x3 = (cx(t) for t in x)
-    w = abs(x1 * x2 - x3)
+    x1, x2, x3 = x
+    return RegionVerdict(*_tetra_verdict(cx(x1), cx(x2), cx(x3), tol))
 
-    m3 = 1.0 - (abs(x1) ** 2 + abs(x2 - x1.conjugate() * x3) + w)
-    m3f = 1.0 - (abs(x2) ** 2 + abs(x1 - x2.conjugate() * x3) + w)
-    m4 = min(1.0 + abs(x1) ** 2 - abs(x2) ** 2 - abs(x3) ** 2
-             - 2.0 * abs(x1 - x2.conjugate() * x3), 1.0 - abs(x1))
-    m5 = (1.0 - abs(x3) ** 2) - (abs(x1 - x2.conjugate() * x3)
-                                 + abs(x2 - x1.conjugate() * x3))
-    # part 8 needs |x3| < 1 alongside the displayed inequality (the stated
-    # triangular guard alone does not exclude e.g. (0, 0, 1.2))
-    m8 = min(1.0 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2 - 2.0 * w,
-             1.0 - abs(x3))
-    if is_triangular(x, tol):
-        m8 = min(m8, 2.0 - abs(x1) - abs(x2))
 
-    margins = {"part3": m3, "part3_flip": m3f, "part4": m4,
-               "part5": m5, "part8": m8}
-    flags = {k: v > 0.0 for k, v in margins.items()}
-    witnesses = {}
-    if abs(x3) < 1.0:
-        b1, b2 = betas(x)
-        m7 = 1.0 - (abs(b1) + abs(b2))
-        margins["part7"] = m7
-        flags["part7"] = m7 > 0.0
-        witnesses["beta1"] = b1
-        witnesses["beta2"] = b2
-    inside = _vote(flags, margins, tol, "tetrablock interior")
-
-    # part 4's margin also serves the closure, with the non-strict inequality
-    mc = tetra_closure_margin(x)
-    margins["closure_beta"] = mc
-    margins["closure_part4"] = m4
-    in_closure = _vote({"closure_beta": mc >= -tol, "closure_part4": m4 >= -tol},
-                       {"closure_beta": mc, "closure_part4": m4},
-                       tol, "tetrablock closure")
-    if mc < -tol or m4 < -tol:
-        in_closure = False
-
-    # boundary equalities (only meaningful inside the closure)
-    b2_eq = abs(x2) ** 2 + abs(x1 - x2.conjugate() * x3) + w - 1.0
-    b3_eq = abs(x1) ** 2 + abs(x2 - x1.conjugate() * x3) + w - 1.0
-    b4_eq = 1.0 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2 - 2.0 * w
-    b5_eq = abs(x1 - x2.conjugate() * x3) + abs(x2 - x1.conjugate() * x3) \
-        - (1.0 - abs(x3) ** 2)
-    margins["boundary_part2"] = b2_eq
-    margins["boundary_part3"] = b3_eq
-    margins["boundary_part4"] = b4_eq
-    margins["boundary_part5"] = b5_eq
-
-    mb = bE_margin(x)
-    mb6 = -abs(abs(x3) - 1.0) if in_closure else -1.0
-    margins["b_tetra_part1"] = mb
-    margins["b_tetra_part6"] = mb6
-    on_b = in_closure and _vote(
-        {"b_tetra_part1": mb >= -tol, "b_tetra_part6": mb6 >= -tol},
-        {"b_tetra_part1": mb, "b_tetra_part6": mb6}, tol,
-        "tetrablock distinguished boundary")
-
-    if not in_closure:
-        region = Region.EXTERIOR
-    elif on_b:
-        region = Region.DISTINGUISHED_BOUNDARY
-    elif inside and mc > tol:
-        region = Region.INTERIOR
-    else:
-        region = Region.BOUNDARY
-    return RegionVerdict(region, margins, witnesses)
+def tetra_classify_batch(x, tol: float = TOL):
+    """`tetra_classify` at every point of coordinate arrays that broadcast
+    together: (regions, margins), an object array of `Region` members and a
+    dict of margin arrays under the scalar keys (part 7 is nan where
+    |x3| >= 1).  The votes are taken point by point; a split vote raises
+    `ConsistencyError` naming the point."""
+    region, margins, _ = _tetra_verdict(*cx_arrays(x), tol)
+    return region, margins
 
 
 # ---------------------------------------------------------------------------

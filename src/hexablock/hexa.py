@@ -10,10 +10,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .numerics import (TOL, ConsistencyError, DomainError, Mat2, cx,
-                       op_norm, spectral_radius)
+                       cx_arrays, op_norm, spectral_radius)
 from .psi import (is_triangular, k_star, maximizer, tetra_interior_margin)
-from .domains import Region, bE_margin, penta_classify, tetra_classify
+from .domains import (Region, bE_margin, penta_classify, tetra_classify,
+                      tetra_classify_batch)
 from .oracles import grid_sup_kappa
 
 _INF = math.inf
@@ -156,6 +159,32 @@ def h_member(p, closed: bool = False, tol: float = TOL):
         return False, min(m_int, 0.0)
     margin = 1.0 - abs(a) * k_star(x)
     return margin > tol, margin
+
+
+def h_closure_batch(p, tol: float = TOL):
+    """`h_member(p, closed=True)` at every point of arrays p = (a, x1, x2, x3)
+    that broadcast together: (flags, margins) arrays.
+
+    The tetrablock verdict is taken on the whole arrays.  In the closed
+    tetrablock the margin is 1 where a = 0 and 1 - |a| K*(x) where the
+    tetrablock interior margin exceeds max(tol, 1e-9), with K* evaluated
+    on those points at once; every other point (outside the closed
+    tetrablock, near its boundary) goes through the scalar `h_member`."""
+    a, x1, x2, x3 = cx_arrays(p)
+    x = (x1, x2, x3)
+    region, tm = tetra_classify_batch(x, tol)
+    closed = region != Region.EXTERIOR
+    zero = closed & (a == 0)
+    # part 3 is the tetrablock interior margin that `psi_sup` thresholds
+    route = closed & ~zero & (tm["part3"] > max(tol, 1e-9))
+    margins = np.ones(a.shape)
+    if route.any():
+        margins[route] = 1.0 - abs(a[route]) * k_star(tuple(t[route] for t in x))
+    flags = margins >= -tol
+    for i in zip(*np.nonzero(~(zero | route))):
+        flags[i], margins[i] = h_member(tuple(t[i] for t in (a, *x)),
+                                        closed=True, tol=tol)
+    return flags, margins
 
 
 def classify_boundary(p, tol: float = TOL):
@@ -301,17 +330,10 @@ def _mu_tetra(A: Mat2) -> float:
                   + math.sqrt(abs(u - v) ** 2 + off_minus))
 
 
-def _strict_member(A: Mat2, t: float, structure: str, tol: float) -> bool:
-    """Strict membership criterion for the scaled matrix A/t."""
-    r = 1.0 / t
-    if structure == "penta":
-        B = A.scaled(r)
-        return penta_classify(B.a21, B.trace, B.det, tol).in_interior
-    b11, b22 = r * A.a11, r * A.a22
-    x = (b11, b22, b11 * b22 - (r * A.a12) * (r * A.a21))
-    if not tetra_interior_margin(x) > 0.0:
-        return False
-    return abs(r * A.a21) * k_star(x, refuse_margin=0.0) < 1.0
+def _penta_member(A: Mat2, t: float, tol: float) -> bool:
+    """Strict pentablock membership of pi_P(A/t)."""
+    B = A.scaled(1.0 / t)
+    return penta_classify(B.a21, B.trace, B.det, tol).in_interior
 
 
 def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
@@ -323,15 +345,21 @@ def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
     tetra is the diagonal D-scaling bound inf ||D A D^-1||, exact for two
     1x1 blocks (Packard & Doyle 1993).  hexa and penta are max(|a11|, |a22|)
     when a21 = 0: for upper-triangular A and Delta, det(I - A Delta) =
-    (1 - a11 d11)(1 - a22 d22) does not involve the corner of Delta.  hexa
-    is ||A|| when a12 = 0 (the triangular case of K*).  Otherwise hexa and
-    penta bisect their strict membership criterion.  Each structure contains the
-    scalars and sits inside M2, so r <= mu <= norm; hexa also contains the
-    diagonal matrices and [[0, 1/a21], [0, 0]], which makes I - A Delta
-    singular, so its bracket starts at max(mu_tetra, |a21|).  The three mu
-    values are not totally ordered: diagonal and span{I, e12}
-    perturbations are not nested.  0 is returned for a vanishing matrix
-    and when the penta criterion holds at a vanishing scale.
+    (1 - a11 d11)(1 - a22 d22) does not involve the corner of Delta.
+    Otherwise hexa is ||A|| when |a12| <= |a21| and mu_tetra when
+    |a12| > |a21|.  Each structure contains the scalars and sits inside M2,
+    so r <= mu <= norm; hexa also contains the diagonal matrices and
+    [[0, 1/a21], [0, 0]], which makes I - A Delta singular, so
+    mu_hexa >= max(mu_tetra, |a21|).  Conversely D = diag(delta, 1) with
+    delta <= 1 maps the upper-triangular unit ball into itself (it shrinks
+    the corner), so mu_hexa <= ||D A D^-1|| for every such delta; the
+    balancing delta^2 = |a21|/|a12| gives mu_tetra when it is <= 1, and
+    otherwise delta = 1 gives ||A|| (Packard & Doyle 1993).  penta bisects
+    its strict membership criterion to the width tol * ||A||, relative so
+    that mu(cA) = |c| mu(A) at every scale.  The three mu values are not
+    totally ordered: diagonal and span{I, e12} perturbations are not
+    nested.  0 is returned for a vanishing matrix and when the penta
+    criterion holds at a vanishing scale.
     """
     if structure == "norm":
         return op_norm(A)
@@ -339,33 +367,30 @@ def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
         return spectral_radius(A)
     if structure == "tetra":
         return _mu_tetra(A)
-    if structure in ("hexa", "penta") and A.a21 == 0:
+    if structure not in ("hexa", "penta"):
+        raise DomainError(f"unknown structure {structure!r}")
+    if A.a21 == 0:
         return max(abs(A.a11), abs(A.a22))
+    if structure == "hexa":
+        return op_norm(A) if abs(A.a12) <= abs(A.a21) else _mu_tetra(A)
     hi = op_norm(A)
     if hi <= 1e-300:
         return 0.0
-    if structure == "hexa":
-        if A.a12 == 0:
-            return hi
-        lo_b = max(_mu_tetra(A), abs(A.a21))
-    elif structure == "penta":
-        lo = spectral_radius(A)
-        lo_b = max(lo, hi * 1e-13)
-        if _strict_member(A, lo_b, structure, tol):
-            if lo <= hi * 1e-12:
-                return 0.0
-            # mu equals the spectral radius up to roundoff
-            return lo
-    else:
-        raise DomainError(f"unknown structure {structure!r}")
+    lo = spectral_radius(A)
+    lo_b = max(lo, hi * 1e-13)
+    if _penta_member(A, lo_b, tol):
+        if lo <= hi * 1e-12:
+            return 0.0
+        # mu equals the spectral radius up to roundoff
+        return lo
     hi_b = hi * (1.0 + 1e-12) + 1e-300
-    if not _strict_member(A, hi_b * (1.0 + 1e-6), structure, tol):
+    if not _penta_member(A, hi_b * (1.0 + 1e-6), tol):
         # numerical guard; mu <= norm always holds mathematically
         return hi
-    target = tol * max(1.0, hi)
+    target = tol * hi
     while hi_b - lo_b > target:
         mid = 0.5 * (lo_b + hi_b)
-        if _strict_member(A, mid, structure, tol):
+        if _penta_member(A, mid, tol):
             hi_b = mid
         else:
             lo_b = mid

@@ -21,8 +21,8 @@ import numpy as np
 from .numerics import (BlaschkeProduct, ConsistencyError, DomainError, Poly,
                        cx, fejer_riesz, poly_abs2_trig, trig_sub)
 from .psi import k_star
-from .domains import bE_margin, tetra_classify
-from .hexa import h_member
+from .domains import bE_margin, tetra_classify_batch
+from .hexa import h_closure_batch, h_member
 
 _CIRCLE_N = 512
 
@@ -119,12 +119,9 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
         report["ok"] = False
         report["issues"].append("circle image leaves the distinguished boundary")
 
-    worst_in = 0.0
-    for x in zip(*t(_DISC_TETRA)):
-        v = tetra_classify(x, 1e-9)
-        m = min(v.margins["closure_beta"], v.margins["closure_part4"])
-        if m < 0.0:
-            worst_in = max(worst_in, -m)
+    _, margins = tetra_classify_batch(t(_DISC_TETRA), 1e-9)
+    worst_in = max(0.0, -float(np.min(np.minimum(margins["closure_beta"],
+                                                 margins["closure_part4"]))))
     report["disc_closure_violation"] = worst_in
     if worst_in > tol:
         report["ok"] = False
@@ -231,11 +228,9 @@ def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6,
         report["ok"] = False
         report["issues"].append("circle image off the distinguished boundary")
 
-    worst_marg = 0.0
-    for p in zip(*f(_DISC_HEXA)):
-        ok, margin = h_member(p, closed=True, tol=1e-9)
-        if margin < -interior_tol:
-            worst_marg = max(worst_marg, -margin)
+    _, margins = h_closure_batch(f(_DISC_HEXA), tol=1e-9)
+    below = margins[margins < -interior_tol]
+    worst_marg = -float(np.min(below)) if below.size else 0.0
     report["disc_closure_violation"] = worst_marg
     if worst_marg > interior_tol:
         report["ok"] = False

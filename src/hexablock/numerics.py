@@ -36,6 +36,23 @@ def cx(value) -> complex:
     return z
 
 
+def cx_arrays(values) -> tuple:
+    """Coerce to finite complex arrays broadcast to one shape."""
+    arrs = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values))
+    for a in arrs:
+        if not np.isfinite(a).all():
+            raise DomainError("non-finite complex value in array")
+    return tuple(arrs)
+
+
+def cx_coords(values) -> tuple:
+    """Coerce coordinates with `cx`, or with `cx_arrays` when any of them
+    is an ndarray."""
+    if np.ndarray in map(type, values):
+        return cx_arrays(values)
+    return tuple(map(cx, values))
+
+
 # ---------------------------------------------------------------------------
 # 2x2 matrices
 # ---------------------------------------------------------------------------

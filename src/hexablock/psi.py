@@ -1,6 +1,10 @@
 """The linear fractional families psi_{z1,z2}, Psi, Phi_z and kappa, the
 closed-form unique maximizer of |kappa| over the bidisc, and the cost
 K* = sup |kappa| that drives every hexablock membership test.
+
+`tetra_interior_margin`, `is_triangular`, `betas`, `kappa_eval`,
+`maximizer` and `k_star` also take numpy arrays of coordinates and then
+work elementwise, with the same arithmetic as on scalars.
 """
 
 from __future__ import annotations
@@ -8,34 +12,47 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import DomainError, cx
+import numpy as np
+
+from .numerics import DomainError, cx, cx_coords
 
 _DEN_TINY = 1e-14
 
 
-def _triple(x):
-    x1, x2, x3 = (cx(t) for t in x)
-    return x1, x2, x3
+def _any(flags) -> bool:
+    """Whether a flag, or any entry of a flag array, is set."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
+
+
+def _sqrt(v):
+    return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
 
 
 def is_triangular(x, tol: float = 1e-9) -> bool:
     """x1*x2 = x3 within a tolerance scaled by 1 + |x3|."""
-    x1, x2, x3 = _triple(x)
+    x1, x2, x3 = cx_coords(x)
     return abs(x1 * x2 - x3) <= tol * (1.0 + abs(x3))
 
 
 def kappa_eval(z1: complex, z2: complex, x) -> complex:
-    """sqrt((1-|z1|^2)(1-|z2|^2)) / (1 - x1 z1 - x2 z2 + x3 z1 z2)."""
-    z1, z2 = cx(z1), cx(z2)
-    x1, x2, x3 = _triple(x)
+    """sqrt((1-|z1|^2)(1-|z2|^2)) / (1 - x1 z1 - x2 z2 + x3 z1 z2), and 0
+    where |z1| or |z2| reaches 1."""
+    return _kappa(*cx_coords((z1, z2, *x)))
+
+
+def _kappa(z1, z2, x1, x2, x3):
     top1 = 1.0 - abs(z1) ** 2
     top2 = 1.0 - abs(z2) ** 2
-    if top1 <= 0.0 or top2 <= 0.0:
-        return 0.0
     den = 1.0 - x1 * z1 - x2 * z2 + x3 * z1 * z2
-    if abs(den) < _DEN_TINY:
+    if isinstance(den, np.ndarray):
+        live = (top1 > 0.0) & (top2 > 0.0)
+        top1, top2 = np.where(live, top1, 0.0), np.where(live, top2, 0.0)
+        den = np.where(live, den, 1.0)
+    elif top1 <= 0.0 or top2 <= 0.0:
+        return 0.0
+    if _any(abs(den) < _DEN_TINY):
         raise DomainError("kappa denominator vanished: point is outside closed E")
-    return math.sqrt(top1 * top2) / den
+    return _sqrt(top1 * top2) / den
 
 
 def psi_eval(z1: complex, z2: complex, p) -> complex:
@@ -50,7 +67,7 @@ def psi_eval(z1: complex, z2: complex, p) -> complex:
 def Psi_eval(z: complex, x, tol: float = 1e-9) -> complex:
     """Psi(z, x) = (x3 z - x1)/(x2 z - 1); the constant x1 on triangular x."""
     z = cx(z)
-    x1, x2, x3 = _triple(x)
+    x1, x2, x3 = cx_coords(x)
     den = x2 * z - 1.0
     if abs(den) < _DEN_TINY:
         if is_triangular(x, tol):
@@ -70,9 +87,12 @@ def Phi_eval(z: complex, s: complex, p: complex) -> complex:
 
 def betas(x) -> tuple[complex, complex]:
     """beta_1 = (x1 - conj(x2) x3)/(1-|x3|^2) and the symmetric beta_2."""
-    x1, x2, x3 = _triple(x)
+    return _betas(*cx_coords(x))
+
+
+def _betas(x1, x2, x3):
     den = 1.0 - abs(x3) ** 2
-    if den <= 0.0:
+    if _any(den <= 0.0):
         raise DomainError("betas need |x3| < 1")
     return (x1 - x2.conjugate() * x3) / den, (x2 - x1.conjugate() * x3) / den
 
@@ -94,13 +114,13 @@ def _half_maximizer(b_this: complex, b_other: complex,
                     x3: complex) -> tuple[complex, float]:
     t = 1.0 + abs(b_this) ** 2 - abs(b_other) ** 2
     d = t * t - 4.0 * abs(b_this) ** 2
-    if d < 0.0:
+    if _any(d < 0.0):
         # the betas divide by 1 - |x3|^2: their rounding error, and that
         # of d, grows like its reciprocal
-        if d < -1e-12 / (1.0 - abs(x3) ** 2):
-            raise DomainError(f"negative maximizer discriminant {d:.3e}")
-        d = 0.0
-    z = 2.0 * b_this.conjugate() / (t + math.sqrt(d))
+        if _any(d < -1e-12 / (1.0 - abs(x3) ** 2)):
+            raise DomainError(f"negative maximizer discriminant {np.min(d):.3e}")
+        d = np.maximum(d, 0.0) if isinstance(d, np.ndarray) else 0.0
+    z = 2.0 * b_this.conjugate() / (t + _sqrt(d))
     return z, d
 
 
@@ -109,7 +129,10 @@ def tetra_interior_margin(x) -> float:
 
     Positive exactly on the open tetrablock; used as the canonical margin.
     """
-    x1, x2, x3 = _triple(x)
+    return _interior_margin(*cx_coords(x))
+
+
+def _interior_margin(x1, x2, x3):
     return 1.0 - (abs(x1) ** 2 + abs(x2 - x1.conjugate() * x3) + abs(x1 * x2 - x3))
 
 
@@ -120,14 +143,15 @@ def maximizer(x, refuse_margin: float = 1e-9) -> MaximizerResult:
     the cost blows up off distinguished-boundary directions and the honest
     boundary cases are handled by `sup_on_bE`.
     """
-    m = tetra_interior_margin(x)
-    if not m > refuse_margin:
+    x1, x2, x3 = cx_coords(x)
+    m = _interior_margin(x1, x2, x3)
+    if _any(m <= refuse_margin):
         raise DomainError(f"maximizer needs interior margin > {refuse_margin} "
-                          f"(got {m:.3e})")
-    b1, b2 = betas(x)
-    z1, d1 = _half_maximizer(b1, b2, x[2])
-    z2, d2 = _half_maximizer(b2, b1, x[2])
-    k = abs(kappa_eval(z1, z2, x))
+                          f"(got {np.min(m):.3e})")
+    b1, b2 = _betas(x1, x2, x3)
+    z1, d1 = _half_maximizer(b1, b2, x3)
+    z2, d2 = _half_maximizer(b2, b1, x3)
+    k = abs(_kappa(z1, z2, x1, x2, x3))
     return MaximizerResult(z1, z2, b1, b2, k, d1, d2)
 
 
@@ -139,7 +163,7 @@ def k_star(x, refuse_margin: float = 1e-9) -> float:
 def sup_on_bE(x, tol: float = 1e-9) -> float:
     """sup |kappa(., x)| over D^2 for x on the distinguished boundary of E
     with |x1| < 1; equals 1/sqrt(1-|x1|^2), attained at (conj(x1), 0)."""
-    x1, x2, x3 = _triple(x)
+    x1, x2, x3 = cx_coords(x)
     if abs(abs(x3) - 1.0) > tol or abs(x1 - x2.conjugate() * x3) > tol * 10 \
             or abs(x2) > 1.0 + tol:
         raise DomainError("point is not on the distinguished boundary of E")
@@ -152,7 +176,7 @@ def stationarity_residual(x, z1: complex, z2: complex) -> float:
     """Residual of the critical-point equations at (z1, z2):
     conj(z1) = (x1 - x3 z2)/(1 - x2 z2), conj(z2) = (x2 - x3 z1)/(1 - x1 z1).
     """
-    x1, x2, x3 = _triple(x)
+    x1, x2, x3 = cx_coords(x)
     z1, z2 = cx(z1), cx(z2)
     r1 = z1.conjugate() - (x1 - x3 * z2) / (1.0 - x2 * z2)
     r2 = z2.conjugate() - (x2 - x3 * z1) / (1.0 - x1 * z1)

@@ -70,3 +70,27 @@ def rand_be_point(rng, x2_cap=0.95):
     x2 = rand_disc(rng, x2_cap)
     x3 = rand_unit(rng)
     return (x2.conjugate() * x3, x2, x3)
+
+
+def tetra_region_points(rng, count=20):
+    """Points of every tetrablock region for array/scalar agreement checks:
+    fixed corners, interior points, points of dE (pi_E(A / mu_E(A))),
+    exterior points (pi_E(1.2 A / mu_E(A))), points of bE, points with
+    |x3| = 1 off bE and triangular points."""
+    from hexablock.hexa import mu_value
+    pts = [(0, 0, 0), (1, 1, 1), (0, 0, 1), (0, 0, 1.2), (0.5, 0.5, 0.25),
+           (0.3, 0.4, 1j)]
+    for _ in range(count):
+        A = rand_mat(rng)
+        mu = mu_value(A, "tetra")
+        z1, z2 = rand_disc(rng, 0.95), rand_disc(rng, 0.95)
+        pts += [rand_tetra_point(rng), pi_tetra(A.scaled(1.0 / mu)),
+                pi_tetra(A.scaled(1.2 / mu)), rand_be_point(rng),
+                (rand_disc(rng, 0.5), rand_disc(rng, 0.5), rand_unit(rng)),
+                (z1, z2, z1 * z2)]
+    return pts
+
+
+def columns(pts):
+    """The coordinate arrays of a list of points."""
+    return tuple(np.array(c, dtype=complex) for c in zip(*pts))

@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from hexablock.numerics import DiscAut, DomainError, pi_tetra
+from hexablock.numerics import ConsistencyError, DiscAut, DomainError, pi_tetra
 from hexablock.psi import Psi_eval
 from hexablock.domains import (Region, bE_generator_params, bE_margin,
                                diamond, embed_biball, embed_g2, embed_penta,
                                embed_tetra, g2_classify, penta_classify,
                                penta_hn_witness, penta_radii, retract_g2,
                                retract_penta, retract_tetra, solve_beta,
-                               tau_of, tetra_classify)
+                               tau_of, tetra_classify, tetra_classify_batch)
 from hexablock.hexa import h_member, hn_member
 from hexablock.oracles import GridSpec, tetra_definitional
 from hexablock.autos import TetraAut, tetra_aut_apply
 
-from conftest import (rand_be_point, rand_contraction, rand_disc,
-                      rand_discaut, rand_tetra_point, rand_unit)
+from conftest import (columns, rand_be_point, rand_contraction, rand_disc,
+                      rand_discaut, rand_tetra_point, rand_unit,
+                      tetra_region_points)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +106,52 @@ def test_bE_margin_array_matches_scalar(rng):
         rel=1e-14, abs=1e-15)
     with pytest.raises(DomainError):
         bE_margin((cols[0], cols[1], np.full(len(pts), np.nan)))
+
+
+def test_tetra_classify_batch_matches_scalar(rng):
+    pts = tetra_region_points(rng)
+    regions, margins = tetra_classify_batch(columns(pts))
+    assert regions.shape == margins["part3"].shape == (len(pts),)
+    seen, keys = set(), set()
+    for i, x in enumerate(pts):
+        v = tetra_classify(x)
+        assert regions[i] is v.region, x
+        seen.add(v.region)
+        keys |= set(v.margins)
+        # part 7 abstains where |x3| >= 1: absent on scalars, nan on arrays;
+        # numpy's modulus may round |x3| = 1 to the other side
+        if np.isnan(margins["part7"][i]) != ("part7" not in v.margins):
+            assert abs(abs(x[2]) - 1.0) <= 1e-15, x
+            v.margins.pop("part7", None)
+        for k, m in v.margins.items():
+            assert abs(margins[k][i] - m) <= 1e-14 * max(1.0, abs(m)), (k, x)
+    assert seen == set(Region)
+    assert set(margins) == keys
+    # scalar coordinates broadcast against arrays
+    x1 = columns(pts)[0][:5]
+    r, m = tetra_classify_batch((x1, 0.1, 0.0))
+    assert list(r) == [tetra_classify((z, 0.1, 0.0)).region for z in x1]
+
+
+def test_tetra_split_vote_raises_naming_the_point(monkeypatch):
+    import hexablock.domains as domains
+    betas = domains.betas
+    # doubled betas put part 7 outside while parts 3-8 read inside when
+    # 1/2 < |b1| + |b2| < 1; they still agree at small betas
+    monkeypatch.setattr(domains, "betas",
+                        lambda x: tuple(2.0 * b for b in betas(x)))
+    good, bad = (0.1, 0.1, 0.0), (0.4, 0.2, 0.05)
+    assert tetra_classify(good).region is Region.INTERIOR
+    regions, _ = tetra_classify_batch(columns([good, good]))
+    assert list(regions) == [Region.INTERIOR] * 2
+    with pytest.raises(ConsistencyError, match="part7"):
+        tetra_classify(bad)
+    with pytest.raises(ConsistencyError) as err:
+        tetra_classify_batch(columns([good, bad, good]))
+    msg = str(err.value)
+    assert "tetrablock interior at point ((0.4+0j), (0.2+0j), (0.05+0j))" in msg
+    assert "'part7': False" in msg and "'part3': True" in msg
+    assert "part7: -1.429e-01" in msg
 
 
 def test_tetra_from_contractions(rng):

@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 from hexablock import hexa
 from hexablock.numerics import DomainError, Mat2, op_norm, pi_hexa, \
     spectral_radius
-from hexablock.psi import k_star
+from hexablock.psi import k_star, tetra_interior_margin
 from hexablock.hexa import (bh_member, classify_boundary, classify_hexa,
-                            h_member, hartogs_u, hmu_closure_member,
-                            hmu_member, hn_member, hn_params, hp_param,
-                            mu_value, psi_sup)
-from hexablock.domains import penta_classify
+                            h_closure_batch, h_member, hartogs_u,
+                            hmu_closure_member, hmu_member, hn_member,
+                            hn_params, hp_param, mu_value, psi_sup)
+from hexablock.domains import Region, penta_classify, tetra_classify
 from hexablock.oracles import mu_bruteforce
 
-from conftest import (rand_be_point, rand_contraction, rand_disc,
-                      rand_hexa_point, rand_mat, rand_tetra_point, rand_unit)
+from conftest import (columns, rand_be_point, rand_contraction, rand_disc,
+                      rand_hexa_point, rand_mat, rand_tetra_point, rand_unit,
+                      tetra_region_points)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,40 @@ def test_psi_sup_grid_fallback():
     # independent path value: sup along z1 = -t, z2 = t tends to 2/(2 - r)
     # for the normal form; here just sanity-bound it
     assert 0.5 <= sup <= 1.0
+
+
+def test_h_closure_batch_matches_scalar(rng, monkeypatch):
+    pts = []
+    grid_points = 0
+    for x in tetra_region_points(rng, 8):
+        pts.append((0.0, *x))
+        u = rand_unit(rng)
+        if tetra_interior_margin(x) > 1e-9:
+            # inside, on and outside the closure along the ray of u
+            pts += [(u * s / k_star(x), *x) for s in (0.5, 1.0, 1.3)]
+        elif tetra_classify(x).region is not Region.BOUNDARY:
+            pts.append((0.3 * u, *x))
+        elif grid_points < 2:
+            # dE off bE with a != 0: the grid route of psi_sup
+            pts.append((0.3 * u, *x))
+            grid_points += 1
+    scalar = [h_member(p, closed=True) for p in pts]
+    calls = []
+    monkeypatch.setattr(hexa, "h_member", lambda p, closed, tol: (
+        calls.append(p), h_member(p, closed=closed, tol=tol))[1])
+    flags, margins = h_closure_batch(columns(pts))
+    assert flags.shape == margins.shape == (len(pts),)
+    for i, (f, m) in enumerate(scalar):
+        assert flags[i] == f, pts[i]
+        assert abs(margins[i] - m) <= 1e-14 * max(1.0, abs(m)), pts[i]
+    assert {True, False} <= set(f for f, _ in scalar)
+    # the points outside the closed tetrablock, and those with a != 0 off
+    # the maximizer route, go through the scalar h_member
+    expect = [p for p in pts if tetra_classify(p[1:]).region is Region.EXTERIOR
+              or (p[0] != 0 and not tetra_interior_margin(p[1:]) > 1e-9)]
+    assert len(calls) == len(expect) < len(pts) / 2
+    assert [complex(t) for p in calls for t in p] == \
+        [complex(t) for p in expect for t in p]
 
 
 def test_classify_boundary_d0(rng):
@@ -475,7 +510,73 @@ def test_mu_hexa_lower_triangular_closed_form():
             assert abs(mu_bruteforce(A) - mh) <= 2e-2 * max(mh, 1e-3)
 
 
+def test_mu_hexa_straddles_h_membership():
+    # pi_H(A/t) lies in H just above t = mu_hexa and outside just below, on
+    # both branches: mu_hexa = mu_tetra (|a12| > |a21|) and ||A||
+    rng = np.random.default_rng(8)
+    branches = set()
+    for _ in range(400):
+        A = rand_mat(rng)
+        mh = mu_value(A, "hexa")
+        branches.add(abs(A.a12) > abs(A.a21))
+        assert h_member(pi_hexa(A.scaled(1.0 / (mh * (1 + 1e-6)))))[0]
+        assert not h_member(pi_hexa(A.scaled(1.0 / (mh * (1 - 1e-6)))))[0]
+    assert branches == {True, False}
+
+
+def test_mu_hexa_dense_matches_bruteforce():
+    rng = np.random.default_rng(9)
+    mats = [rand_mat(rng) for _ in range(12)]
+    picked = [next(A for A in mats if abs(A.a12) > abs(A.a21)),
+              next(A for A in mats if abs(A.a12) < abs(A.a21)),
+              Mat2(0.3 + 0.1j, 0.2, 0.2j, -0.4)]
+    for A in picked:
+        mh = mu_value(A, "hexa")
+        assert abs(mu_bruteforce(A) - mh) <= 2e-2 * max(mh, 1e-3)
+
+
+def test_mu_hexa_evaluates_no_membership(monkeypatch):
+    # mu_hexa is a closed form: no membership test, no bisection
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership evaluated")
+
+    for name in ("k_star", "tetra_interior_margin", "penta_classify",
+                 "tetra_classify", "h_member"):
+        monkeypatch.setattr(hexa, name, refuse)
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        A = rand_mat(rng)
+        assert mu_value(A, "hexa") in (op_norm(A), hexa._mu_tetra(A))
+
+
+def test_mu_homogeneous_at_small_scales():
+    # the bisection width is relative to ||A||, so mu(cA) = |c| mu(A) holds
+    # to the bisection's 1e-9 at every scale
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        A = rand_mat(rng)
+        for s in ("penta", "hexa"):
+            base = mu_value(A, s)
+            for c in (1e-6, 1e-8):
+                assert mu_value(A.scaled(c), s) == pytest.approx(c * base,
+                                                                 rel=1e-8)
+
+
 _entry = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+
+
+@given(st.lists(_entry.filter(lambda z: abs(z) > 1e-3), min_size=4,
+                max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_mu_hexa_dense_bounds(entries):
+    # diagonal, span{I, e12} and [[0, 1/a21], [0, 0]] perturbations are
+    # all upper triangular
+    A = Mat2(*entries)
+    mh, n = mu_value(A, "hexa"), op_norm(A)
+    slack = 1e-8 * n
+    assert max(mu_value(A, "tetra"), mu_value(A, "penta"), abs(A.a21)) \
+        <= mh + slack
+    assert mh <= n + slack
 
 
 @given(st.lists(_entry, min_size=4, max_size=4),

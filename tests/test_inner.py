@@ -273,6 +273,55 @@ def test_hexa_inner_validate_work_is_independent_of_circle_size(rng,
     assert seen[0]["poly"] == 24
 
 
+def test_disc_checks_are_one_array_evaluation(rng, monkeypatch):
+    import hexablock.domains
+    import hexablock.hexa
+    calls = {"tetra_classify": 0, "h_member": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (hexablock.domains, hexablock.hexa):
+        monkeypatch.setattr(mod, "tetra_classify",
+                            counted("tetra_classify", mod.tetra_classify))
+    monkeypatch.setattr(hexablock.hexa, "h_member",
+                        counted("h_member", hexablock.hexa.h_member))
+    for _ in range(6):
+        f = hexa_inner_construct(_random_tetra_inner(rng),
+                                 BlaschkeProduct(rand_unit(rng), (0.3,)), 1.0)
+        calls.update(tetra_classify=0, h_member=0)
+        assert hexa_inner_validate(f)["ok"]
+        assert calls["tetra_classify"] <= 2 and calls["h_member"] <= 2
+
+
+def test_disc_violations_match_scalar_loops(rng):
+    # data whose disc images leave the domains: the array checks report the
+    # worst margin of the per-point scalar classifiers
+    from hexablock.domains import tetra_classify
+    from hexablock.hexa import h_member
+    from hexablock.inner import _DISC_HEXA, _DISC_TETRA
+    for _ in range(4):
+        t = _random_tetra_inner(rng)
+        f = hexa_inner_construct(t, BlaschkeProduct(rand_unit(rng), (0.2,)),
+                                 1.0)
+        bad_t = RationalTetraInner(t.E1.scale(2.5), t.E2.scale(2.5), t.D, t.n)
+        bad_f = RationalHexaInner(t, f.A.scale(1.4), f.B, f.c)
+        ref_t = max(0.0, *(-min(v.margins["closure_beta"],
+                                v.margins["closure_part4"])
+                           for v in map(tetra_classify, zip(*bad_t(_DISC_TETRA)))))
+        ref_h = max(0.0, *(-h_member(p, closed=True)[1]
+                           for p in zip(*bad_f(_DISC_HEXA))))
+        got_t = tetra_inner_validate(bad_t)["disc_closure_violation"]
+        got_h = hexa_inner_validate(bad_f)["disc_closure_violation"]
+        assert ref_h > 1e-3 and got_h == pytest.approx(ref_h, rel=1e-13)
+        assert ref_t > 1e-3 and got_t == pytest.approx(ref_t, rel=1e-13)
+        assert "disc image leaves the closed hexablock" in \
+            hexa_inner_validate(bad_f)["issues"]
+
+
 # ---------------------------------------------------------------------------
 # Inner-outer splitting
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
-from hexablock.numerics import DomainError
+from hexablock.numerics import DomainError, Mat2, pi_tetra
 from hexablock.psi import (Phi_eval, Psi_eval, betas, k_star, kappa_eval,
                            maximizer, psi_eval, stationarity_residual,
                            sup_on_bE, tetra_interior_margin)
 from hexablock.oracles import GridSpec, grid_sup_kappa
 
-from conftest import rand_disc, rand_tetra_point, rand_unit
+from conftest import columns, rand_disc, rand_tetra_point, rand_unit
 
 
 def test_psi_at_origin_is_a(rng):
@@ -168,6 +169,70 @@ def test_k_star_symmetric_case(rng):
         expect = 2 * b1.conjugate() / (1 + math.sqrt(1 - 4 * abs(b1) ** 2))
         assert m.z1 == pytest.approx(expect, abs=1e-11)
         assert m.z2 == pytest.approx(expect, abs=1e-11)
+
+
+def _k_star_reference(x):
+    """K*(x) from K*^-2 = (beta + sqrt(sigma^2 - 4|x2 - conj(x1) x3|^2))/2,
+    beta = 1 - |x1|^2 - |x2|^2 + |x3|^2, sigma = 1 - |x1|^2 + |x2|^2 - |x3|^2:
+    the minimum of |kappa|^-2 taken over z1 in closed form, then over |z2|.
+    Independent of the maximizer; evaluated in whatever arithmetic the
+    coordinates carry (floats or mpmath numbers)."""
+    x1, x2, x3 = x
+    beta = 1 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2
+    sigma = 1 - abs(x1) ** 2 + abs(x2) ** 2 - abs(x3) ** 2
+    root = (sigma ** 2 - 4 * abs(x2 - x1.conjugate() * x3) ** 2) ** 0.5
+    return ((beta + root) / 2) ** -0.5
+
+
+def test_k_star_matches_reference(rng):
+    pts = [rand_tetra_point(rng, 0.95, 1e-9) for _ in range(5000)]
+    ref = np.array([_k_star_reference(x) for x in pts])
+    scalar = np.array([k_star(x) for x in pts])
+    batch = k_star(columns(pts))
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(pts),)
+    # 3.1e-15 (scalar) and 2.2e-15 (array) measured
+    assert np.max(np.abs(scalar - ref) / ref) <= 1e-13
+    assert np.max(np.abs(batch - ref) / ref) <= 1e-13
+    assert np.max(np.abs(batch - scalar) / scalar) <= 1e-14
+
+
+def test_k_star_near_boundary_matches_mpmath(rng):
+    mpmath = pytest.importorskip("mpmath")
+    from hexablock.hexa import mu_value
+    # |x3| -> 1 and |x1| -> 1: pi_E of U diag(1 - eps, s) V for unitary U,
+    # V, with s = 1 - eps, 1 - 2 eps or free in [0.2, 0.9]; and dE from
+    # inside: pi_E(A / ((1 + eps) mu_E(A)))
+    pts = []
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+        for _ in range(12):
+            U, V = (np.linalg.qr(rng.normal(size=(2, 2))
+                                 + 1j * rng.normal(size=(2, 2)))[0]
+                    for _ in range(2))
+            for s in (1 - eps, 1 - 2 * eps, rng.uniform(0.2, 0.9)):
+                A = U @ np.diag([1 - eps, s]) @ V
+                pts.append((complex(A[0, 0]), complex(A[1, 1]),
+                            complex(np.linalg.det(A))))
+            B = Mat2.from_array(U @ np.diag(rng.uniform(0.2, 2.0, 2)) @ V.T)
+            pts.append(pi_tetra(B.scaled(1.0 / ((1 + eps) * mu_value(B, "tetra")))))
+    pts = [x for x in pts if tetra_interior_margin(x) > 1e-9]
+    assert len(pts) > 150 and max(abs(x[2]) for x in pts) > 1 - 1e-7
+    with mpmath.workdps(50):
+        ref = np.array([float(_k_star_reference(tuple(mpmath.mpc(t) for t in x)))
+                        for x in pts])
+    scalar = np.array([k_star(x) for x in pts])
+    batch = k_star(columns(pts))
+    # at most 1.9e-12 relative measured (at eps = 1e-8 on dE): the betas
+    # divide by 1 - |x3|^2 and the margin shrinks with eps
+    assert np.max(np.abs(scalar - ref) / ref) <= 1e-10
+    assert np.max(np.abs(batch - ref) / ref) <= 1e-10
+
+
+def test_maximizer_array_refuses_any_boundary_point():
+    x = columns([(0.1, 0.2, 0.0), (0, 0, 1)])
+    with pytest.raises(DomainError):
+        k_star(x)
+    assert k_star(tuple(c[:1] for c in x))[0] == pytest.approx(
+        k_star((0.1, 0.2, 0.0)), rel=1e-15)
 
 
 def test_k_star_at_least_one(rng):
