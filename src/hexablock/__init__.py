@@ -7,7 +7,7 @@ from .numerics import (TOL, BlaschkeProduct, ConsistencyError, DiscAut,
                        pi_tetra, poly_reflect, singular_values,
                        spectral_radius, upper_tri_contraction)
 from .psi import (MaximizerResult, Phi_eval, Psi_eval, betas, k_star,
-                  kappa_eval, maximizer, psi_eval, sup_on_bE,
+                  k_star_closed, kappa_eval, maximizer, psi_eval, sup_on_bE,
                   tetra_interior_margin)
 from .domains import (Region, RegionVerdict, diamond, embed_biball, embed_g2,
                       embed_penta, embed_tetra, g2_classify, penta_classify,

@@ -14,15 +14,12 @@ import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, Mat2, cx,
                        cx_arrays, op_norm, spectral_radius)
-from .psi import (is_triangular, k_star, maximizer, tetra_interior_margin)
+from .psi import (is_triangular, k_star, k_star_closed, maximizer,
+                  tetra_interior_margin)
 from .domains import (Region, bE_margin, penta_classify, tetra_classify,
                       tetra_classify_batch)
-from .oracles import grid_sup_kappa
 
 _INF = math.inf
-
-#: accuracy budget of the grid fallback used on dE \ bE inputs
-GRID_SUP_BUDGET = 1e-4
 
 
 def _point4(p):
@@ -33,12 +30,16 @@ def _point4(p):
 def psi_sup(p, tol: float = TOL):
     """sup over the open bidisc of |psi_{z1,z2}(p)|.
 
-    Returns (sup, witness, method).  Closed forms are used on the open
-    tetrablock (via the unique maximizer) and on the distinguished boundary
-    with |x1| < 1; points of dE off bE fall back to a refined grid estimate
-    with a documented 1e-4 accuracy budget.  The supremum is infinite when
-    a != 0 and |x1| or |x2| reaches the circle; it is None outside the
-    closed tetrablock where the map itself is undefined.
+    Returns (sup, witness, method).  The supremum is in closed form on the
+    whole closed tetrablock.  On the open tetrablock the unique maximizer
+    gives it with its argmax as witness ("maximizer"), and on the
+    distinguished boundary with |x1| < 1 the bE formula with the witness
+    (conj(x1), 0) ("b_tetra").  On dE off bE, and at interior points below
+    the maximizer's refusal margin, `k_star_closed` gives it with no
+    witness ("boundary_limit"): off the interior the value is a limit at a
+    torus zero of the denominator, never attained.  The supremum is
+    infinite when a != 0 and |x1| or |x2| reaches the circle; it is None
+    outside the closed tetrablock where the map itself is undefined.
     """
     a, x = _point4(p)
     if abs(a) == 0.0:
@@ -56,12 +57,10 @@ def psi_sup(p, tol: float = TOL):
             return abs(a) / math.sqrt(1.0 - abs(x1) ** 2), \
                 (x1.conjugate(), 0.0), "b_tetra"
         return _INF, None, "circle_coordinate"
-    # topological boundary off the distinguished part (the grid estimate
-    # also covers interior points below the maximizer's refusal margin)
     if abs(x1) >= 1.0 - tol or abs(x2) >= 1.0 - tol:
         return _INF, None, "circle_coordinate"
-    sup, arg = grid_sup_kappa(x)
-    return abs(a) * sup, arg, "grid"
+    on_dE = v.region is Region.BOUNDARY
+    return abs(a) * k_star_closed(x, on_dE), None, "boundary_limit"
 
 
 def hmu_member(p, tol: float = TOL):
@@ -122,8 +121,8 @@ def hn_member(p, closed: bool = False, tol: float = TOL):
     m < |a|^2 < M.  Closed: closed E and the non-strict inequalities.
     Returns (flag, margin)."""
     a, x = _point4(p)
-    v = tetra_classify(x, tol)
     if closed:
+        v = tetra_classify(x, tol)
         if v.region is Region.EXTERIOR:
             return False, min(v.margins["closure_beta"],
                               v.margins["closure_part4"])
@@ -214,15 +213,8 @@ def _boundary_parts(p, v, sup_res, tol: float):
     if abs(a) > tol:
         if on_dE:
             parts.add("d2")
-        sup, arg, method = sup_res
-        budget = GRID_SUP_BUDGET if method == "grid" else 10 * tol
-        attained = arg is not None
-        if method == "grid" and attained:
-            # corner-limit suprema are approached, never attained: an
-            # argmax hugging the torus is not an interior witness
-            attained = max(abs(complex(arg[0])), abs(complex(arg[1]))) <= 0.999
-        if sup is not None and not math.isinf(sup) \
-                and abs(sup - 1.0) <= budget and attained:
+        sup, arg, _ = sup_res
+        if arg is not None and abs(sup - 1.0) <= 10 * tol:
             parts.add("d1")
             witness = arg
     if not parts:
@@ -356,9 +348,10 @@ def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
     balancing delta^2 = |a21|/|a12| gives mu_tetra when it is <= 1, and
     otherwise delta = 1 gives ||A|| (Packard & Doyle 1993).  penta bisects
     its strict membership criterion to the width tol * ||A||, relative so
-    that mu(cA) = |c| mu(A) at every scale.  The three mu values are not
-    totally ordered: diagonal and span{I, e12} perturbations are not
-    nested.  0 is returned for a vanishing matrix and when the penta
+    that mu(cA) = |c| mu(A) at every scale, and is capped by mu_hexa, since
+    span{I, e12} lies in the upper-triangular matrices.  The three mu
+    values are not totally ordered: diagonal and span{I, e12}
+    perturbations are not nested.  0 is returned for a vanishing matrix and when the penta
     criterion holds at a vanishing scale.
     """
     if structure == "norm":
@@ -371,8 +364,9 @@ def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
         raise DomainError(f"unknown structure {structure!r}")
     if A.a21 == 0:
         return max(abs(A.a11), abs(A.a22))
+    mu_hexa = op_norm(A) if abs(A.a12) <= abs(A.a21) else _mu_tetra(A)
     if structure == "hexa":
-        return op_norm(A) if abs(A.a12) <= abs(A.a21) else _mu_tetra(A)
+        return mu_hexa
     hi = op_norm(A)
     if hi <= 1e-300:
         return 0.0
@@ -385,8 +379,8 @@ def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
         return lo
     hi_b = hi * (1.0 + 1e-12) + 1e-300
     if not _penta_member(A, hi_b * (1.0 + 1e-6), tol):
-        # numerical guard; mu <= norm always holds mathematically
-        return hi
+        # numerical guard; mu_penta <= mu_hexa always holds mathematically
+        return mu_hexa
     target = tol * hi
     while hi_b - lo_b > target:
         mid = 0.5 * (lo_b + hi_b)
@@ -394,7 +388,9 @@ def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
             hi_b = mid
         else:
             lo_b = mid
-    return 0.5 * (lo_b + hi_b)
+    # membership near the corner of the pentablock is decided at rounding
+    # level; span{I, e12} lies in the upper-triangular matrices
+    return min(0.5 * (lo_b + hi_b), mu_hexa)
 
 
 def hartogs_u(x) -> float:

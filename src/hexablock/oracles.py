@@ -43,6 +43,25 @@ def _kappa_abs(z1: np.ndarray, z2: np.ndarray, x) -> np.ndarray:
     return out
 
 
+def _golden_min(f, a: float, b: float, iters: int) -> float:
+    """Midpoint of the bracket left by `iters` golden-section steps
+    minimizing f on [a, b]."""
+    gold = 0.5 * (math.sqrt(5.0) - 1.0)
+    c = b - gold * (b - a)
+    d = a + gold * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - gold * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gold * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def _corner_fan(x, spec: GridSpec):
     """Best |kappa| along approach fans into torus zeros of the denominator.
 
@@ -65,31 +84,25 @@ def _corner_fan(x, spec: GridSpec):
         return u1, u2, abs(abs(u2) - 1.0)
 
     th = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    step = th[1]
     w1 = np.exp(1j * th)
     den = x2 - x3 * w1
     ok = np.abs(den) > 1e-12
     w2 = np.full(w1.shape, np.inf, dtype=complex)
     w2[ok] = (1.0 - x1 * w1[ok]) / den[ok]
     gap = np.abs(np.abs(w2) - 1.0)
-    gold = 0.5 * (math.sqrt(5.0) - 1.0)
+    # u2 runs over a circle, the Moebius image of the torus, which meets
+    # the torus at most twice, so the gap has few local minima; each is
+    # refined, however large its sampled gap: near |x1| = 1 the zero falls
+    # between samples whose gaps are well above zero
+    local_min = (gap <= np.roll(gap, 1)) & (gap <= np.roll(gap, -1))
     corners = []
-    for k in np.nonzero((gap < 1e-3) & ok)[0]:
+    for k in np.nonzero(local_min & ok)[0]:
         # golden refinement of the torus zero (the gap typically touches
         # zero tangentially, so sign-based bisection does not apply)
-        a_, b_ = float(th[k]) - 2e-3, float(th[k]) + 2e-3
-        c_ = b_ - gold * (b_ - a_)
-        d_ = a_ + gold * (b_ - a_)
-        fc, fd = pair_of(c_)[2], pair_of(d_)[2]
-        for _ in range(60):
-            if fc < fd:
-                b_, d_, fd = d_, c_, fc
-                c_ = b_ - gold * (b_ - a_)
-                fc = pair_of(c_)[2]
-            else:
-                a_, c_, fc = c_, d_, fd
-                d_ = a_ + gold * (b_ - a_)
-                fd = pair_of(d_)[2]
-        c1, c2, residual = pair_of(0.5 * (a_ + b_))
+        theta = _golden_min(lambda t: pair_of(t)[2], float(th[k]) - step,
+                            float(th[k]) + step, 60)
+        c1, c2, residual = pair_of(theta)
         if c2 is None or residual > 1e-8:
             continue
         c2 /= abs(c2)
@@ -114,38 +127,26 @@ def _corner_fan(x, spec: GridSpec):
                 best = float(vals.ravel()[flat])
                 idx = np.unravel_index(flat, vals.shape)
                 arg = (complex(Z1[idx]), complex(Z2[idx]))
-        # golden-section polish of the depth ratio; the base depth balances
-        # O(d) truncation against O(eps/d) cancellation noise
-        d2 = 1e-8
-        gold = 0.5 * (math.sqrt(5.0) - 1.0)
-        lo, hi = math.log(1e-4), math.log(1e4)
+        # golden-section polish of the depth ratio d1/d2 = exp(lt); their
+        # geometric mean balances O(d) truncation against O(eps/d)
+        # cancellation noise
+
+        def depths(lt):
+            return 1e-8 * math.exp(0.5 * lt), 1e-8 * math.exp(-0.5 * lt)
 
         def fval(lt):
-            d1 = math.exp(lt) * d2
-            if not 0.0 < d1 < 0.5:
+            d1, d2 = depths(lt)
+            if max(d1, d2) >= 0.5:
                 return 0.0
             return float(_kappa_abs(np.array(c1 * (1.0 - d1)),
                                     np.array(c2 * (1.0 - d2)), x))
 
-        a_, b_ = lo, hi
-        c_ = b_ - gold * (b_ - a_)
-        d_ = a_ + gold * (b_ - a_)
-        fc, fd = fval(c_), fval(d_)
-        for _ in range(80):
-            if fc > fd:
-                b_, d_, fd = d_, c_, fc
-                c_ = b_ - gold * (b_ - a_)
-                fc = fval(c_)
-            else:
-                a_, c_, fc = c_, d_, fd
-                d_ = a_ + gold * (b_ - a_)
-                fd = fval(d_)
-        lt = 0.5 * (a_ + b_)
+        lt = _golden_min(lambda t: -fval(t), math.log(1e-6), math.log(1e6), 80)
         cand = fval(lt)
         if cand > best:
             best = cand
-            arg = (complex(c1 * (1.0 - math.exp(lt) * d2)),
-                   complex(c2 * (1.0 - d2)))
+            d1, d2 = depths(lt)
+            arg = (complex(c1 * (1.0 - d1)), complex(c2 * (1.0 - d2)))
     return best, arg
 
 

@@ -3,8 +3,9 @@ closed-form unique maximizer of |kappa| over the bidisc, and the cost
 K* = sup |kappa| that drives every hexablock membership test.
 
 `tetra_interior_margin`, `is_triangular`, `betas`, `kappa_eval`,
-`maximizer` and `k_star` also take numpy arrays of coordinates and then
-work elementwise, with the same arithmetic as on scalars.
+`maximizer`, `k_star` and `k_star_closed` also take numpy arrays of
+coordinates and then work elementwise, with the same arithmetic as on
+scalars.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ def _any(flags) -> bool:
 
 def _sqrt(v):
     return np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v)
+
+
+def _clip0(v):
+    return np.maximum(v, 0.0) if isinstance(v, np.ndarray) else max(v, 0.0)
 
 
 def is_triangular(x, tol: float = 1e-9) -> bool:
@@ -119,7 +124,7 @@ def _half_maximizer(b_this: complex, b_other: complex,
         # of d, grows like its reciprocal
         if _any(d < -1e-12 / (1.0 - abs(x3) ** 2)):
             raise DomainError(f"negative maximizer discriminant {np.min(d):.3e}")
-        d = np.maximum(d, 0.0) if isinstance(d, np.ndarray) else 0.0
+        d = _clip0(d)
     z = 2.0 * b_this.conjugate() / (t + _sqrt(d))
     return z, d
 
@@ -158,6 +163,35 @@ def maximizer(x, refuse_margin: float = 1e-9) -> MaximizerResult:
 def k_star(x, refuse_margin: float = 1e-9) -> float:
     """K*(x) = sup over the bidisc of |kappa(., x)|, always >= 1."""
     return maximizer(x, refuse_margin).k_star
+
+
+def k_star_closed(x, on_dE: bool = False) -> float:
+    """K*(x) in closed form, without the maximizer, for x in closed E with
+    |x1|, |x2| < 1: K*^-2 = (beta + sqrt(max(sigma^2 - 4|c|^2, 0)))/2 with
+    beta = 1 - |x1|^2 - |x2|^2 + |x3|^2, sigma = 1 - |x1|^2 + |x2|^2 - |x3|^2
+    and c = x2 - conj(x1) x3.
+
+    For fixed z1 the supremum over z2 is sqrt(1 - |z1|^2) over
+    sqrt(|1 - x1 z1|^2 - |x2 - x3 z1|^2), which leaves one real variable.
+    On dE the discriminant vanishes (there sigma = 2|c|), so K*^2 = 2/beta:
+    a limit at a torus zero of the denominator, not attained in the
+    bidisc; on bE this is 1/sqrt(1 - |x1|^2).  `on_dE` takes the zero for
+    a point placed on dE within a tolerance: its computed discriminant is
+    rounding noise, which the square root would turn into a relative error
+    of about 1e-8 in K*.  In closed E, beta vanishes only where |x1| or
+    |x2| = 1; K* is infinite where rounding there leaves 2 K*^-2 <= 0.
+    """
+    x1, x2, x3 = cx_coords(x)
+    s1, s2, s3 = abs(x1) ** 2, abs(x2) ** 2, abs(x3) ** 2
+    twice_inv = 1.0 - s1 - s2 + s3
+    if not on_dE:
+        sigma = 1.0 - s1 + s2 - s3
+        disc = sigma * sigma - 4.0 * abs(x2 - x1.conjugate() * x3) ** 2
+        twice_inv = twice_inv + _sqrt(_clip0(disc))
+    if isinstance(twice_inv, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.sqrt(2.0 / _clip0(twice_inv))
+    return math.sqrt(2.0 / twice_inv) if twice_inv > 0.0 else math.inf
 
 
 def sup_on_bE(x, tol: float = 1e-9) -> float:

@@ -125,14 +125,10 @@ def face_classify(p, tol: float = 1e-7):
         elif abs(a) <= tol:
             psi_ok = True
         else:
-            # x sits on dE: closed forms on bE, grid fallback elsewhere
-            from .hexa import GRID_SUP_BUDGET, psi_sup
-            sup, _, method = psi_sup((complex(a), *x), tol=1e-9)
-            if sup is None or math.isinf(sup):
-                psi_ok = False
-            else:
-                budget = GRID_SUP_BUDGET if method == "grid" else tol
-                psi_ok = sup <= 1.0 + budget
+            # x sits on dE, where psi_sup's suprema are closed-form limits
+            from .hexa import psi_sup
+            sup, _, _ = psi_sup((complex(a), *x), tol=1e-9)
+            psi_ok = sup is not None and sup <= 1.0 + tol
         for j, f in enumerate(forms):
             if abs(f) <= tol and psi_ok:
                 labels.append(f"C{j + 1}")

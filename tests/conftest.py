@@ -94,3 +94,56 @@ def tetra_region_points(rng, count=20):
 def columns(pts):
     """The coordinate arrays of a list of points."""
     return tuple(np.array(c, dtype=complex) for c in zip(*pts))
+
+
+#: a point of dE off bE with |x1| = 0.994 (boundary-grid workload, seed 34,
+#: operation 73) and the a that workload gave it
+NEAR_UNIT_X1 = ((-0.08937764645549731 - 0.0003375652572787994j),
+                (0.9496055834646919 - 0.29253152605888916j),
+                (0.0961525793651511 - 0.10435388206337248j),
+                (0.0618253578079344 - 0.13435276431028015j))
+
+
+def de_points(rng):
+    """Points of dE off bE with |x1|, |x2| < 1, as pi_E(A / mu_E(A)): 240
+    from Gaussian A (|x_i| < 0.999), 30 with |x1| in (0.99, 1 - 1e-6) and
+    30 nearly triangular ones (a21 scaled by 1e-3)."""
+    from hexablock.hexa import mu_value
+
+    def on_dE(A):
+        return pi_tetra(A.scaled(1.0 / mu_value(A, "tetra")))
+
+    dense, near_x1, near_tri = [], [], []
+    while len(dense) < 240:
+        x = on_dE(rand_mat(rng))
+        if max(abs(t) for t in x) < 0.999:
+            dense.append(x)
+    while len(near_x1) < 30:
+        eps = 10.0 ** rng.uniform(-4.0, -1.5)
+        x = on_dE(Mat2(rand_unit(rng), rand_complex(rng),
+                       eps * rand_complex(rng),
+                       0.8 * rng.uniform() * rand_unit(rng)))
+        if 0.99 < abs(x[0]) < 1.0 - 1e-6 and abs(x[1]) < 0.999:
+            near_x1.append(x)
+    while len(near_tri) < 30:
+        A = rand_mat(rng)
+        x = on_dE(Mat2(A.a11, A.a12, 1e-3 * A.a21, A.a22))
+        if max(abs(x[0]), abs(x[1])) < 1.0 - 1e-6:
+            near_tri.append(x)
+    return dense + near_x1 + near_tri
+
+
+def corner_witness(x, delta):
+    """(|kappa(z1, z2, x)|, |z2|) at 50 digits for z1 = (1 - delta) conj(c)/|c|,
+    c = x1 - conj(x2) x3, and z2 = conj((x2 - x3 z1)/(1 - x1 z1)), which
+    maximizes |kappa(z1, ., x)|.  On dE off bE the pair runs into the torus
+    zero of the denominator where sup |kappa| is a limit as delta -> 0."""
+    import mpmath
+    with mpmath.workdps(50):
+        x1, x2, x3 = (mpmath.mpc(complex(t)) for t in x)
+        c = x1 - mpmath.conj(x2) * x3
+        z1 = (1 - mpmath.mpf(delta)) * mpmath.conj(c) / abs(c)
+        z2 = mpmath.conj((x2 - x3 * z1) / (1 - x1 * z1))
+        den = 1 - x1 * z1 - x2 * z2 + x3 * z1 * z2
+        k = mpmath.sqrt((1 - abs(z1) ** 2) * (1 - abs(z2) ** 2)) / abs(den)
+        return float(k), float(abs(z2))

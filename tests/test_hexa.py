@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hexablock import hexa
 from hexablock.numerics import DomainError, Mat2, op_norm, pi_hexa, \
@@ -15,9 +15,9 @@ from hexablock.hexa import (bh_member, classify_boundary, classify_hexa,
 from hexablock.domains import Region, penta_classify, tetra_classify
 from hexablock.oracles import mu_bruteforce
 
-from conftest import (columns, rand_be_point, rand_contraction, rand_disc,
-                      rand_hexa_point, rand_mat, rand_tetra_point, rand_unit,
-                      tetra_region_points)
+from conftest import (columns, de_points, rand_be_point, rand_contraction,
+                      rand_disc, rand_hexa_point, rand_mat, rand_tetra_point,
+                      rand_unit, tetra_region_points)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,14 @@ def test_hn_matches_contraction_norms(rng):
             continue
         ok, _ = hn_member(p)
         assert ok == (n < 1.0), (p, n)
+
+
+def test_hn_member_open_takes_no_tetra_verdict(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(hexa, "tetra_classify",
+                        lambda *args: calls.append(args))
+    assert hn_member(pi_hexa(rand_contraction(rng)))[0]
+    assert calls == []
 
 
 def test_hn_interval_params():
@@ -201,19 +209,40 @@ def test_psi_sup_methods(rng):
     assert sup3 == 0.0 and method3 == "zero"
 
 
-def test_psi_sup_grid_fallback():
-    # (0, r, 1-r) lies on dE off bE: the grid budget applies
-    p = (0.5, 0.0, 0.3, 0.7)
-    sup, witness, method = psi_sup(p)
-    assert method == "grid"
-    # independent path value: sup along z1 = -t, z2 = t tends to 2/(2 - r)
-    # for the normal form; here just sanity-bound it
-    assert 0.5 <= sup <= 1.0
+def test_psi_sup_boundary_limit():
+    # (0, r, 1-r) lies on dE off bE, where the supremum 1/sqrt(1-r) is a
+    # limit at the torus zero (-1, 1) of the denominator: no witness
+    for r in (0.3, 0.7):
+        sup, witness, method = psi_sup((0.5, 0.0, r, 1.0 - r))
+        assert method == "boundary_limit" and witness is None
+        assert sup == pytest.approx(0.5 / math.sqrt(1.0 - r), rel=1e-12)
+    # beside the corner |x1| = |x2| = 1 beta rounds to 0: K* is infinite
+    r = 1.0 - 2e-9
+    assert psi_sup((0.1, r, r, r * r)) == (math.inf, None, "boundary_limit")
+
+
+def test_psi_sup_boundary_limit_matches_grid_oracle(rng):
+    from hexablock.oracles import grid_sup_kappa
+    from hexablock.psi import k_star_closed
+    pts = de_points(rng)
+    assert max(abs(x[0]) for x in pts) > 0.9999
+    assert min(abs(x[0] * x[1] - x[2]) for x in pts) < 1e-4
+    sups = []
+    for x in pts:
+        sup, witness, method = psi_sup((1.0, *x))
+        assert method == "boundary_limit" and witness is None
+        # within 6.7e-6 relative measured (oracle above and below)
+        assert sup == pytest.approx(grid_sup_kappa(x)[0], rel=1e-4), x
+        sups.append(sup)
+    # numpy's complex modulus rounds apart from Python's, and beta cancels
+    # to about 1e-4 as |x1| -> 1: 7.5e-12 measured
+    closed = k_star_closed(columns(pts), on_dE=True)
+    assert np.max(np.abs(closed - sups) / closed) <= 1e-10
 
 
 def test_h_closure_batch_matches_scalar(rng, monkeypatch):
     pts = []
-    grid_points = 0
+    limit_points = 0
     for x in tetra_region_points(rng, 8):
         pts.append((0.0, *x))
         u = rand_unit(rng)
@@ -222,10 +251,10 @@ def test_h_closure_batch_matches_scalar(rng, monkeypatch):
             pts += [(u * s / k_star(x), *x) for s in (0.5, 1.0, 1.3)]
         elif tetra_classify(x).region is not Region.BOUNDARY:
             pts.append((0.3 * u, *x))
-        elif grid_points < 2:
-            # dE off bE with a != 0: the grid route of psi_sup
+        elif limit_points < 2:
+            # dE off bE with a != 0: the boundary-limit route of psi_sup
             pts.append((0.3 * u, *x))
-            grid_points += 1
+            limit_points += 1
     scalar = [h_member(p, closed=True) for p in pts]
     calls = []
     monkeypatch.setattr(hexa, "h_member", lambda p, closed, tol: (
@@ -268,33 +297,27 @@ def test_classify_boundary_d2(rng):
 
 
 def test_classify_boundary_d2_off_distinguished(rng):
-    # (a, 0, r, 1-r) sits over dE off bE; the supremum is a corner limit,
-    # so even a at the critical height gives d2 without d1
-    from hexablock.oracles import grid_sup_kappa
+    # (a, 0, r, 1-r) sits over dE off bE; the supremum 1/sqrt(1-r) is a
+    # corner limit, so even a at the critical height gives d2 without d1
     for r in (0.3, 0.7):
         x = (0.0, r, 1.0 - r)
-        sup, _ = grid_sup_kappa(x)
-        parts, _ = classify_boundary((0.2 / sup, *x))
+        crit = math.sqrt(1.0 - r)
+        parts, _ = classify_boundary((0.2 * crit, *x))
         assert parts == {"d2"}
-        parts_crit, _ = classify_boundary((1.0 / sup, *x))
+        parts_crit, _ = classify_boundary((crit, *x))
         assert parts_crit == {"d2"}
 
 
-def test_classify_hexa_one_grid_call_off_bE(monkeypatch):
-    # (a, 0, r, 1-r) lies over dE off bE: the closure test and the
-    # boundary-part labels share one grid supremum
+def test_classify_hexa_no_grid_call_off_bE(monkeypatch):
+    # (a, 0, r, 1-r) lies over dE off bE: its supremum is a closed form
+    from hexablock import oracles
     calls = []
-    real = hexa.grid_sup_kappa
-
-    def counted(x, *args):
-        calls.append(x)
-        return real(x, *args)
-
-    monkeypatch.setattr(hexa, "grid_sup_kappa", counted)
+    monkeypatch.setattr(oracles, "grid_sup_kappa",
+                        lambda *args: calls.append(args))
     v = classify_hexa((0.5, 0.0, 0.3, 0.7))
     assert v.in_h_closure and not v.in_h
     assert v.boundary_parts == {"d2"}
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_classify_boundary_overlap(rng):
@@ -567,6 +590,9 @@ _entry = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
 
 @given(st.lists(_entry.filter(lambda z: abs(z) > 1e-3), min_size=4,
                 max_size=4))
+# the penta bisection read 2.015564470 here, 1.6e-8 above the exact
+# r(A) = mu_tetra = mu_hexa = 2.0155644371
+@example([2j, -0.5j, 0.125j, 2j])
 @settings(max_examples=150, deadline=None)
 def test_mu_hexa_dense_bounds(entries):
     # diagonal, span{I, e12} and [[0, 1/a21], [0, 0]] perturbations are

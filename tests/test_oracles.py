@@ -1,12 +1,12 @@
 import pytest
 
 from hexablock.numerics import Mat2
-from hexablock.psi import k_star
+from hexablock.psi import k_star, k_star_closed
 from hexablock.oracles import (GridSpec, grid_sup_kappa, grid_sup_psi,
                                mu_bruteforce, tetra_definitional)
-from hexablock.hexa import mu_value
+from hexablock.hexa import classify_hexa, mu_value
 
-from conftest import rand_mat, rand_tetra_point
+from conftest import NEAR_UNIT_X1, corner_witness, rand_mat, rand_tetra_point
 
 
 def test_grid_sup_trivial():
@@ -55,6 +55,21 @@ def test_grid_sup_boundary_corner_limits():
         x = (0.0, r * cmath.exp(0.7j), (1 - r) * cmath.exp(-0.4j))
         sup, _ = grid_sup_kappa(x, GridSpec())
         assert sup == pytest.approx(1.0 / math.sqrt(1.0 - r), abs=2e-5)
+
+
+def test_grid_sup_finds_corner_near_unit_x1():
+    # the torus zero falls between scan angles whose gaps are all above
+    # 1e-3; the scan used to miss it and read 9.31 against 11.78
+    a, *x = NEAR_UNIT_X1
+    sup, _ = grid_sup_kappa(x)
+    assert sup == pytest.approx(k_star_closed(x, on_dE=True), rel=1e-6)
+    assert abs(a) * sup > 1.05
+    # a 50-digit point of the bidisc where |psi| > 1: p lies outside the
+    # closure of H
+    pytest.importorskip("mpmath")
+    k, z2 = corner_witness(x, 1e-8)
+    assert z2 < 1.0 and abs(a) * k > 1.0528
+    assert not classify_hexa(NEAR_UNIT_X1).in_h_closure
 
 
 def test_tetra_definitional_examples():

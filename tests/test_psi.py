@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from hexablock.numerics import DomainError, Mat2, pi_tetra
-from hexablock.psi import (Phi_eval, Psi_eval, betas, k_star, kappa_eval,
-                           maximizer, psi_eval, stationarity_residual,
-                           sup_on_bE, tetra_interior_margin)
+from hexablock.psi import (Phi_eval, Psi_eval, betas, k_star, k_star_closed,
+                           kappa_eval, maximizer, psi_eval,
+                           stationarity_residual, sup_on_bE,
+                           tetra_interior_margin)
 from hexablock.oracles import GridSpec, grid_sup_kappa
 
-from conftest import columns, rand_disc, rand_tetra_point, rand_unit
+from conftest import (NEAR_UNIT_X1, columns, corner_witness, rand_disc,
+                      rand_tetra_point, rand_unit)
 
 
 def test_psi_at_origin_is_a(rng):
@@ -194,6 +196,34 @@ def test_k_star_matches_reference(rng):
     assert np.max(np.abs(scalar - ref) / ref) <= 1e-13
     assert np.max(np.abs(batch - ref) / ref) <= 1e-13
     assert np.max(np.abs(batch - scalar) / scalar) <= 1e-14
+    # the closed form without the maximizer, on the same points
+    closed = k_star_closed(columns(pts))
+    assert isinstance(closed, np.ndarray) and closed.shape == (len(pts),)
+    assert np.max(np.abs(closed - scalar) / scalar) <= 1e-13
+    assert np.max(np.abs(closed - [k_star_closed(x) for x in pts])
+                  / closed) <= 1e-14
+
+
+def test_k_star_closed_corner_witness():
+    pytest.importorskip("mpmath")
+    # on dE off bE, |kappa| at 50 digits rises to the closed form along
+    # bidisc points running into the torus zero of the denominator
+    pts = [(0.0, 0.3, 0.7), (0.0, 0.8 * np.exp(0.7j), 0.2 * np.exp(-0.4j)),
+           NEAR_UNIT_X1[1:]]
+    for x in pts:
+        K = k_star_closed(x, on_dE=True)
+        vals = []
+        for delta in (1e-4, 1e-6, 1e-8):
+            k, z2 = corner_witness(x, delta)
+            assert z2 < 1.0
+            vals.append(k)
+        # the float coordinates sit up to about 1e-16 inside or outside dE,
+        # which moves the witness by up to 1.5e-8 either way; 3.4e-7 below
+        # measured at NEAR_UNIT_X1
+        assert vals[0] < vals[1] < vals[2]
+        assert vals[2] == pytest.approx(K, rel=1e-6)
+    assert k_star_closed(pts[0], on_dE=True) == pytest.approx(
+        1.0 / math.sqrt(0.7), rel=1e-15)
 
 
 def test_k_star_near_boundary_matches_mpmath(rng):
