@@ -27,8 +27,8 @@ from .hexa import classify_hexa, mu_value
 from .oracles import mu_bruteforce
 from .autos import HexaAut, hexa_aut_apply, hexa_aut_compose, hexa_aut_invert
 from .inner import (RationalHexaInner, RationalTetraInner, SchwarzProblem,
-                    hexa_inner_construct, hexa_inner_validate,
-                    interpolation_residuals, schwarz_construct,
+                    _schwarz_construct, hexa_inner_construct,
+                    hexa_inner_validate, interpolation_residuals,
                     schwarz_feasible)
 from .realslice import face_classify, real_h_member
 from . import __version__
@@ -113,10 +113,6 @@ def _hexaaut_arg(data) -> HexaAut:
 def _hexaaut_out(T: HexaAut):
     return {"v": _discaut_out(T.v), "chi": _discaut_out(T.chi),
             "omega": _cx_out(T.omega), "flip": T.flip}
-
-
-def _inner_arg(data) -> RationalHexaInner:
-    return RationalHexaInner.from_json(json.dumps(data))
 
 
 def _tetra_arg(data) -> RationalTetraInner:
@@ -227,9 +223,9 @@ def cmd_inner(args) -> int:
         B = BlaschkeProduct(_cx(data.get("B_phase", 1.0)),
                             tuple(_cx(z) for z in data.get("B_zeros", [])))
         f = hexa_inner_construct(tetra, B, _cx(data.get("c", 1.0)))
-        _emit(json.loads(f.to_json()), args.json)
+        _emit(f.to_dict(), args.json)
         return 0
-    f = _inner_arg(_parse_json(args.data, "inner data"))
+    f = RationalHexaInner.from_dict(_parse_json(args.data, "inner data"))
     report = hexa_inner_validate(f)
     payload = {k: v for k, v in report.items() if k != "tetra"}
     payload["tetra_ok"] = report["tetra"]["ok"]
@@ -257,12 +253,12 @@ def cmd_schwarz(args) -> int:
     if args.tetra_data:
         supplied = _tetra_arg(_parse_json(args.tetra_data, "tetra data"))
     try:
-        f = schwarz_construct(prob, supplied_tetra=supplied)
+        f = _schwarz_construct(prob, rep, supplied)
     except DomainError as exc:
         _emit({"feasible": True, "constructed": False, "reason": str(exc)},
               args.json)
         return EXIT_UNSUPPORTED
-    payload = json.loads(f.to_json())
+    payload = f.to_dict()
     payload["endpoint_residual"] = interpolation_residuals(f, prob)
     _emit(payload, args.json)
     return 0

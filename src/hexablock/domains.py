@@ -20,7 +20,8 @@ import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, DiscAut, cx,
                        cx_arrays, cx_coords, stable_quadratic_roots)
-from .psi import betas, is_triangular, k_star, tetra_interior_margin
+from .psi import (_betas, _is_triangular, is_triangular, k_star,
+                  tetra_interior_margin)
 
 
 class Region(enum.Enum):
@@ -100,15 +101,15 @@ def _vote_each(flags: dict, margins: dict, tol: float, what: str, point):
 def solve_beta(s: complex, p: complex):
     """beta with s = beta + conj(beta) p, or None when the map is singular."""
     s, p = cx(s), cx(p)
-    # write beta = u + iv; the real 2x2 system comes from s = beta + conj(beta)p
+    # write beta = u + iv; s = beta + conj(beta)p is the real 2x2 system
+    # [[a.re, b.re], [a.im, b.im]] (u, v) = (s.re, s.im), solved by Cramer's rule
     a = 1.0 + p
     b = 1j * (1.0 - p)
-    M = np.array([[a.real, b.real], [a.imag, b.imag]])
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    det = a.real * b.imag - b.real * a.imag
     if abs(det) < 1e-12:
         return None
-    u, v = np.linalg.solve(M, np.array([s.real, s.imag]))
-    return complex(u, v)
+    return complex((s.real * b.imag - b.real * s.imag) / det,
+                   (a.real * s.imag - s.real * a.imag) / det)
 
 
 def g2_classify(s: complex, p: complex, tol: float = TOL) -> RegionVerdict:
@@ -167,7 +168,10 @@ def bE_margin(x):
 
     The coordinates may be scalars (the margin is a float) or arrays that
     broadcast together (the margin is an array, elementwise)."""
-    x1, x2, x3 = cx_coords(x)
+    return _bE_margin(*cx_coords(x))
+
+
+def _bE_margin(x1, x2, x3):
     gaps = (abs(x1 - x2.conjugate() * x3), abs(abs(x3) - 1.0), abs(x2) - 1.0)
     if isinstance(x1, np.ndarray):
         return -np.maximum(np.maximum(gaps[0], gaps[1]), gaps[2])
@@ -203,7 +207,7 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     # part 8 needs |x3| < 1 alongside the displayed inequality (the stated
     # triangular guard alone does not exclude e.g. (0, 0, 1.2))
     m8 = lo(1.0 - s1 - s2 + s3 - 2.0 * w, 1.0 - a3)
-    m8 = _pick(is_triangular((x1, x2, x3), tol), lo(m8, 2.0 - a1 - a2), m8)
+    m8 = _pick(_is_triangular(x1, x2, x3, tol), lo(m8, 2.0 - a1 - a2), m8)
     m4 = lo(1.0 + s1 - s2 - s3 - 2.0 * d12, 1.0 - a1)
     margins = {"part3": 1.0 - (s1 + d21 + w), "part3_flip": 1.0 - (s2 + d12 + w),
                "part4": m4, "part5": (1.0 - s3) - (d12 + d21), "part8": m8}
@@ -212,11 +216,11 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     if batch:
         m7 = np.full(a3.shape, np.nan)
         if below.any():
-            b1, b2 = betas((x1[below], x2[below], x3[below]))
+            b1, b2 = _betas(x1[below], x2[below], x3[below])
             m7[below] = 1.0 - (abs(b1) + abs(b2))
         margins["part7"] = m7
     elif below:
-        b1, b2 = betas((x1, x2, x3))
+        b1, b2 = _betas(x1, x2, x3)
         m7 = margins["part7"] = 1.0 - (abs(b1) + abs(b2))
         witnesses["beta1"] = b1
         witnesses["beta2"] = b2
@@ -244,7 +248,7 @@ def _tetra_verdict(x1, x2, x3, tol: float):
 
     # outside the closure part 6 reads -1 and part 1 is never positive, so
     # the vote cannot split there
-    mb = bE_margin((x1, x2, x3))
+    mb = _bE_margin(x1, x2, x3)
     mb6 = _pick(in_closure, -abs(a3 - 1.0), -1.0)
     margins["b_tetra_part1"] = mb
     margins["b_tetra_part6"] = mb6

@@ -169,6 +169,12 @@ def h_closure_batch(p, tol: float = TOL):
     tetrablock interior margin exceeds max(tol, 1e-9), with K* evaluated
     on those points at once; every other point (outside the closed
     tetrablock, near its boundary) goes through the scalar `h_member`."""
+    return _h_closure_arrays(p, tol)[:2]
+
+
+def _h_closure_arrays(p, tol: float):
+    """`h_closure_batch` with the tetrablock margins of x it computed:
+    (flags, margins, tetrablock margins)."""
     a, x1, x2, x3 = cx_arrays(p)
     x = (x1, x2, x3)
     region, tm = tetra_classify_batch(x, tol)
@@ -183,7 +189,7 @@ def h_closure_batch(p, tol: float = TOL):
     for i in zip(*np.nonzero(~(zero | route))):
         flags[i], margins[i] = h_member(tuple(t[i] for t in (a, *x)),
                                         closed=True, tol=tol)
-    return flags, margins
+    return flags, margins, tm
 
 
 def classify_boundary(p, tol: float = TOL):

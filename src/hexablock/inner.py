@@ -19,10 +19,10 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (BlaschkeProduct, ConsistencyError, DomainError, Poly,
-                       cx, fejer_riesz, poly_abs2_trig, trig_sub)
+                       _horner, cx, fejer_riesz, poly_abs2_trig, trig_sub)
 from .psi import k_star
 from .domains import bE_margin, tetra_classify_batch
-from .hexa import h_closure_batch, h_member
+from .hexa import _h_closure_arrays, h_member
 
 _CIRCLE_N = 512
 
@@ -43,14 +43,35 @@ def _disc_samples(n: int, rmax: float = 0.93) -> np.ndarray:
     return _frozen(r * np.exp(1j * th))
 
 
-# Sample grids shared by every validation: each check evaluates its function
-# once on a whole grid.
+# Sample grids shared by every validation.  A validation evaluates all the
+# polynomials of its function in one Horner pass over `_validation_grid()`.
 _CIRCLE = _circle(_CIRCLE_N)
 _CIRCLE_K0 = _circle(128)
 _CIRCLE_SPOT = _circle(16)
 _CLOSED_DISC = _frozen(np.concatenate([_disc_samples(200, 0.999), _circle(256)]))
 _DISC_TETRA = _disc_samples(60)
 _DISC_HEXA = _disc_samples(100)
+
+
+def _validation_grid() -> np.ndarray:
+    """The closed-disc grid, the circle, the tetra disc grid and the hexa
+    disc grid, concatenated in that order."""
+    return np.concatenate([_CLOSED_DISC, _CIRCLE, _DISC_TETRA, _DISC_HEXA])
+
+
+def _stack(polys) -> np.ndarray:
+    """The coefficient rows of `polys`, zero-padded to one length."""
+    rows = np.zeros((len(polys), max(len(p.coeffs) for p in polys)),
+                    dtype=complex)
+    for row, p in zip(rows, polys):
+        row[: len(p.coeffs)] = p.coeffs
+    return _frozen(rows)
+
+
+def _ratios(vals):
+    """(E1/D, E2/D, D~n/D) from the values of the rows E1, E2, D, D~n."""
+    E1, E2, D, Dr = vals[:4]
+    return E1 / D, E2 / D, Dr / D
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +96,11 @@ class RationalTetraInner:
         D = self.D.with_bound(self.n)
         return E1, E2, D, D.reflect()
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The coefficient rows E1, E2, D, D~n."""
+        return _stack(self.components)
+
     def __call__(self, lam):
         E1, E2, D, Dr = self.components
         dv = D(lam)
@@ -88,10 +114,23 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
     E1 = E2~n, the circle bounds |Ei| <= |D|, circle images on the
     distinguished boundary and disc images in the closed tetrablock.
     """
-    E1, E2, D, Dr = t.components
+    vals = _horner(t._rows, _validation_grid())
+    start = len(_CLOSED_DISC) + len(_CIRCLE)
+    _, margins = tetra_classify_batch(
+        _ratios(vals[:, start: start + len(_DISC_TETRA)]), 1e-9)
+    return _tetra_report(t, vals, margins, tol)
+
+
+def _tetra_report(t: RationalTetraInner, vals: np.ndarray, disc_margins: dict,
+                  tol: float) -> dict:
+    """`tetra_inner_validate` from the values `vals` of the rows E1, E2, D,
+    D~n (and possibly more) on `_validation_grid()` and the tetrablock
+    margins of the images of `_DISC_TETRA`."""
+    E1, E2 = t.components[:2]
+    k, nc = len(_CLOSED_DISC), len(_CIRCLE)
     report = {"ok": True, "issues": []}
 
-    dmin = float(np.min(np.abs(D(_CLOSED_DISC))))
+    dmin = float(np.min(np.abs(vals[2, :k])))
     report["min_abs_D"] = dmin
     if dmin <= 1e-9:
         report["ok"] = False
@@ -103,25 +142,24 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
         report["ok"] = False
         report["issues"].append("E1 != E2~n")
 
-    circ = _CIRCLE
-    dv = np.abs(D(circ))
-    excess = max(float(np.max(np.abs(E1(circ)) - dv)),
-                 float(np.max(np.abs(E2(circ)) - dv)))
+    circ = vals[:, k: k + nc]
+    dv = np.abs(circ[2])
+    excess = max(float(np.max(np.abs(circ[0]) - dv)),
+                 float(np.max(np.abs(circ[1]) - dv)))
     report["circle_bound_excess"] = excess
     if excess > tol:
         report["ok"] = False
         report["issues"].append("|E_i| exceeds |D| on the circle")
 
     worst_b = max(0.0, -float(np.min(
-        bE_margin(t(circ[:: max(1, len(circ) // 64)])))))
+        bE_margin(_ratios(circ[:, :: max(1, nc // 64)])))))
     report["circle_bE_violation"] = worst_b
     if worst_b > tol:
         report["ok"] = False
         report["issues"].append("circle image leaves the distinguished boundary")
 
-    _, margins = tetra_classify_batch(t(_DISC_TETRA), 1e-9)
-    worst_in = max(0.0, -float(np.min(np.minimum(margins["closure_beta"],
-                                                 margins["closure_part4"]))))
+    worst_in = max(0.0, -float(np.min(np.minimum(disc_margins["closure_beta"],
+                                                 disc_margins["closure_part4"]))))
     report["disc_closure_violation"] = worst_in
     if worst_in > tol:
         report["ok"] = False
@@ -147,29 +185,37 @@ class RationalHexaInner:
     def __call__(self, lam):
         return (self.a_component(lam), *self.tetra(lam))
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The coefficient rows E1, E2, D, D~n, A."""
+        return _stack((*self.tetra.components, self.A))
+
     def a_component(self, lam):
         D = self.tetra.components[2]
         return self.c * self.B(lam) * self.A(lam) / D(lam)
 
-    def to_json(self) -> str:
-        def arr(p: Poly):
-            return [[z.real, z.imag] for z in p.padded()]
+    def to_dict(self) -> dict:
+        """The JSON form: coefficient arrays at the bound n and complex
+        scalars, each as [re, im]."""
+        n = self.tetra.n
 
-        return json.dumps({
-            "n": self.tetra.n,
-            "E1": arr(self.tetra.E1.with_bound(self.tetra.n)),
-            "E2": arr(self.tetra.E2.with_bound(self.tetra.n)),
-            "D": arr(self.tetra.D.with_bound(self.tetra.n)),
-            "A": arr(self.A.with_bound(self.tetra.n)),
+        def arr(p: Poly):
+            return [[z.real, z.imag] for z in p.with_bound(n).padded().tolist()]
+
+        c = cx(self.c)
+        return {
+            "n": n,
+            "E1": arr(self.tetra.E1),
+            "E2": arr(self.tetra.E2),
+            "D": arr(self.tetra.D),
+            "A": arr(self.A),
             "B_phase": [self.B.phase.real, self.B.phase.imag],
             "B_zeros": [[z.real, z.imag] for z in self.B.zeros],
-            "c": [cx(self.c).real, cx(self.c).imag],
-        })
+            "c": [c.real, c.imag],
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "RationalHexaInner":
-        d = json.loads(text)
-
+    def from_dict(cls, d: dict) -> "RationalHexaInner":
         def poly(key):
             return Poly(np.array([complex(r, i) for r, i in d[key]]), d["n"])
 
@@ -177,6 +223,13 @@ class RationalHexaInner:
         B = BlaschkeProduct(complex(*d["B_phase"]),
                             tuple(complex(r, i) for r, i in d["B_zeros"]))
         return cls(tetra, poly("A"), B, complex(*d["c"]))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
+    @classmethod
+    def from_json(cls, text: str) -> "RationalHexaInner":
+        return cls.from_dict(json.loads(text))
 
 
 def hexa_inner_construct(t: RationalTetraInner, B: BlaschkeProduct,
@@ -208,15 +261,28 @@ def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6,
                         interior_tol: float = 1e-8) -> dict:
     """Validation report for hexablock inner data: circle images satisfy
     |a|^2 + |x1|^2 = 1 and land on the distinguished boundary of E; disc
-    images stay in the closed hexablock; the tetra part validates."""
+    images stay in the closed hexablock; the tetra part validates.
+
+    The tetra part's report is `tetra_inner_validate`'s, made from the same
+    samples: its disc check reads the tetrablock margins of the closure
+    verdict, which covers both disc grids."""
+    lam = _validation_grid()
+    vals = _horner(f._rows, lam)
+    k, nc, nt = len(_CLOSED_DISC), len(_CIRCLE), len(_DISC_TETRA)
+    # f on the circle and on both disc grids
+    a = f.c * f.B(lam[k:]) * vals[4, k:] / vals[2, k:]
+    x = _ratios(vals[:, k:])
+    _, margins, tm = _h_closure_arrays((a[nc:], *(v[nc:] for v in x)), tol=1e-9)
+
     report = {"ok": True, "issues": []}
-    sub = tetra_inner_validate(f.tetra, tol)
+    sub = _tetra_report(f.tetra, vals, {key: m[:nt] for key, m in tm.items()},
+                        tol)
     report["tetra"] = sub
     if not sub["ok"]:
         report["ok"] = False
         report["issues"].append("tetra part invalid")
 
-    a, x1, x2, x3 = f(_CIRCLE)
+    a, x1, x2, x3 = a[:nc], *(v[:nc] for v in x)
     worst_norm = float(np.max(np.abs(np.abs(a) ** 2 + np.abs(x1) ** 2 - 1.0)))
     worst_b = max(0.0, -float(np.min(bE_margin((x1, x2, x3)))))
     report["circle_norm_residual"] = worst_norm
@@ -228,7 +294,7 @@ def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6,
         report["ok"] = False
         report["issues"].append("circle image off the distinguished boundary")
 
-    _, margins = h_closure_batch(f(_DISC_HEXA), tol=1e-9)
+    margins = margins[nt:]
     below = margins[margins < -interior_tol]
     worst_marg = -float(np.min(below)) if below.size else 0.0
     report["disc_closure_violation"] = worst_marg
@@ -456,7 +522,14 @@ def schwarz_construct(prob: SchwarzProblem,
     lambda0).  Other feasible targets need external tetrablock inner data
     and raise a DomainError saying so.
     """
-    rep = schwarz_feasible(prob, tol)
+    return _schwarz_construct(prob, schwarz_feasible(prob, tol),
+                              supplied_tetra, tol)
+
+
+def _schwarz_construct(prob: SchwarzProblem, rep: FeasibilityReport,
+                       supplied_tetra: RationalTetraInner | None = None,
+                       tol: float = 1e-9) -> RationalHexaInner:
+    """`schwarz_construct` given the feasibility report of `prob`."""
     if not rep.feasible:
         raise DomainError(f"infeasible Schwarz data: {rep.violated} violated "
                           f"(margins {rep.margins})")

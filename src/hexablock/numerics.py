@@ -248,6 +248,31 @@ class DiscAut:
 # Polynomials with a declared degree bound
 # ---------------------------------------------------------------------------
 
+def _horner(coeffs: np.ndarray, lam):
+    """Polynomials with ascending complex coefficients along the last axis
+    of `coeffs`, evaluated at `lam` by Horner's rule.
+
+    One polynomial (1-D `coeffs`) at a scalar runs a plain-Python loop and
+    returns a numpy complex scalar; at an array it returns lam's shape.  A
+    (k, n+1) matrix evaluates its k rows in one pass, shape (k, *lam.shape).
+    The arithmetic is that of numpy's `polyval`, step for step.
+    """
+    if coeffs.ndim == 1 and not isinstance(lam, np.ndarray):
+        x = complex(lam)
+        c = coeffs.tolist()
+        acc = c[-1]
+        for a in reversed(c[:-1]):
+            acc = a + acc * x
+        return np.complex128(acc)
+    lam = np.asarray(lam)
+    rows = coeffs.T.reshape(coeffs.shape[::-1] + (1,) * lam.ndim)
+    acc = rows[-1] + lam * 0
+    for r in rows[-2::-1]:
+        acc *= lam
+        acc += r
+    return acc
+
+
 @dataclass(frozen=True)
 class Poly:
     """Polynomial with ascending coefficients and a declared degree bound n.
@@ -296,7 +321,7 @@ class Poly:
         return int(nz[-1]) if len(nz) else -1
 
     def __call__(self, lam):
-        return np.polynomial.polynomial.polyval(lam, self.coeffs)
+        return _horner(self.coeffs, lam)
 
     def padded(self) -> np.ndarray:
         out = np.zeros(self.n + 1, dtype=complex)
@@ -317,7 +342,7 @@ class Poly:
         return Poly(self.coeffs * cx(factor), self.n)
 
     def with_bound(self, n: int) -> "Poly":
-        return Poly(self.coeffs, n)
+        return self if n == self.n else Poly(self.coeffs, n)
 
     def roots(self) -> np.ndarray:
         d = self.degree
@@ -383,12 +408,8 @@ class BlaschkeProduct:
 def trig_eval(coeffs, lam):
     """Evaluate sum a_k lam^k, k = -n..n, for |lam| = 1; coeffs ascending."""
     c = np.asarray(coeffs, dtype=complex)
-    n = (len(c) - 1) // 2
     lam = np.asarray(lam, dtype=complex)
-    out = np.zeros(lam.shape, dtype=complex)
-    for k in range(-n, n + 1):
-        out = out + c[k + n] * lam ** k
-    return out
+    return _horner(c, lam) / lam ** ((len(c) - 1) // 2)
 
 
 def poly_abs2_trig(p: Poly) -> np.ndarray:
@@ -416,6 +437,12 @@ def trig_sub(f, g) -> np.ndarray:
     out[n - nf: n + nf + 1] = f
     out[n - ng: n + ng + 1] -= g
     return out
+
+
+# the 2048th roots of unity, on which `fejer_riesz` checks its input and
+# its factor
+_FR_CIRCLE = np.exp(2j * np.pi * np.arange(2048) / 2048)
+_FR_CIRCLE.setflags(write=False)
 
 
 def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
@@ -456,8 +483,12 @@ def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
     if np.max(np.abs(c - np.conj(c[::-1]))) > 1e-8 * scale:
         raise DomainError("trig polynomial is not real on the circle")
 
-    samples = np.exp(2j * np.pi * np.arange(2048) / 2048)
-    vals = trig_eval(c, samples).real
+    # on the circle Re a_{-k} lam^-k = Re conj(a_{-k}) lam^k, so the real
+    # part of f is that of the polynomial with coefficients a_0 and
+    # a_k + conj(a_{-k}), k = 1..n
+    half = c[n:].copy()
+    half[1:] += np.conj(c[:n][::-1])
+    vals = _horner(half, _FR_CIRCLE).real
     fmin = float(np.min(vals))
     if fmin < -max(tol, 1e-10) * scale:
         raise DomainError(f"trig polynomial negative on the circle (min {fmin:.3e})")
@@ -511,7 +542,7 @@ def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
     top = d[D.degree]
     D = Poly(d * (abs(top) / top), n)
 
-    recon = np.abs(D(samples)) ** 2
+    recon = np.abs(D(_FR_CIRCLE)) ** 2
     err = float(np.max(np.abs(recon - vals)))
     if err > 1e-7 * max(scale, 1.0):
         raise ConsistencyError(f"spectral factor reconstruction error {err:.3e}")

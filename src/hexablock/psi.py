@@ -35,7 +35,10 @@ def _clip0(v):
 
 def is_triangular(x, tol: float = 1e-9) -> bool:
     """x1*x2 = x3 within a tolerance scaled by 1 + |x3|."""
-    x1, x2, x3 = cx_coords(x)
+    return _is_triangular(*cx_coords(x), tol)
+
+
+def _is_triangular(x1, x2, x3, tol: float):
     return abs(x1 * x2 - x3) <= tol * (1.0 + abs(x3))
 
 

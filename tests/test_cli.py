@@ -154,6 +154,48 @@ def test_schwarz_solve_royal():
     assert payload["endpoint_residual"] <= 1e-7
 
 
+def test_schwarz_solve_checks_feasibility_once(monkeypatch):
+    import hexablock.cli as cli
+    import hexablock.inner as inner
+    calls = []
+    real = inner.schwarz_feasible
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "schwarz_feasible", counted)
+    monkeypatch.setattr(inner, "schwarz_feasible", counted)
+    for lam, target, code in (
+            ("[0.5,0]", "[[0.25,0],[0,0],[0,0],[0.5,0]]", 0),
+            ("[0.6,0]", "[[0,0],[0.2,0.1],[-0.3,0],[-0.06,-0.03]]", 0),
+            ("[0.9,0]", "[[0.05,0],[0.3,0],[0.2,0],[0.1,0]]", 4),
+            ("[0.5,0]", "[[0.6,0],[0,0],[0,0],[0.5,0]]", 3)):
+        calls.clear()
+        got, _ = run_cli(["schwarz", "solve", "--lam", lam, "--target", target,
+                          "--json"])
+        assert got == code and len(calls) == 1
+
+
+def test_inner_json_is_one_dict_form():
+    # construct emits the dict form; validate reads it back without a
+    # second JSON round trip, and both agree with to_json/from_json
+    from hexablock.inner import RationalHexaInner
+    data = {"n": 2, "E1": [[0.1, 0.2]], "E2": [[0, 0], [0, 0], [0.1, -0.2]],
+            "D": [[2, 0], [0.5, 0.5]], "B_zeros": [[0.3, 0]],
+            "B_phase": [0, 1], "c": [1, 0]}
+    code, out = run_cli(["inner", "construct", "--data", json.dumps(data),
+                         "--json"])
+    assert code == 0
+    f = RationalHexaInner.from_dict(json.loads(out))
+    assert f.to_dict() == json.loads(out)
+    assert f.to_json() == json.dumps(f.to_dict())
+    assert RationalHexaInner.from_json(f.to_json()).to_dict() == f.to_dict()
+    assert all(type(v) is float for row in f.to_dict()["A"] for v in row)
+    code, text = run_cli(["inner", "construct", "--data", json.dumps(data)])
+    assert code == 0 and "np.float64" not in text
+
+
 def test_schwarz_solve_unsupported_case():
     # non-triangular target without supplied data
     code, out = run_cli(["schwarz", "solve", "--lam", "[0.9,0]",

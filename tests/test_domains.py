@@ -49,6 +49,44 @@ def test_g2_matches_definitional(rng):
         assert v.region is Region.INTERIOR
 
 
+def _solve_beta_lu(s, p):
+    """solve_beta through numpy's LU solver, with the same singularity test."""
+    a, b = 1.0 + p, 1j * (1.0 - p)
+    M = np.array([[a.real, b.real], [a.imag, b.imag]])
+    if abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) < 1e-12:
+        return None
+    u, v = np.linalg.solve(M, np.array([s.real, s.imag]))
+    return complex(u, v)
+
+
+def test_solve_beta_matches_lu_solver(rng):
+    # the determinant is 1 - |p|^2; away from |p| = 1 the system is well
+    # conditioned and Cramer's rule agrees with the LU solve to rounding
+    n = 0
+    while n < 10000:
+        s = complex(*rng.uniform(-2.0, 2.0, 2))
+        p = 1.5 * math.sqrt(rng.uniform()) * rand_unit(rng)
+        if abs(1.0 - abs(p) ** 2) < 1e-2:
+            continue
+        n += 1
+        want = _solve_beta_lu(s, p)
+        got = solve_beta(s, p)
+        assert abs(got - want) <= 1e-12 * abs(want)
+    # just above and below the singularity threshold |det| = 1e-12
+    for det in (1.5e-12, 1.01e-12, 0.99e-12, 0.5e-12, 0.0):
+        for phase in (1.0, rand_unit(rng), -1j):
+            p = math.sqrt(1.0 - det) * phase
+            s = complex(*rng.uniform(-2.0, 2.0, 2))
+            want = _solve_beta_lu(s, p)
+            got = solve_beta(s, p)
+            assert (got is None) == (want is None)
+            if want is not None:
+                # conditioned like 1/det: compare through the equation
+                assert abs(got + got.conjugate() * p - s) <= 1e-3 * abs(got)
+    assert solve_beta(0.3, math.sqrt(1.0 - 1.5e-12)) is not None
+    assert solve_beta(0.3, math.sqrt(1.0 - 0.5e-12)) is None
+
+
 def test_g2_beta_witness(rng):
     for _ in range(100):
         z1 = rand_disc(rng, 0.9)
@@ -135,11 +173,11 @@ def test_tetra_classify_batch_matches_scalar(rng):
 
 def test_tetra_split_vote_raises_naming_the_point(monkeypatch):
     import hexablock.domains as domains
-    betas = domains.betas
+    betas = domains._betas
     # doubled betas put part 7 outside while parts 3-8 read inside when
     # 1/2 < |b1| + |b2| < 1; they still agree at small betas
-    monkeypatch.setattr(domains, "betas",
-                        lambda x: tuple(2.0 * b for b in betas(x)))
+    monkeypatch.setattr(domains, "_betas",
+                        lambda *x: tuple(2.0 * b for b in betas(*x)))
     good, bad = (0.1, 0.1, 0.0), (0.4, 0.2, 0.05)
     assert tetra_classify(good).region is Region.INTERIOR
     regions, _ = tetra_classify_batch(columns([good, good]))

@@ -241,36 +241,89 @@ def test_inner_array_evaluation_matches_scalar(rng):
 
 def test_hexa_inner_validate_work_is_independent_of_circle_size(rng,
                                                                monkeypatch):
-    # each circle check evaluates its function once on the whole circle
+    # every polynomial is evaluated in one Horner pass over a grid that
+    # holds the whole circle
     import hexablock.domains
     import hexablock.hexa
     import hexablock.inner as inner
     f = hexa_inner_construct(_random_tetra_inner(rng),
                              BlaschkeProduct(1.0, (0.2,)), 1.0)
-    counts = {"poly": 0, "bE": 0}
+    counts = {"poly": 0, "horner": 0, "bE": 0}
+    grids = []
     poly_call = Poly.__call__
+    horner = inner._horner
     margin = inner.bE_margin
 
     def counted_poly(self, lam):
         counts["poly"] += 1
         return poly_call(self, lam)
 
+    def counted_horner(coeffs, lam):
+        counts["horner"] += 1
+        grids.append(len(lam))
+        return horner(coeffs, lam)
+
     def counted_margin(x):
         counts["bE"] += 1
         return margin(x)
 
     monkeypatch.setattr(Poly, "__call__", counted_poly)
+    monkeypatch.setattr(inner, "_horner", counted_horner)
     for mod in (inner, hexablock.domains, hexablock.hexa):
         monkeypatch.setattr(mod, "bE_margin", counted_margin)
     seen = []
     for n in (inner._CIRCLE_N, 8 * inner._CIRCLE_N):
         monkeypatch.setattr(inner, "_CIRCLE", inner._circle(n))
-        counts.update(poly=0, bE=0)
+        counts.update(poly=0, horner=0, bE=0)
         assert hexa_inner_validate(f)["ok"]
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    # tetra part: 12 polynomial evaluations; circle and disc: 6 each
-    assert seen[0]["poly"] == 24
+    others = len(inner._CLOSED_DISC) + len(inner._DISC_TETRA) \
+        + len(inner._DISC_HEXA)
+    assert grids == [others + inner._CIRCLE_N, others + 8 * inner._CIRCLE_N]
+    # one stacked pass for the tetra and hexa checks; one bE margin on the
+    # circle for each
+    assert seen[0] == {"poly": 0, "horner": 1, "bE": 2}
+
+
+def test_hexa_inner_validate_takes_one_array_tetra_verdict(rng, monkeypatch):
+    import hexablock.domains as domains
+    verdict = domains._tetra_verdict
+    sizes = []
+
+    def counted(x1, x2, x3, tol):
+        if isinstance(x1, np.ndarray):
+            sizes.append(x1.size)
+        return verdict(x1, x2, x3, tol)
+
+    monkeypatch.setattr(domains, "_tetra_verdict", counted)
+    for _ in range(4):
+        f = hexa_inner_construct(_random_tetra_inner(rng),
+                                 BlaschkeProduct(rand_unit(rng), (0.3,)), 1.0)
+        sizes.clear()
+        assert hexa_inner_validate(f)["ok"]
+        # both disc grids in one verdict
+        assert sizes == [160]
+
+
+def test_hexa_tetra_report_is_tetra_inner_validate(rng):
+    # the tetra part of the hexablock report, made from the hexablock
+    # samples, is the standalone tetrablock report, on valid data and on
+    # data whose disc images leave the tetrablock
+    for _ in range(4):
+        t = _random_tetra_inner(rng)
+        f = hexa_inner_construct(t, BlaschkeProduct(rand_unit(rng), (0.2,)),
+                                 rand_unit(rng))
+        bad_t = RationalTetraInner(t.E1.scale(2.5), t.E2.scale(2.5), t.D, t.n)
+        for g in (f, RationalHexaInner(bad_t, f.A, f.B, f.c)):
+            got = hexa_inner_validate(g)["tetra"]
+            want = tetra_inner_validate(g.tetra)
+            assert got.keys() == want.keys()
+            assert got["ok"] == want["ok"] and got["issues"] == want["issues"]
+            for key in want.keys() - {"ok", "issues"}:
+                assert got[key] == pytest.approx(want[key], rel=1e-12,
+                                                 abs=1e-15)
+        assert "disc image leaves the closed tetrablock" in got["issues"]
 
 
 def test_disc_checks_are_one_array_evaluation(rng, monkeypatch):

@@ -273,6 +273,82 @@ def test_fejer_riesz_strict_rejects_circle_roots():
     assert np.max(np.abs(np.abs(D(circle)) - np.abs(1 - circle))) < 1e-7
 
 
+def _fr_residual(f, D) -> float:
+    """max over 97 circle points of ||D|^2 - f|, relative to max |f_k|, at
+    30 digits."""
+    import mpmath
+    with mpmath.workdps(30):
+        fk = [mpmath.mpc(complex(v)) for v in f]
+        dk = [mpmath.mpc(complex(v)) for v in D.coeffs]
+        n = (len(fk) - 1) // 2
+        worst = mpmath.mpf(0)
+        for j in range(97):
+            lam = mpmath.expjpi(mpmath.mpf(2 * j) / 97)
+            fv = sum(fk[k + n] * lam ** k for k in range(-n, n + 1))
+            worst = max(worst, abs(abs(mpmath.polyval(dk[::-1], lam)) ** 2 - fv))
+        return float(worst / max(abs(v) for v in fk))
+
+
+def test_fejer_riesz_matches_mpmath(rng):
+    # |D|^2 = f on the circle, checked at 30 digits: degrees 0-6, vanishing
+    # extreme coefficients that the factorization trims, and factors with
+    # zeros on the circle (double zeros of f, double roots of t^n f(t))
+    for deg in range(7):
+        roots = [rng.uniform(1.1, 3.0) * rand_unit(rng) for _ in range(deg)]
+        f = poly_abs2_trig(Poly.from_roots(roots, lead=0.3 + 1.1j))
+        assert _fr_residual(f, fejer_riesz(f)) < 1e-12
+    f = poly_abs2_trig(Poly.from_roots([2.0, -1.5j]))
+    padded = np.concatenate([[0.0, 0.0], f, [0.0, 0.0]])
+    D = fejer_riesz(padded)
+    assert D.n == 2 and _fr_residual(padded, D) < 1e-12
+    for g in ([1.0, 0.5j], [2.0, -1.0, 0.3]):
+        D0 = Poly.from_roots([rand_unit(rng)]).mul(Poly(np.array(g), len(g) - 1))
+        f = poly_abs2_trig(D0)
+        assert _fr_residual(f, fejer_riesz(f)) < 1e-12
+    # a double zero of D on the circle: the roots are only good to about
+    # sqrt(eps), within the factorization's own reconstruction bound
+    f = poly_abs2_trig(Poly.from_roots([1.0, 1.0]))
+    assert _fr_residual(f, fejer_riesz(f)) < 1e-7
+
+
+def test_horner_matches_polyval(rng):
+    from hexablock.numerics import _horner
+    polyval = np.polynomial.polynomial.polyval
+
+    def close(got, want, c, lam):
+        # relative to the sum of the moduli of the terms
+        scale = polyval(np.abs(lam), np.abs(c))
+        return np.all(np.abs(got - want) <= 1e-15 * scale)
+
+    lam = rng.normal(0, 1, 41) + 1j * rng.normal(0, 1, 41)
+    grid = lam.reshape(41, 1) * np.exp(0.1j * np.arange(3))
+    for deg in range(8):
+        rows = rng.normal(0, 1, (5, deg + 1)) + 1j * rng.normal(0, 1, (5, deg + 1))
+        c = rows[0]
+        for z in (complex(lam[0]), 0.7, 0, np.complex128(lam[1])):
+            got = _horner(c, z)
+            assert isinstance(got, np.complex128)
+            assert close(got, polyval(z, c), c, z)
+        assert close(_horner(c, lam), polyval(lam, c), c, lam)
+        assert _horner(c, grid).shape == grid.shape
+        assert close(_horner(c, grid), polyval(grid, c), c, grid)
+        stacked = _horner(rows, lam)
+        assert stacked.shape == (5, 41)
+        for row, got in zip(rows, stacked):
+            assert close(got, polyval(lam, row), row, lam)
+        assert Poly(c, deg)(lam[2]) == _horner(c, lam[2])
+    # degree 0: the constant, at full shape
+    assert np.all(_horner(np.array([2.5 - 1j]), lam) == 2.5 - 1j)
+    assert _horner(np.array([[1.0 + 0j], [2.0]]), lam).shape == (2, 41)
+
+
+def test_poly_with_bound_keeps_self():
+    p = Poly(np.array([1.0, 2.0]), 3)
+    assert p.with_bound(3) is p
+    wider = p.with_bound(4)
+    assert wider.n == 4 and wider.coeffs.tolist() == p.coeffs.tolist()
+
+
 def test_trig_eval_hermitian_real(rng):
     c = np.array([0.25 - 0.3j, 1.0, 0.25 + 0.3j])
     vals = trig_eval(c, np.exp(2j * np.pi * np.arange(32) / 32))
