@@ -20,8 +20,7 @@ import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, DiscAut, cx,
                        cx_arrays, cx_coords, stable_quadratic_roots)
-from .psi import (_betas, _is_triangular, is_triangular, k_star,
-                  tetra_interior_margin)
+from .psi import _betas_from, is_triangular, k_star, tetra_interior_margin
 
 
 class Region(enum.Enum):
@@ -74,24 +73,25 @@ def _vote(flags: dict, margins: dict, tol: float, what: str) -> bool:
 
 def _vote_each(flags: dict, margins: dict, tol: float, what: str, point):
     """`_vote` at every entry of flag and margin arrays; nan margins abstain.
+    Each flag must be its margin's sign, m > 0 or m >= -tol: a decisive
+    criterion then votes yes where m > tol and no where m < -tol.
 
     `point` holds the coordinate arrays, named in the `ConsistencyError`
     of the first point with a split vote."""
-    names = list(flags)
-    flag = np.array([flags[k] for k in names])
-    margin = np.array([margins[k] for k in names])
-    decisive = np.abs(margin) > tol
-    yes = (decisive & flag).any(axis=0)
-    split = yes & (decisive & ~flag).any(axis=0)
+    margin = np.array(list(margins.values()))
+    yes = np.logical_or.reduce(margin > tol)
+    no = np.logical_or.reduce(margin < -tol)
+    split = yes & no
     if split.any():
         i = np.unravel_index(np.argmax(split), split.shape)
         at = tuple(complex(c[i]) for c in point)
-        votes = {k: bool(flag[j][i]) for j, k in enumerate(names) if decisive[j][i]}
+        votes = {k: bool(m[i] > tol) for k, m in margins.items() if abs(m[i]) > tol}
         raise ConsistencyError(
             f"{what} at point {at}: equivalent criteria disagree beyond "
             f"tolerance: {votes} margins={{"
-            f"{', '.join(f'{k}: {margin[j][i]:.3e}' for j, k in enumerate(names))}}}")
-    return np.where(decisive.any(axis=0), yes, flag[0])
+            f"{', '.join(f'{k}: {m[i]:.3e}' for k, m in margins.items())}}}")
+    # without a split, a decisive vote is yes or no; else the first flag
+    return yes | (next(iter(flags.values())) > no)
 
 
 # ---------------------------------------------------------------------------
@@ -194,33 +194,42 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     """(region, margins, witnesses) of `tetra_classify` for coerced
     coordinates: scalars, or arrays of one shape, on which every margin,
     vote and region is elementwise.  On arrays part 7 is nan (abstaining)
-    where |x3| >= 1 and the beta witnesses are not kept."""
+    where |x3| >= 1 and the beta witnesses are not kept.
+
+    Each quantity shared by several criteria is computed once: c12 =
+    x1 - conj(x2) x3 and c21 give d12, d21 and the betas, w = |x1 x2 - x3|
+    the triangular guard, g3 = ||x3| - 1| the closure and the
+    distinguished boundary."""
     batch = isinstance(x1, np.ndarray)
     lo, hi = (np.minimum, np.maximum) if batch else (min, max)
     vote = partial(_vote_each, point=(x1, x2, x3)) if batch else _vote
     a1, a2, a3 = abs(x1), abs(x2), abs(x3)
     s1, s2, s3 = a1 ** 2, a2 ** 2, a3 ** 2
-    d12 = abs(x1 - x2.conjugate() * x3)
-    d21 = abs(x2 - x1.conjugate() * x3)
+    c12 = x1 - x2.conjugate() * x3
+    c21 = x2 - x1.conjugate() * x3
+    d12, d21 = abs(c12), abs(c21)
     w = abs(x1 * x2 - x3)
+    g3 = abs(a3 - 1.0)
+    q8 = 1.0 - s1 - s2 + s3 - 2.0 * w
+    below3, den, over2 = 1.0 - a3, 1.0 - s3, a2 - 1.0
 
     # part 8 needs |x3| < 1 alongside the displayed inequality (the stated
-    # triangular guard alone does not exclude e.g. (0, 0, 1.2))
-    m8 = lo(1.0 - s1 - s2 + s3 - 2.0 * w, 1.0 - a3)
-    m8 = _pick(_is_triangular(x1, x2, x3, tol), lo(m8, 2.0 - a1 - a2), m8)
+    # triangular guard, `is_triangular`, alone does not exclude e.g.
+    # (0, 0, 1.2))
+    m8 = lo(q8, below3)
+    m8 = _pick(w <= tol * (1.0 + a3), lo(m8, 2.0 - a1 - a2), m8)
     m4 = lo(1.0 + s1 - s2 - s3 - 2.0 * d12, 1.0 - a1)
-    margins = {"part3": 1.0 - (s1 + d21 + w), "part3_flip": 1.0 - (s2 + d12 + w),
-               "part4": m4, "part5": (1.0 - s3) - (d12 + d21), "part8": m8}
+    m3, m3_flip = 1.0 - (s1 + d21 + w), 1.0 - (s2 + d12 + w)
+    m5 = den - (d12 + d21)
+    margins = {"part3": m3, "part3_flip": m3_flip, "part4": m4, "part5": m5,
+               "part8": m8}
     witnesses = {}
     below = a3 < 1.0
     if batch:
-        m7 = np.full(a3.shape, np.nan)
-        if below.any():
-            b1, b2 = _betas(x1[below], x2[below], x3[below])
-            m7[below] = 1.0 - (abs(b1) + abs(b2))
-        margins["part7"] = m7
+        b1, b2 = _betas_from(c12, c21, np.where(below, den, 1.0))
+        m7 = margins["part7"] = np.where(below, 1.0 - (abs(b1) + abs(b2)), np.nan)
     elif below:
-        b1, b2 = _betas(x1, x2, x3)
+        b1, b2 = _betas_from(c12, c21, den)
         m7 = margins["part7"] = 1.0 - (abs(b1) + abs(b2))
         witnesses["beta1"] = b1
         witnesses["beta2"] = b2
@@ -232,24 +241,25 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     # the closure: the non-strict beta margin, extended continuously through
     # |x3| = 1, where it forces x1 = conj(x2) x3 (bE directions), and part
     # 4's margin with the non-strict inequality
-    mc = _pick(a3 > 1.0, 1.0 - a3,
-               _pick(abs(a3 - 1.0) < 1e-13, -hi(hi(d12, a1 - 1.0), a2 - 1.0), m7))
+    mc = _pick(a3 > 1.0, below3,
+               _pick(g3 < 1e-13, -hi(hi(d12, a1 - 1.0), over2), m7))
     margins["closure_beta"] = mc
     margins["closure_part4"] = m4
     in_closure = vote({"closure_beta": mc >= -tol, "closure_part4": m4 >= -tol},
                       {"closure_beta": mc, "closure_part4": m4},
                       tol, "tetrablock closure")
 
-    # boundary equalities (only meaningful inside the closure)
-    margins["boundary_part2"] = s2 + d12 + w - 1.0
-    margins["boundary_part3"] = s1 + d21 + w - 1.0
-    margins["boundary_part4"] = 1.0 - s1 - s2 + s3 - 2.0 * w
-    margins["boundary_part5"] = d12 + d21 - (1.0 - s3)
+    # boundary equalities (only meaningful inside the closure): interior
+    # margins negated, as 0.0 - m so that an exact zero stays +0.0
+    margins["boundary_part2"] = 0.0 - m3_flip
+    margins["boundary_part3"] = 0.0 - m3
+    margins["boundary_part4"] = q8
+    margins["boundary_part5"] = 0.0 - m5
 
-    # outside the closure part 6 reads -1 and part 1 is never positive, so
-    # the vote cannot split there
-    mb = _bE_margin(x1, x2, x3)
-    mb6 = _pick(in_closure, -abs(a3 - 1.0), -1.0)
+    # part 1 is `bE_margin`; outside the closure part 6 reads -1 and part 1
+    # is never positive, so the vote cannot split there
+    mb = -hi(hi(d12, g3), over2)
+    mb6 = _pick(in_closure, -g3, -1.0)
     margins["b_tetra_part1"] = mb
     margins["b_tetra_part6"] = mb6
     on_b = in_closure & vote(

@@ -14,10 +14,10 @@ import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, Mat2, cx,
                        cx_arrays, op_norm, spectral_radius)
-from .psi import (is_triangular, k_star, k_star_closed, maximizer,
-                  tetra_interior_margin)
-from .domains import (Region, bE_margin, penta_classify, tetra_classify,
-                      tetra_classify_batch)
+from .psi import (_k_star_closed, is_triangular, k_star, k_star_closed,
+                  maximizer, tetra_interior_margin)
+from .domains import (Region, _tetra_verdict, bE_margin, penta_classify,
+                      tetra_classify)
 
 _INF = math.inf
 
@@ -167,24 +167,26 @@ def h_closure_batch(p, tol: float = TOL):
     The tetrablock verdict is taken on the whole arrays.  In the closed
     tetrablock the margin is 1 where a = 0 and 1 - |a| K*(x) where the
     tetrablock interior margin exceeds max(tol, 1e-9), with K* evaluated
-    on those points at once; every other point (outside the closed
-    tetrablock, near its boundary) goes through the scalar `h_member`."""
+    on those points at once by `k_star_closed`; every other point (outside
+    the closed tetrablock, near its boundary) goes through the scalar
+    `h_member`."""
     return _h_closure_arrays(p, tol)[:2]
 
 
 def _h_closure_arrays(p, tol: float):
     """`h_closure_batch` with the tetrablock margins of x it computed:
-    (flags, margins, tetrablock margins)."""
+    (flags, margins, tetrablock margins).  The coordinates are coerced
+    once."""
     a, x1, x2, x3 = cx_arrays(p)
     x = (x1, x2, x3)
-    region, tm = tetra_classify_batch(x, tol)
+    region, tm, _ = _tetra_verdict(x1, x2, x3, tol)
     closed = region != Region.EXTERIOR
     zero = closed & (a == 0)
     # part 3 is the tetrablock interior margin that `psi_sup` thresholds
     route = closed & ~zero & (tm["part3"] > max(tol, 1e-9))
     margins = np.ones(a.shape)
     if route.any():
-        margins[route] = 1.0 - abs(a[route]) * k_star(tuple(t[route] for t in x))
+        margins[route] = 1.0 - abs(a[route]) * _k_star_closed(*(t[route] for t in x))
     flags = margins >= -tol
     for i in zip(*np.nonzero(~(zero | route))):
         flags[i], margins[i] = h_member(tuple(t[i] for t in (a, *x)),

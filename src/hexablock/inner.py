@@ -14,22 +14,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .numerics import (BlaschkeProduct, ConsistencyError, DomainError, Poly,
-                       _horner, cx, fejer_riesz, poly_abs2_trig, trig_sub)
+                       PowerTable, _frozen, cx, cx_arrays, fejer_riesz,
+                       poly_abs2_trig, trig_sub)
 from .psi import k_star
-from .domains import bE_margin, tetra_classify_batch
+from .domains import _bE_margin, _tetra_verdict
 from .hexa import _h_closure_arrays, h_member
 
 _CIRCLE_N = 512
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _circle(n: int) -> np.ndarray:
@@ -44,7 +40,7 @@ def _disc_samples(n: int, rmax: float = 0.93) -> np.ndarray:
 
 
 # Sample grids shared by every validation.  A validation evaluates all the
-# polynomials of its function in one Horner pass over `_validation_grid()`.
+# polynomials of its function in one product with `_validation_table()`.
 _CIRCLE = _circle(_CIRCLE_N)
 _CIRCLE_K0 = _circle(128)
 _CIRCLE_SPOT = _circle(16)
@@ -53,10 +49,17 @@ _DISC_TETRA = _disc_samples(60)
 _DISC_HEXA = _disc_samples(100)
 
 
-def _validation_grid() -> np.ndarray:
-    """The closed-disc grid, the circle, the tetra disc grid and the hexa
-    disc grid, concatenated in that order."""
-    return np.concatenate([_CLOSED_DISC, _CIRCLE, _DISC_TETRA, _DISC_HEXA])
+def _validation_table() -> PowerTable:
+    """The power table of the closed-disc grid, the circle, the tetra disc
+    grid and the hexa disc grid, concatenated in that order.  `_CIRCLE` is
+    read at call time; it is `_circle(n)` for its length n."""
+    return _grid_table(len(_CIRCLE))
+
+
+@lru_cache(maxsize=2)
+def _grid_table(n_circle: int) -> PowerTable:
+    return PowerTable(np.concatenate([_CLOSED_DISC, _circle(n_circle),
+                                      _DISC_TETRA, _DISC_HEXA]))
 
 
 def _stack(polys) -> np.ndarray:
@@ -114,56 +117,52 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
     E1 = E2~n, the circle bounds |Ei| <= |D|, circle images on the
     distinguished boundary and disc images in the closed tetrablock.
     """
-    vals = _horner(t._rows, _validation_grid())
-    start = len(_CLOSED_DISC) + len(_CIRCLE)
-    _, margins = tetra_classify_batch(
-        _ratios(vals[:, start: start + len(_DISC_TETRA)]), 1e-9)
-    return _tetra_report(t, vals, margins, tol)
+    vals = _validation_table().eval(t._rows)
+    k, nc, nt = len(_CLOSED_DISC), len(_CIRCLE), len(_DISC_TETRA)
+    # the images of the circle and of the tetra disc grid, coerced once
+    x = cx_arrays(_ratios(vals[:, k: k + nc + nt]))
+    _, margins, _ = _tetra_verdict(*(v[nc:] for v in x), 1e-9)
+    closure = np.minimum(margins["closure_beta"], margins["closure_part4"])
+    return _tetra_report(t._rows[:2], vals, [v[:nc] for v in x], closure, tol)
 
 
-def _tetra_report(t: RationalTetraInner, vals: np.ndarray, disc_margins: dict,
-                  tol: float) -> dict:
-    """`tetra_inner_validate` from the values `vals` of the rows E1, E2, D,
-    D~n (and possibly more) on `_validation_grid()` and the tetrablock
-    margins of the images of `_DISC_TETRA`."""
-    E1, E2 = t.components[:2]
+def _tetra_report(e: np.ndarray, vals: np.ndarray, circle: list,
+                  disc_closure: np.ndarray, tol: float) -> dict:
+    """`tetra_inner_validate` from the coefficient rows `e` of E1 and E2 at
+    the bound n, the values `vals` of E1, E2, D, D~n (and possibly more)
+    on the `_validation_table()` grid, the coerced images `circle` of
+    `_CIRCLE` and the smaller closure margin of the tetrablock,
+    `disc_closure`, at the images of `_DISC_TETRA`."""
     k, nc = len(_CLOSED_DISC), len(_CIRCLE)
+    E1, E2 = e
+    dmin = float(np.abs(vals[2, :k]).min())
+    refl = float(np.abs(E1 - np.conj(E2[::-1])).max())
+    circ = np.abs(vals[:3, k: k + nc])
+    excess = float((circ[:2] - circ[2]).max())
+    step = max(1, nc // 64)
+    worst_b = max(0.0, -float(_bE_margin(*(v[::step] for v in circle)).min()))
+    worst_in = max(0.0, -float(disc_closure.min()))
+    return _report((
+        ("min_abs_D", dmin, dmin <= 1e-9, "D vanishes on the closed disc"),
+        ("reflection_residual", refl,
+         refl > 1e-9 * max(1.0, float(np.abs(E2).max())), "E1 != E2~n"),
+        ("circle_bound_excess", excess, excess > tol,
+         "|E_i| exceeds |D| on the circle"),
+        ("circle_bE_violation", worst_b, worst_b > tol,
+         "circle image leaves the distinguished boundary"),
+        ("disc_closure_violation", worst_in, worst_in > tol,
+         "disc image leaves the closed tetrablock")))
+
+
+def _report(checks) -> dict:
+    """A validation report from `checks`, tuples (key, value, failed,
+    issue): "ok", the issues of the failed checks, and each value."""
     report = {"ok": True, "issues": []}
-
-    dmin = float(np.min(np.abs(vals[2, :k])))
-    report["min_abs_D"] = dmin
-    if dmin <= 1e-9:
-        report["ok"] = False
-        report["issues"].append("D vanishes on the closed disc")
-
-    refl = float(np.max(np.abs(E1.padded() - E2.reflect().padded())))
-    report["reflection_residual"] = refl
-    if refl > 1e-9 * max(1.0, float(np.max(np.abs(E2.padded())))):
-        report["ok"] = False
-        report["issues"].append("E1 != E2~n")
-
-    circ = vals[:, k: k + nc]
-    dv = np.abs(circ[2])
-    excess = max(float(np.max(np.abs(circ[0]) - dv)),
-                 float(np.max(np.abs(circ[1]) - dv)))
-    report["circle_bound_excess"] = excess
-    if excess > tol:
-        report["ok"] = False
-        report["issues"].append("|E_i| exceeds |D| on the circle")
-
-    worst_b = max(0.0, -float(np.min(
-        bE_margin(_ratios(circ[:, :: max(1, nc // 64)])))))
-    report["circle_bE_violation"] = worst_b
-    if worst_b > tol:
-        report["ok"] = False
-        report["issues"].append("circle image leaves the distinguished boundary")
-
-    worst_in = max(0.0, -float(np.min(np.minimum(disc_margins["closure_beta"],
-                                                 disc_margins["closure_part4"]))))
-    report["disc_closure_violation"] = worst_in
-    if worst_in > tol:
-        report["ok"] = False
-        report["issues"].append("disc image leaves the closed tetrablock")
+    for key, value, failed, issue in checks:
+        report[key] = value
+        if failed:
+            report["ok"] = False
+            report["issues"].append(issue)
     return report
 
 
@@ -266,42 +265,30 @@ def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6,
     The tetra part's report is `tetra_inner_validate`'s, made from the same
     samples: its disc check reads the tetrablock margins of the closure
     verdict, which covers both disc grids."""
-    lam = _validation_grid()
-    vals = _horner(f._rows, lam)
+    table = _validation_table()
+    vals = table.eval(f._rows)
     k, nc, nt = len(_CLOSED_DISC), len(_CIRCLE), len(_DISC_TETRA)
-    # f on the circle and on both disc grids
-    a = f.c * f.B(lam[k:]) * vals[4, k:] / vals[2, k:]
+    # f on the circle and on both disc grids; each block is coerced once
+    a = f.c * f.B(table.points[k:]) * vals[4, k:] / vals[2, k:]
     x = _ratios(vals[:, k:])
     _, margins, tm = _h_closure_arrays((a[nc:], *(v[nc:] for v in x)), tol=1e-9)
+    circle = cx_arrays(v[:nc] for v in x)
 
-    report = {"ok": True, "issues": []}
-    sub = _tetra_report(f.tetra, vals, {key: m[:nt] for key, m in tm.items()},
-                        tol)
-    report["tetra"] = sub
-    if not sub["ok"]:
-        report["ok"] = False
-        report["issues"].append("tetra part invalid")
-
-    a, x1, x2, x3 = a[:nc], *(v[:nc] for v in x)
-    worst_norm = float(np.max(np.abs(np.abs(a) ** 2 + np.abs(x1) ** 2 - 1.0)))
-    worst_b = max(0.0, -float(np.min(bE_margin((x1, x2, x3)))))
-    report["circle_norm_residual"] = worst_norm
-    report["circle_bE_violation"] = worst_b
-    if worst_norm > tol:
-        report["ok"] = False
-        report["issues"].append("|a|^2 + |x1|^2 != 1 on the circle")
-    if worst_b > tol:
-        report["ok"] = False
-        report["issues"].append("circle image off the distinguished boundary")
-
-    margins = margins[nt:]
-    below = margins[margins < -interior_tol]
-    worst_marg = -float(np.min(below)) if below.size else 0.0
-    report["disc_closure_violation"] = worst_marg
-    if worst_marg > interior_tol:
-        report["ok"] = False
-        report["issues"].append("disc image leaves the closed hexablock")
-    return report
+    sub = _tetra_report(f._rows[:2, : f.tetra.n + 1], vals, circle, np.minimum(
+        tm["closure_beta"][:nt], tm["closure_part4"][:nt]), tol)
+    worst_norm = float(np.abs(np.abs(a[:nc]) ** 2 + np.abs(circle[0]) ** 2
+                              - 1.0).max())
+    worst_b = max(0.0, -float(_bE_margin(*circle).min()))
+    low = float(margins[nt:].min())
+    worst_marg = -low if low < -interior_tol else 0.0
+    return _report((
+        ("tetra", sub, not sub["ok"], "tetra part invalid"),
+        ("circle_norm_residual", worst_norm, worst_norm > tol,
+         "|a|^2 + |x1|^2 != 1 on the circle"),
+        ("circle_bE_violation", worst_b, worst_b > tol,
+         "circle image off the distinguished boundary"),
+        ("disc_closure_violation", worst_marg, worst_marg > interior_tol,
+         "disc image leaves the closed hexablock")))
 
 
 def rational_inner_outer(num: Poly, den: Poly, tol: float = 1e-9):

@@ -38,10 +38,11 @@ def cx(value) -> complex:
 
 def cx_arrays(values) -> tuple:
     """Coerce to finite complex arrays broadcast to one shape."""
-    arrs = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values))
-    for a in arrs:
-        if not np.isfinite(a).all():
-            raise DomainError("non-finite complex value in array")
+    arrs = [np.asarray(v, dtype=complex) for v in values]
+    if len({a.shape for a in arrs}) > 1:
+        arrs = np.broadcast_arrays(*arrs)
+    if not np.isfinite(arrs).all():
+        raise DomainError("non-finite complex value in array")
     return tuple(arrs)
 
 
@@ -273,6 +274,37 @@ def _horner(coeffs: np.ndarray, lam):
     return acc
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class PowerTable:
+    """The powers lam**k, k = 0, 1, ..., of a fixed grid of points, so that
+    polynomials evaluate at the whole grid as one matrix product.
+
+    Row k is row k-1 times the points, the powers Horner's rule works with;
+    rows are built on first use, up to the degree asked for.  (Powers of
+    the exact roots of unity, each rounded on its own, break the
+    reflection identities that the circle checks measure: on random inner
+    data they left 2-3 times the residual of these products.)"""
+
+    def __init__(self, points):
+        self.points = _frozen(np.array(points, dtype=complex))
+        self._table = _frozen(np.ones((1, len(self.points)), dtype=complex))
+
+    def eval(self, coeffs: np.ndarray) -> np.ndarray:
+        """Polynomials with ascending coefficients along the last axis of
+        `coeffs` at every grid point: shape (*coeffs.shape[:-1], len(points))."""
+        m = coeffs.shape[-1]
+        if m > len(self._table):
+            rows = [self._table[-1]]
+            while len(self._table) + len(rows) <= m:
+                rows.append(rows[-1] * self.points)
+            self._table = _frozen(np.vstack([self._table, *rows[1:]]))
+        return coeffs @ self._table[:m]
+
+
 @dataclass(frozen=True)
 class Poly:
     """Polynomial with ascending coefficients and a declared degree bound n.
@@ -285,10 +317,10 @@ class Poly:
     n: int
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).copy()
+        c = np.array(self.coeffs, dtype=complex, ndmin=1)
         if c.ndim != 1:
             raise DomainError("coefficients must be one-dimensional")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise DomainError("non-finite polynomial coefficient")
         n = int(self.n)
         if n < 0:
@@ -300,6 +332,15 @@ class Poly:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "n", n)
+
+    @classmethod
+    def _trusted(cls, coeffs: np.ndarray, n: int) -> "Poly":
+        """A Poly from read-only coefficients already valid at the bound n,
+        without `__post_init__`'s coercion and checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        object.__setattr__(p, "n", n)
+        return p
 
     @classmethod
     def const(cls, value: complex, n: int = 0) -> "Poly":
@@ -330,7 +371,7 @@ class Poly:
 
     def reflect(self) -> "Poly":
         """g~n with g~n(t) = t**n * conj(g(1/conj(t)))."""
-        return Poly(np.conj(self.padded()[::-1]), self.n)
+        return Poly._trusted(_frozen(np.conj(self.padded()[::-1])), self.n)
 
     def mul(self, other: "Poly", n: int | None = None) -> "Poly":
         c = np.convolve(self.coeffs, other.coeffs)
@@ -342,7 +383,12 @@ class Poly:
         return Poly(self.coeffs * cx(factor), self.n)
 
     def with_bound(self, n: int) -> "Poly":
-        return self if n == self.n else Poly(self.coeffs, n)
+        if n == self.n:
+            return self
+        if n > self.n:
+            # widening keeps every coefficient
+            return Poly._trusted(self.coeffs, int(n))
+        return Poly(self.coeffs, n)
 
     def roots(self) -> np.ndarray:
         d = self.degree
@@ -414,16 +460,8 @@ def trig_eval(coeffs, lam):
 
 def poly_abs2_trig(p: Poly) -> np.ndarray:
     """Laurent coefficients of |p|^2 on the circle, ordered a_{-m}..a_m."""
-    c = p.coeffs
-    m = len(c) - 1
-    out = np.zeros(2 * m + 1, dtype=complex)
-    for k in range(-m, m + 1):
-        s = 0.0 + 0.0j
-        for j in range(len(c)):
-            if 0 <= j + k <= m:
-                s += c[j + k] * c[j].conjugate()
-        out[k + m] = s
-    return out
+    # a_k = sum_j c_{j+k} conj(c_j): the autocorrelation of c
+    return np.convolve(p.coeffs, np.conj(p.coeffs[::-1]))
 
 
 def trig_sub(f, g) -> np.ndarray:
@@ -440,7 +478,9 @@ def trig_sub(f, g) -> np.ndarray:
 
 
 # the 2048th roots of unity, on which `fejer_riesz` checks its input and
-# its factor
+# its factor (by Horner's rule: one row over 2048 points is no faster as a
+# matrix product, and OpenBLAS runs that product on threads whose wake-up
+# took milliseconds on a 2-vCPU host)
 _FR_CIRCLE = np.exp(2j * np.pi * np.arange(2048) / 2048)
 _FR_CIRCLE.setflags(write=False)
 
@@ -506,33 +546,7 @@ def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
     q = c  # ascending coefficients of t^n f(t), degree 2n, q(0) = a_{-n} != 0
     roots = np.roots(q[::-1])
 
-    order = np.argsort(-np.abs(roots))
-    used = np.zeros(len(roots), dtype=bool)
-    outside = []
-    for i in order:
-        if used[i]:
-            continue
-        used[i] = True
-        target = 1.0 / roots[i].conjugate()
-        # nearest unused root; a wrong pairing fails the reconstruction check
-        best, best_d = -1, np.inf
-        for j in range(len(roots)):
-            if used[j]:
-                continue
-            d = abs(roots[j] - target)
-            if d < best_d:
-                best, best_d = j, d
-        if best < 0:
-            raise ConsistencyError("unpaired root in spectral factorization")
-        used[best] = True
-        # average the two estimates of the outside representative
-        rho = 0.5 * (roots[i] + 1.0 / roots[best].conjugate())
-        if abs(rho) < 1.0:
-            if strict:
-                raise DomainError("paired root fell inside the disc in strict mode")
-            rho = rho / abs(rho) if abs(rho) > 0 else 1.0
-        outside.append(rho)
-
+    outside = _pair_roots(roots, strict)
     lead = abs(q[-1])
     amp = math.sqrt(lead / float(np.prod([abs(r) for r in outside])))
     D = Poly.from_roots(outside, lead=amp, n=n)
@@ -547,6 +561,40 @@ def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
     if err > 1e-7 * max(scale, 1.0):
         raise ConsistencyError(f"spectral factor reconstruction error {err:.3e}")
     return D
+
+
+def _pair_roots(roots: np.ndarray, strict: bool) -> list:
+    """The outside representative of each pair (r, 1/conj(r)) of roots.
+
+    Taking roots by decreasing modulus, each is paired with the nearest
+    unused root to its reflection 1/conj(r), by one distance matrix; the
+    distances are `hypot`s, the rounding of a scalar complex `abs` (numpy's
+    array `abs` rounds apart from it)."""
+    inv = 1.0 / np.conj(roots)
+    diff = roots[None, :] - inv[:, None]
+    dist = np.hypot(diff.real, diff.imag).tolist()
+    used = [False] * len(roots)
+    outside = []
+    for i in np.argsort(-np.abs(roots)).tolist():
+        if used[i]:
+            continue
+        used[i] = True
+        # nearest unused root; a wrong pairing fails the reconstruction check
+        best, best_d = -1, math.inf
+        for j, d in enumerate(dist[i]):
+            if not used[j] and d < best_d:
+                best, best_d = j, d
+        if best < 0:
+            raise ConsistencyError("unpaired root in spectral factorization")
+        used[best] = True
+        # average the two estimates of the outside representative
+        rho = 0.5 * (roots[i] + inv[best])
+        if abs(rho) < 1.0:
+            if strict:
+                raise DomainError("paired root fell inside the disc in strict mode")
+            rho = rho / abs(rho) if abs(rho) > 0 else 1.0
+        outside.append(rho)
+    return outside
 
 
 # ---------------------------------------------------------------------------

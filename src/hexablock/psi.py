@@ -99,10 +99,16 @@ def betas(x) -> tuple[complex, complex]:
 
 
 def _betas(x1, x2, x3):
-    den = 1.0 - abs(x3) ** 2
+    return _betas_from(x1 - x2.conjugate() * x3, x2 - x1.conjugate() * x3,
+                       1.0 - abs(x3) ** 2)
+
+
+def _betas_from(c12, c21, den):
+    """The betas from their numerators c12 = x1 - conj(x2) x3 and
+    c21 = x2 - conj(x1) x3 and their denominator den = 1 - |x3|^2."""
     if _any(den <= 0.0):
         raise DomainError("betas need |x3| < 1")
-    return (x1 - x2.conjugate() * x3) / den, (x2 - x1.conjugate() * x3) / den
+    return c12 / den, c21 / den
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,10 @@ def k_star_closed(x, on_dE: bool = False) -> float:
     of about 1e-8 in K*.  In closed E, beta vanishes only where |x1| or
     |x2| = 1; K* is infinite where rounding there leaves 2 K*^-2 <= 0.
     """
-    x1, x2, x3 = cx_coords(x)
+    return _k_star_closed(*cx_coords(x), on_dE)
+
+
+def _k_star_closed(x1, x2, x3, on_dE: bool = False):
     s1, s2, s3 = abs(x1) ** 2, abs(x2) ** 2, abs(x3) ** 2
     twice_inv = 1.0 - s1 - s2 + s3
     if not on_dE:

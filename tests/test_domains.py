@@ -171,13 +171,44 @@ def test_tetra_classify_batch_matches_scalar(rng):
     assert list(r) == [tetra_classify((z, 0.1, 0.0)).region for z in x1]
 
 
+def test_tetra_beta_margins_near_unit_x3_match_mpmath(rng):
+    # part 5, part 7 and closure_beta at |x3| = 1 - 10^-k, k = 2..8, against
+    # 50-digit references at the same coordinates.  The betas divide by
+    # den = 1 - |x3|^2, so part 7's rounding error grows like 1/den; the
+    # bounds are 4 eps times the condition of each margin.
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for k in range(2, 9):
+        pts = []
+        for _ in range(60):
+            # x from betas with |b1| + |b2| = u: inside the closure for u <= 1
+            u, t = rng.uniform(0, 1.3), rng.uniform(0, 1)
+            b1, b2 = t * u * rand_unit(rng), (1 - t) * u * rand_unit(rng)
+            x3 = (1.0 - 10.0 ** -k) * rand_unit(rng)
+            pts.append((b1 + b2.conjugate() * x3, b2 + b1.conjugate() * x3, x3))
+        _, batch = tetra_classify_batch(columns(pts))
+        for i, x in enumerate(pts):
+            scalar = tetra_classify(x).margins
+            with mpmath.workdps(50):
+                x1, x2, x3 = (mpmath.mpc(complex(v)) for v in x)
+                den = 1 - abs(x3) ** 2
+                d = abs(x1 - mpmath.conj(x2) * x3) + abs(x2 - mpmath.conj(x1) * x3)
+                size = 1 + abs(x1) + abs(x2)
+                refs = {"part5": (den - d, 4 * eps * size),
+                        "part7": (1 - d / den, 4 * eps * size * (1 + d / den) / den)}
+                refs["closure_beta"] = refs["part7"]
+                for key, (ref, bound) in refs.items():
+                    for got in (scalar[key], batch[key][i]):
+                        assert abs(got - ref) <= bound, (k, key, x)
+
+
 def test_tetra_split_vote_raises_naming_the_point(monkeypatch):
     import hexablock.domains as domains
-    betas = domains._betas
+    betas = domains._betas_from
     # doubled betas put part 7 outside while parts 3-8 read inside when
     # 1/2 < |b1| + |b2| < 1; they still agree at small betas
-    monkeypatch.setattr(domains, "_betas",
-                        lambda *x: tuple(2.0 * b for b in betas(*x)))
+    monkeypatch.setattr(domains, "_betas_from",
+                        lambda *c: tuple(2.0 * b for b in betas(*c)))
     good, bad = (0.1, 0.1, 0.0), (0.4, 0.2, 0.05)
     assert tetra_classify(good).region is Region.INTERIOR
     regions, _ = tetra_classify_batch(columns([good, good]))

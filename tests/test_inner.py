@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hexablock.numerics import BlaschkeProduct, DomainError, Poly
+from hexablock.numerics import BlaschkeProduct, DomainError, Poly, PowerTable
 from hexablock.psi import k_star
 from hexablock.inner import (RationalHexaInner,
                              RationalPentaInner, RationalTetraInner,
@@ -241,53 +241,51 @@ def test_inner_array_evaluation_matches_scalar(rng):
 
 def test_hexa_inner_validate_work_is_independent_of_circle_size(rng,
                                                                monkeypatch):
-    # every polynomial is evaluated in one Horner pass over a grid that
-    # holds the whole circle
-    import hexablock.domains
-    import hexablock.hexa
+    # every polynomial is evaluated in one power-table product over a grid
+    # that holds the whole circle
     import hexablock.inner as inner
     f = hexa_inner_construct(_random_tetra_inner(rng),
                              BlaschkeProduct(1.0, (0.2,)), 1.0)
-    counts = {"poly": 0, "horner": 0, "bE": 0}
+    counts = {"poly": 0, "product": 0, "bE": 0}
     grids = []
     poly_call = Poly.__call__
-    horner = inner._horner
-    margin = inner.bE_margin
+    product = PowerTable.eval
+    margin = inner._bE_margin
 
     def counted_poly(self, lam):
         counts["poly"] += 1
         return poly_call(self, lam)
 
-    def counted_horner(coeffs, lam):
-        counts["horner"] += 1
-        grids.append(len(lam))
-        return horner(coeffs, lam)
+    def counted_product(self, coeffs):
+        counts["product"] += 1
+        grids.append(len(self.points))
+        return product(self, coeffs)
 
-    def counted_margin(x):
+    def counted_margin(*x):
         counts["bE"] += 1
-        return margin(x)
+        return margin(*x)
 
     monkeypatch.setattr(Poly, "__call__", counted_poly)
-    monkeypatch.setattr(inner, "_horner", counted_horner)
-    for mod in (inner, hexablock.domains, hexablock.hexa):
-        monkeypatch.setattr(mod, "bE_margin", counted_margin)
+    monkeypatch.setattr(PowerTable, "eval", counted_product)
+    monkeypatch.setattr(inner, "_bE_margin", counted_margin)
     seen = []
     for n in (inner._CIRCLE_N, 8 * inner._CIRCLE_N):
         monkeypatch.setattr(inner, "_CIRCLE", inner._circle(n))
-        counts.update(poly=0, horner=0, bE=0)
+        counts.update(poly=0, product=0, bE=0)
         assert hexa_inner_validate(f)["ok"]
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     others = len(inner._CLOSED_DISC) + len(inner._DISC_TETRA) \
         + len(inner._DISC_HEXA)
     assert grids == [others + inner._CIRCLE_N, others + 8 * inner._CIRCLE_N]
-    # one stacked pass for the tetra and hexa checks; one bE margin on the
-    # circle for each
-    assert seen[0] == {"poly": 0, "horner": 1, "bE": 2}
+    # one stacked product for the tetra and hexa checks; one bE margin on
+    # the circle for each
+    assert seen[0] == {"poly": 0, "product": 1, "bE": 2}
 
 
 def test_hexa_inner_validate_takes_one_array_tetra_verdict(rng, monkeypatch):
     import hexablock.domains as domains
+    import hexablock.hexa as hexa
     verdict = domains._tetra_verdict
     sizes = []
 
@@ -296,7 +294,8 @@ def test_hexa_inner_validate_takes_one_array_tetra_verdict(rng, monkeypatch):
             sizes.append(x1.size)
         return verdict(x1, x2, x3, tol)
 
-    monkeypatch.setattr(domains, "_tetra_verdict", counted)
+    for mod in (domains, hexa):
+        monkeypatch.setattr(mod, "_tetra_verdict", counted)
     for _ in range(4):
         f = hexa_inner_construct(_random_tetra_inner(rng),
                                  BlaschkeProduct(rand_unit(rng), (0.3,)), 1.0)
@@ -304,6 +303,40 @@ def test_hexa_inner_validate_takes_one_array_tetra_verdict(rng, monkeypatch):
         assert hexa_inner_validate(f)["ok"]
         # both disc grids in one verdict
         assert sizes == [160]
+
+
+def test_hexa_inner_validate_work_counts(rng, monkeypatch):
+    # one validation: one power-table product, one tetrablock verdict (on
+    # both disc grids), each sample block coerced once, K* in closed form
+    import hexablock.domains as domains
+    import hexablock.hexa as hexa
+    import hexablock.inner as inner
+    import hexablock.numerics as numerics
+    import hexablock.psi as psi
+    counts = {"product": 0, "verdict": 0, "coerce": 0, "maximizer": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(PowerTable, "eval", counted("product", PowerTable.eval))
+    seams = {"_tetra_verdict": ("verdict", domains, (domains, hexa, inner)),
+             "cx_arrays": ("coerce", numerics, (numerics, domains, hexa, inner)),
+             "maximizer": ("maximizer", psi, (psi, hexa))}
+    for name, (key, home, users) in seams.items():
+        wrapper = counted(key, getattr(home, name))
+        for mod in users:
+            monkeypatch.setattr(mod, name, wrapper)
+    for _ in range(5):
+        f = hexa_inner_construct(_random_tetra_inner(rng),
+                                 BlaschkeProduct(rand_unit(rng), (0.3,)),
+                                 rand_unit(rng))
+        counts.update(product=0, verdict=0, coerce=0, maximizer=0)
+        assert hexa_inner_validate(f)["ok"]
+        assert counts["product"] == 1 and counts["verdict"] == 1
+        assert counts["coerce"] <= 2 and counts["maximizer"] == 0
 
 
 def test_hexa_tetra_report_is_tetra_inner_validate(rng):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexablock.numerics import (BlaschkeProduct, DiscAut, DomainError, Mat2,
+from hexablock.numerics import (BlaschkeProduct, ConsistencyError, DiscAut,
+                                DomainError, Mat2,
                                 Poly, fejer_riesz, lift_point,
                                 matricial_mobius, op_norm, pi_gamma, pi_hexa,
                                 pi_penta, pi_tetra, poly_abs2_trig,
@@ -347,6 +348,135 @@ def test_poly_with_bound_keeps_self():
     assert p.with_bound(3) is p
     wider = p.with_bound(4)
     assert wider.n == 4 and wider.coeffs.tolist() == p.coeffs.tolist()
+
+
+def test_poly_unchecked_paths_match_the_constructor(rng):
+    # reflect and a widening with_bound skip __post_init__; their results
+    # equal the checked constructor's, read-only coefficients included
+    for deg in range(6):
+        c = rng.normal(0, 1, deg + 1) + 1j * rng.normal(0, 1, deg + 1)
+        p = Poly(c, deg + 2)
+        for fast, slow in ((p.reflect(), Poly(np.conj(p.padded()[::-1]), p.n)),
+                           (p.with_bound(deg + 5), Poly(p.coeffs, deg + 5))):
+            assert fast.n == slow.n
+            assert fast.coeffs.tolist() == slow.coeffs.tolist()
+            assert fast.coeffs.dtype == complex and not fast.coeffs.flags.writeable
+    # narrowing still checks the dropped coefficients
+    assert Poly(np.array([1.0, 2.0, 0.0]), 3).with_bound(1).n == 1
+    with pytest.raises(DomainError):
+        Poly(np.array([1.0, 2.0, 3.0]), 3).with_bound(1)
+    # the public constructor keeps every check
+    for coeffs, n in ((np.array([1.0, np.inf]), 2), (np.array([[1.0, 2.0]]), 2),
+                      (np.array([1.0, 2.0]), -1), (np.array([1.0, 2.0]), 0),
+                      (np.array([np.nan]), 0)):
+        with pytest.raises(DomainError):
+            Poly(coeffs, n)
+    src = np.array([1.0, 2.0])
+    q = Poly(src, 1)
+    src[0] = 5.0
+    assert q.coeffs[0] == 1.0 and Poly(3.0, 0).coeffs.tolist() == [3.0]
+
+
+def test_poly_abs2_trig_matches_mpmath(rng):
+    # the autocorrelation a_k = sum_j c_{j+k} conj(c_j), at 50 digits,
+    # relative to a_0 = sum |c_j|^2
+    mpmath = pytest.importorskip("mpmath")
+    for deg in list(range(9)) * 20:
+        c = rng.normal(0, 1, deg + 1) + 1j * rng.normal(0, 1, deg + 1)
+        c *= 10.0 ** rng.uniform(-3, 3)
+        got = poly_abs2_trig(Poly(c, deg))
+        assert got.shape == (2 * deg + 1,)
+        with mpmath.workdps(50):
+            cm = [mpmath.mpc(complex(v)) for v in c]
+            ref = [mpmath.fsum(cm[j + k] * mpmath.conj(cm[j])
+                               for j in range(deg + 1) if 0 <= j + k <= deg)
+                   for k in range(-deg, deg + 1)]
+            scale = ref[deg].real
+            err = max(abs(mpmath.mpc(complex(g)) - r) for g, r in zip(got, ref))
+            assert err <= 1e-15 * scale
+
+
+def _pair_roots_loop(roots, strict):
+    """The nearest-root pairing of `fejer_riesz` as a scalar loop: each
+    distance a numpy-scalar complex abs."""
+    order = np.argsort(-np.abs(roots))
+    used = np.zeros(len(roots), dtype=bool)
+    outside = []
+    for i in order:
+        if used[i]:
+            continue
+        used[i] = True
+        target = 1.0 / roots[i].conjugate()
+        best, best_d = -1, np.inf
+        for j in range(len(roots)):
+            if used[j]:
+                continue
+            d = abs(roots[j] - target)
+            if d < best_d:
+                best, best_d = j, d
+        if best < 0:
+            raise ConsistencyError("unpaired root in spectral factorization")
+        used[best] = True
+        rho = 0.5 * (roots[i] + 1.0 / roots[best].conjugate())
+        if abs(rho) < 1.0:
+            if strict:
+                raise DomainError("paired root fell inside the disc in strict mode")
+            rho = rho / abs(rho) if abs(rho) > 0 else 1.0
+        outside.append(rho)
+    return outside
+
+
+def test_pair_roots_is_the_scalar_loop(rng):
+    # the distance-matrix pairing returns the loop's representatives bit for
+    # bit on 10^4 seeded root sets: roots of t^n |D|^2 with zeros of D
+    # inside, outside and on the circle (double roots), and unstructured
+    # sets, whose pairings are arbitrary
+    from hexablock.numerics import _pair_roots
+    for trial in range(10_000):
+        deg = int(rng.integers(1, 7))
+        if trial % 4 == 3:
+            roots = rng.normal(0, 1, 2 * deg) + 1j * rng.normal(0, 1, 2 * deg)
+        else:
+            radii = rng.choice([rng.uniform(0.3, 0.95), 1.0, rng.uniform(1.05, 3.0)],
+                               size=deg)
+            D = Poly.from_roots([r * rand_unit(rng) for r in radii],
+                                lead=complex(*rng.normal(0, 1, 2)))
+            q = poly_abs2_trig(D)
+            roots = np.roots(q[::-1])
+        for strict in (False, True):
+            try:
+                want = _pair_roots_loop(roots, strict)
+            except (ConsistencyError, DomainError) as exc:
+                with pytest.raises(type(exc)):
+                    _pair_roots(roots, strict)
+                continue
+            got = _pair_roots(roots, strict)
+            assert [complex(z) for z in got] == [complex(z) for z in want]
+
+
+def test_power_table_matches_mpmath(rng):
+    # rows of degree <= 12 on the validation grid in one product, against
+    # 50-digit evaluations at the grid's points, relative to the sum of the
+    # moduli of the terms; the table grows to the degree asked for
+    mpmath = pytest.importorskip("mpmath")
+    from hexablock.numerics import PowerTable
+    from hexablock.inner import _validation_table
+    points = _validation_table().points
+    table = PowerTable(points)
+    assert table.eval(np.array([2.0 + 1j])).tolist() == [2.0 + 1j] * len(points)
+    rows = np.zeros((3, 13), dtype=complex)
+    for row, deg in zip(rows, (3, 8, 12)):
+        row[: deg + 1] = rng.normal(0, 1, deg + 1) + 1j * rng.normal(0, 1, deg + 1)
+    vals = table.eval(rows)
+    assert vals.shape == (3, len(points))
+    assert np.array_equal(table.eval(rows[0, :4]), vals[0])
+    with mpmath.workdps(50):
+        for row, got in zip(rows, vals):
+            cm = [mpmath.mpc(complex(v)) for v in row[::-1]]
+            scale = np.polynomial.polynomial.polyval(np.abs(points), np.abs(row))
+            for z, g, sc in zip(points.tolist(), got.tolist(), scale.tolist()):
+                err = abs(mpmath.polyval(cm, mpmath.mpc(z)) - mpmath.mpc(g))
+                assert err <= 1e-13 * sc, (z, float(err), sc)
 
 
 def test_trig_eval_hermitian_real(rng):
