@@ -24,7 +24,6 @@ from .numerics import (ConsistencyError, DiscAut, DomainError, Mat2,
                        BlaschkeProduct, Poly, op_norm, spectral_radius)
 from .domains import Region, g2_classify, penta_classify, tetra_classify
 from .hexa import classify_hexa, mu_value
-from .oracles import mu_bruteforce
 from .autos import HexaAut, hexa_aut_apply, hexa_aut_compose, hexa_aut_invert
 from .inner import (RationalHexaInner, RationalTetraInner, SchwarzProblem,
                     _schwarz_construct, hexa_inner_construct,
@@ -188,6 +187,7 @@ def cmd_mu(args) -> int:
         value = mu_value(A, args.structure)
     payload = {"structure": args.structure, "value": value}
     if args.oracle:
+        from .oracles import mu_bruteforce
         ref = mu_bruteforce(A)
         payload["oracle"] = ref
         payload["relative_gap"] = abs(ref - value) / max(value, 1e-3)

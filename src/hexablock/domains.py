@@ -20,7 +20,7 @@ import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, DiscAut, cx,
                        cx_arrays, cx_coords, stable_quadratic_roots)
-from .psi import _betas_from, is_triangular, k_star, tetra_interior_margin
+from .psi import _betas_from, _interior_margin, _maximizer, is_triangular
 
 
 class Region(enum.Enum):
@@ -100,7 +100,10 @@ def _vote_each(flags: dict, margins: dict, tol: float, what: str, point):
 
 def solve_beta(s: complex, p: complex):
     """beta with s = beta + conj(beta) p, or None when the map is singular."""
-    s, p = cx(s), cx(p)
+    return _solve_beta(cx(s), cx(p))
+
+
+def _solve_beta(s: complex, p: complex):
     # write beta = u + iv; s = beta + conj(beta)p is the real 2x2 system
     # [[a.re, b.re], [a.im, b.im]] (u, v) = (s.re, s.im), solved by Cramer's rule
     a = 1.0 + p
@@ -120,13 +123,17 @@ def g2_classify(s: complex, p: complex, tol: float = TOL) -> RegionVerdict:
     Closure uses the non-strict forms with |s| <= 2; the distinguished
     boundary needs |p| = 1, s = conj(s) p and |s| <= 2.
     """
-    s, p = cx(s), cx(p)
+    return RegionVerdict(*_g2_verdict(cx(s), cx(p), tol))
+
+
+def _g2_verdict(s: complex, p: complex, tol: float):
+    """(region, margins, witnesses) of `g2_classify` for coerced s, p."""
     sp = abs(s - s.conjugate() * p)
     m2 = (1.0 - abs(p) ** 2) - sp
     m3 = (4.0 - abs(s) ** 2) - (2.0 * sp + abs(s * s - 4.0 * p))
     margins = {"sp_vs_p2": m2, "royal": m3}
     flags = {"sp_vs_p2": m2 > 0.0, "royal": m3 > 0.0}
-    beta = solve_beta(s, p)
+    beta = _solve_beta(s, p)
     if beta is not None and abs(p) < 1.0:
         m4 = 1.0 - abs(beta)
         margins["beta"] = m4
@@ -156,7 +163,7 @@ def g2_classify(s: complex, p: complex, tol: float = TOL) -> RegionVerdict:
         region = Region.INTERIOR
     else:
         region = Region.BOUNDARY
-    return RegionVerdict(region, margins, witnesses)
+    return region, margins, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +317,10 @@ def tetra_classify_batch(x, tol: float = TOL):
 def penta_radii(s: complex, p: complex) -> tuple[float, float]:
     """(c_minus, c_plus) = |1 - conj(l2) l1|/2 -/+ sqrt((1-|l1|^2)(1-|l2|^2))/2
     for the roots l1, l2 of t^2 - s t + p."""
-    l1, l2 = stable_quadratic_roots(s, p)
+    return _penta_radii(*stable_quadratic_roots(s, p))
+
+
+def _penta_radii(l1: complex, l2: complex) -> tuple[float, float]:
     prod = (1.0 - abs(l1) ** 2) * (1.0 - abs(l2) ** 2)
     mid = 0.5 * abs(1.0 - l2.conjugate() * l1)
     half = 0.5 * math.sqrt(max(prod, 0.0))
@@ -326,42 +336,49 @@ def penta_classify(a: complex, s: complex, p: complex,
     psi_z(a, s, p) = psi_{z,z}(a, s/2, s/2, p) and the two routes must agree.
     Distinguished boundary: (s, p) in b Gamma and |a|^2 + |s|^2/4 = 1.
     """
-    a, s, p = cx(a), cx(s), cx(p)
-    g2 = g2_classify(s, p, tol)
-    _, cp = penta_radii(s, p)
-    m_cp = cp - abs(a)
-    margins = {"c_plus": m_cp}
-    margins["g2_closure"] = g2.margins["closure"]
-    flags = {"c_plus": g2.in_interior and m_cp > 0.0}
+    return RegionVerdict(*_penta_verdict(cx(a), cx(s), cx(p), tol))
+
+
+def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
+    """(region, margins, witnesses) of `penta_classify` for coerced
+    a, s, p.  c_plus comes from the roots in the G2 verdict's witnesses.
+    The interior margin of the symmetric point (s/2, s/2, p) is taken
+    once; where it exceeds the maximizer's refusal margin 1e-9, K* comes
+    from the maximizer's core."""
+    g2_region, g2_margins, witnesses = _g2_verdict(s, p, tol)
+    g2_interior = g2_region is Region.INTERIOR
+    _, cp = _penta_radii(*witnesses["eigenvalues"])
+    a_a = abs(a)
+    m_cp = cp - a_a
+    margins = {"c_plus": m_cp, "g2_closure": g2_margins["closure"]}
+    flags = {"c_plus": g2_interior and m_cp > 0.0}
 
     # the psi-sup route through the hexablock bridge
-    x = (s / 2.0, s / 2.0, p)
-    if tetra_interior_margin(x) > 1e-9:
-        sup = abs(a) * k_star(x)
-        m_sup = 1.0 - sup
+    h = s / 2.0
+    if _interior_margin(h, h, p) > 1e-9:
+        m_sup = 1.0 - a_a * _maximizer(h, h, p).k_star
         margins["psi_sup"] = m_sup
-        flags["psi_sup"] = g2.in_interior and m_sup > 0.0
+        flags["psi_sup"] = g2_interior and m_sup > 0.0
     inside = _vote(flags, margins, tol, "pentablock interior")
 
-    m_closure = min(m_cp, g2.margins["closure"])
+    m_closure = min(m_cp, g2_margins["closure"])
     margins["closure"] = m_closure
-    in_closure = g2.in_closure and m_cp >= -tol
+    in_closure = g2_region is not Region.EXTERIOR and m_cp >= -tol
 
-    mb = min(g2.margins["b_gamma"],
-             -abs(abs(a) ** 2 + abs(s) ** 2 / 4.0 - 1.0))
+    mb = min(g2_margins["b_gamma"],
+             -abs(a_a ** 2 + abs(s) ** 2 / 4.0 - 1.0))
     margins["b_penta"] = mb
     on_b = in_closure and mb >= -tol
 
-    witnesses = dict(g2.witnesses)
     if not in_closure:
         region = Region.EXTERIOR
     elif on_b:
         region = Region.DISTINGUISHED_BOUNDARY
-    elif inside and m_closure > tol and g2.in_interior:
+    elif inside and m_closure > tol and g2_interior:
         region = Region.INTERIOR
     else:
         region = Region.BOUNDARY
-    return RegionVerdict(region, margins, witnesses)
+    return region, margins, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +448,13 @@ def penta_hn_witness(a: complex, s: complex, p: complex, tol: float = TOL):
     d = zeta_0 sqrt(|w|^2 - |a|^2) and w = (l1 - l2)/2.
     """
     a, s, p = cx(a), cx(s), cx(p)
-    if not penta_classify(a, s, p, tol).in_interior:
+    region, _, witnesses = _penta_verdict(a, s, p, tol)
+    if region is not Region.INTERIOR:
         raise DomainError("penta_hn_witness needs a point of the open pentablock")
-    cm, cp = penta_radii(s, p)
+    l1, l2 = witnesses["eigenvalues"]
+    cm, cp = _penta_radii(l1, l2)
     if cm < abs(a) < cp:
         return (a, s / 2.0, s / 2.0, p)
-    l1, l2 = stable_quadratic_roots(s, p)
     w = (l1 - l2) / 2.0
     if abs(w) < 1e-14:
         # c_- = 0 forces a = 0 here; the symmetric point is triangular

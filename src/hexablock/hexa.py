@@ -331,9 +331,12 @@ def _mu_tetra(A: Mat2) -> float:
 
 
 def _penta_member(A: Mat2, t: float, tol: float) -> bool:
-    """Strict pentablock membership of pi_P(A/t)."""
-    B = A.scaled(1.0 / t)
-    return penta_classify(B.a21, B.trace, B.det, tol).in_interior
+    """Strict pentablock membership of pi_P(A/t), with the arithmetic of
+    `pi_penta(A.scaled(1/t))` but no intermediate `Mat2`."""
+    r = 1.0 / t
+    a11, a21, a22 = r * A.a11, r * A.a21, r * A.a22
+    return penta_classify(a21, a11 + a22, a11 * a22 - r * A.a12 * a21,
+                          tol).in_interior
 
 
 def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:

@@ -162,6 +162,12 @@ def maximizer(x, refuse_margin: float = 1e-9) -> MaximizerResult:
     if _any(m <= refuse_margin):
         raise DomainError(f"maximizer needs interior margin > {refuse_margin} "
                           f"(got {np.min(m):.3e})")
+    return _maximizer(x1, x2, x3)
+
+
+def _maximizer(x1, x2, x3) -> MaximizerResult:
+    """`maximizer` for coerced coordinates whose interior margin the
+    caller has already checked."""
     b1, b2 = _betas(x1, x2, x3)
     z1, d1 = _half_maximizer(b1, b2, x3)
     z2, d2 = _half_maximizer(b2, b1, x3)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 from hexablock.numerics import DiscAut, Mat2, op_norm, pi_tetra
-from hexablock.autos import HexaAut
+from hexablock.autos import HexaAut, TetraAut
 from hexablock.psi import k_star, tetra_interior_margin
 
 
@@ -70,6 +71,42 @@ def rand_be_point(rng, x2_cap=0.95):
     x2 = rand_disc(rng, x2_cap)
     x3 = rand_unit(rng)
     return (x2.conjugate() * x3, x2, x3)
+
+
+# Hypothesis strategies: the random generators above, drawn by Hypothesis
+st_unit = st.floats(0.0, 2.0 * math.pi).map(
+    lambda t: complex(math.cos(t), math.sin(t)))
+st_entry = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
+
+
+def st_disc(r):
+    return st.builds(lambda m, u: m * u, st.floats(0.0, r), st_unit)
+
+
+st_discaut = st.builds(DiscAut, st_unit, st_disc(0.6))
+st_hexaaut = st.builds(HexaAut, st_discaut, st_discaut, st_unit, st.booleans())
+st_tetraaut = st.builds(TetraAut, st_discaut, st_discaut, st.booleans())
+
+
+@st.composite
+def st_tetra_point(draw, norm_range=(0.05, 0.9), min_margin=None):
+    """pi_E of a matrix with norm drawn from `norm_range`, optionally with
+    a floor on its tetrablock interior margin."""
+    A = Mat2(*draw(st.lists(st_entry, min_size=4, max_size=4)))
+    n = op_norm(A)
+    assume(n > 1e-3)
+    x = pi_tetra(A.scaled(draw(st.floats(*norm_range)) / n))
+    if min_margin is not None:
+        assume(tetra_interior_margin(x) > min_margin)
+    return x
+
+
+@st.composite
+def st_hexa_point(draw, slack=(0.05, 0.85)):
+    """(a, x) with x deep in the tetrablock and |a| K*(x) drawn from
+    `slack`."""
+    x = draw(st_tetra_point(min_margin=0.02))
+    return (draw(st_unit) * draw(st.floats(*slack)) / k_star(x), *x)
 
 
 def tetra_region_points(rng, count=20):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from hexablock.numerics import DiscAut, DomainError, pi_penta
+from hexablock.numerics import DiscAut, DomainError, Mat2, pi_penta, pi_tetra
 from hexablock.psi import k_star
 from hexablock.domains import Region, penta_classify, tetra_classify
-from hexablock.hexa import bh_member, classify_hexa, hp_param
+from hexablock.hexa import (bh_member, classify_hexa, hn_params, hp_param,
+                            mu_value)
 from hexablock.autos import (HexaAut, TetraAut, hexa_aut_apply,
                              hexa_aut_compose, hexa_aut_from_be_point,
                              hexa_aut_invert, penta_aut_apply,
@@ -15,7 +17,9 @@ from hexablock.autos import (HexaAut, TetraAut, hexa_aut_apply,
 
 from conftest import (rand_be_point, rand_contraction, rand_disc,
                       rand_discaut, rand_hexa_point, rand_hexaaut,
-                      rand_tetra_point, rand_unit)
+                      rand_tetra_point, rand_unit, st_disc, st_entry,
+                      st_hexa_point, st_hexaaut, st_tetra_point, st_tetraaut,
+                      st_unit)
 
 
 def _close4(p, q, tol=1e-10):
@@ -231,6 +235,65 @@ def test_be_point_reproduction(rng):
         assert base == (0.0, 1.0, 1.0, 1.0)
         img = hexa_aut_apply(T, base, check=False)
         assert _close4(img[1:], (x1, x2, x1 * x2), 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Properties over Hypothesis-drawn automorphisms and points
+# ---------------------------------------------------------------------------
+
+_FLAGS = ("in_h", "in_h_closure", "in_hmu", "in_hmu_closure", "in_int_hmu",
+          "in_hn", "in_hn_closure", "in_int_hn", "in_bh", "boundary_parts")
+
+
+@st.composite
+def _about_hn(draw):
+    """Points of H with |a|^2 = f m(x), f in [0.1, 10], where m(x) is the
+    lower end of the H_N interval: outside H_N below it, inside above."""
+    x = draw(st_tetra_point(min_margin=0.02))
+    m = hn_params(x)[2]
+    a = draw(st_unit) * math.sqrt(draw(st.floats(0.1, 10.0)) * m)
+    assume(1e-6 < abs(a) * k_star(x) < 0.95)
+    return (a, *x)
+
+
+@given(st_hexaaut, st.one_of(st_hexa_point(slack=(0.05, 0.95)), _about_hn()))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_hexa_aut_preserves_flags(T, p):
+    # every flag of the verdict, at points whose H_N margins are decisive
+    vin = classify_hexa(p)
+    assume(min(abs(vin.margins["hn"]), abs(vin.margins["hn_closure"])) > 1e-6)
+    vout = classify_hexa(hexa_aut_apply(T, p))
+    assert [getattr(vin, f) for f in _FLAGS] \
+        == [getattr(vout, f) for f in _FLAGS]
+
+
+@given(st_tetraaut, st_tetra_point(min_margin=1e-3),
+       st.lists(st_entry.filter(lambda z: abs(z) > 1e-2), min_size=4,
+                max_size=4), st_disc(0.95), st_unit)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_tetra_aut_preserves_regions(t, x, entries, x2, x3):
+    # interior points, points of dE off bE (pi_E(A / mu_E(A))) and of bE
+    A = Mat2(*entries)
+    d = pi_tetra(A.scaled(1.0 / mu_value(A, "tetra")))
+    assume(max(map(abs, d)) < 0.999)
+    b = (x2.conjugate() * x3, x2, x3)
+    for y, region in ((x, Region.INTERIOR), (d, Region.BOUNDARY),
+                      (b, Region.DISTINGUISHED_BOUNDARY)):
+        assert tetra_classify(y).region is region
+        assert tetra_classify(tetra_aut_apply(t, y)).region is region
+
+
+@given(st_hexaaut, st_hexaaut, st_hexa_point())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_hexa_aut_invert_compose_round_trip(T, U, p):
+    def apply(A, q):
+        return hexa_aut_apply(A, q, check=False)
+
+    Ti, C = hexa_aut_invert(T), hexa_aut_compose(T, U)
+    assert hexa_aut_invert(Ti).approx_eq(T, 1e-10)
+    assert _close4(apply(Ti, apply(T, p)), p, 1e-9)
+    assert _close4(apply(C, p), apply(T, apply(U, p)), 1e-9)
+    assert _close4(apply(hexa_aut_compose(Ti, C), p), apply(U, p), 1e-9)
 
 
 # ---------------------------------------------------------------------------

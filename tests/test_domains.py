@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hexablock.numerics import ConsistencyError, DiscAut, DomainError, pi_tetra
+from hexablock.numerics import (ConsistencyError, DiscAut, DomainError,
+                                pi_penta, pi_tetra)
 from hexablock.psi import Psi_eval
 from hexablock.domains import (Region, bE_generator_params, bE_margin,
                                diamond, embed_biball, embed_g2, embed_penta,
@@ -296,6 +297,43 @@ def test_penta_hexa_bridge(rng):
         if abs(margin) < 1e-5:
             continue
         assert inside == v.in_interior
+
+
+def _counted(monkeypatch, name, modules):
+    """Count the calls of the function `name` of the first module, rebound
+    in every module of `modules` that binds it."""
+    fn = getattr(modules[0], name)
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for mod in modules:
+        if getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_penta_classify_work_per_call(monkeypatch, rng):
+    # one root solve, read by the G2 verdict and c_plus; the symmetric
+    # point's interior margin and K* come from psi's private cores
+    import hexablock.domains as domains
+    import hexablock.hexa as hexa
+    import hexablock.numerics as numerics
+    import hexablock.psi as psi
+    mods = (numerics, psi, domains, hexa)
+    roots = _counted(monkeypatch, "stable_quadratic_roots", mods)
+    ks = _counted(monkeypatch, "k_star", mods[1:])
+    margin = _counted(monkeypatch, "tetra_interior_margin", mods[1:])
+    points = [(0, 0, 0), (1, 0, -1), (1, 0, 0.5), (0.1, 2, 1)]
+    points += [pi_penta(rand_contraction(rng, 0.95)) for _ in range(40)]
+    routes = 0
+    for k, q in enumerate(points, 1):
+        v = penta_classify(*q)
+        routes += "psi_sup" in v.margins
+        assert (roots[0], ks[0], margin[0]) == (k, 0, 0)
+    assert routes >= 40
 
 
 # ---------------------------------------------------------------------------

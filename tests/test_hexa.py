@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hexablock import hexa
 from hexablock.numerics import DomainError, Mat2, op_norm, pi_hexa, \
-    spectral_radius
+    pi_penta, spectral_radius
 from hexablock.psi import k_star, tetra_interior_margin
 from hexablock.hexa import (bh_member, classify_boundary, classify_hexa,
                             h_closure_batch, h_member, hartogs_u,
@@ -17,7 +17,8 @@ from hexablock.oracles import mu_bruteforce
 
 from conftest import (columns, de_points, rand_be_point, rand_contraction,
                       rand_disc, rand_hexa_point, rand_mat, rand_tetra_point,
-                      rand_unit, tetra_region_points)
+                      rand_unit, st_entry, st_tetra_point, st_unit,
+                      tetra_region_points)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +548,45 @@ def test_mu_hexa_straddles_h_membership():
     assert branches == {True, False}
 
 
+def test_mu_penta_straddles_p_membership():
+    # pi_P(A/t) lies in P just above t = mu_penta and outside just below
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        A = rand_mat(rng)
+        mp = mu_value(A, "penta")
+        for t, inside in ((mp * (1 - 1e-6), False), (mp * (1 + 1e-6), True)):
+            v = penta_classify(*pi_penta(A.scaled(1.0 / t)))
+            assert v.in_interior == inside, (A, t)
+
+
+def test_penta_member_matches_scaled_matrix(monkeypatch):
+    # the bisection step scales inline with the arithmetic of Mat2.scaled,
+    # so it classifies exactly the coordinates of pi_P(A/t)
+    rng = np.random.default_rng(13)
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return penta_classify(*args)
+
+    monkeypatch.setattr(hexa, "penta_classify", spy)
+    cases = 0
+    for k in range(1000):
+        A = rand_mat(rng, 10.0 ** (k % 7 - 3))
+        mp = mu_value(A, "penta")
+        n = op_norm(A)
+        ts = [mp * (1.0 + d) for d in (1e-9, -1e-9, 3e-10, -3e-10)]
+        ts += [float(u) * n for u in rng.uniform(0.3, 2.0, 6)]
+        for t in ts:
+            seen.clear()
+            got = hexa._penta_member(A, t, 1e-9)
+            want = pi_penta(A.scaled(1.0 / t))
+            assert repr(seen) == repr([(*want, 1e-9)])
+            assert got == penta_classify(*want, 1e-9).in_interior
+            cases += 1
+    assert cases == 10 ** 4
+
+
 def test_mu_hexa_dense_matches_bruteforce():
     rng = np.random.default_rng(9)
     mats = [rand_mat(rng) for _ in range(12)]
@@ -585,10 +625,7 @@ def test_mu_homogeneous_at_small_scales():
                                                                  rel=1e-8)
 
 
-_entry = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))
-
-
-@given(st.lists(_entry.filter(lambda z: abs(z) > 1e-3), min_size=4,
+@given(st.lists(st_entry.filter(lambda z: abs(z) > 1e-3), min_size=4,
                 max_size=4))
 # the penta bisection read 2.015564470 here, 1.6e-8 above the exact
 # r(A) = mu_tetra = mu_hexa = 2.0155644371
@@ -605,8 +642,8 @@ def test_mu_hexa_dense_bounds(entries):
     assert mh <= n + slack
 
 
-@given(st.lists(_entry, min_size=4, max_size=4),
-       st.sampled_from([None, 1, 2]), _entry.filter(lambda c: abs(c) > 0.1))
+@given(st.lists(st_entry, min_size=4, max_size=4),
+       st.sampled_from([None, 1, 2]), st_entry.filter(lambda c: abs(c) > 0.1))
 @settings(max_examples=150, deadline=None)
 def test_mu_hexa_bounds_and_homogeneity(entries, zero, c):
     # dense, upper-triangular (a21 = 0) and lower-triangular (a12 = 0)
@@ -623,6 +660,33 @@ def test_mu_hexa_bounds_and_homogeneity(entries, zero, c):
     for s, base in (("hexa", mh), ("tetra", mt)):
         assert mu_value(A.scaled(c), s) == pytest.approx(
             abs(c) * base, rel=1e-6, abs=1e-8 * max(1.0, abs(c) * n))
+
+
+_scale = st.builds(lambda e, u: 10.0 ** e * u, st.floats(-3, 3), st_unit)
+
+
+@given(st.lists(st_entry, min_size=4, max_size=4), _scale)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_mu_penta_homogeneity(entries, c):
+    # the bisection width is relative to ||A||: mu(cA) = |c| mu(A)
+    A = Mat2(*entries)
+    base = mu_value(A, "penta")
+    assert mu_value(A.scaled(c), "penta") == pytest.approx(
+        abs(c) * base, rel=1e-6, abs=1e-9 * abs(c) * op_norm(A))
+
+
+@given(st_tetra_point(norm_range=(0.05, 1.3)), st.floats(0.0, 2.0), st_unit)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_hexa_verdict_lattice(x, f, u):
+    # H_N <= H_mu <= H <= closure, and the same for interiors and closures;
+    # |a| is f / K*(x) where the maximizer applies, else f
+    m = tetra_interior_margin(x)
+    v = classify_hexa((u * f / (k_star(x) if m > 1e-9 else 1.0), *x))
+    for low, high in ((v.in_hn, v.in_hmu), (v.in_hmu, v.in_h),
+                      (v.in_h, v.in_h_closure), (v.in_int_hn, v.in_int_hmu),
+                      (v.in_int_hmu, v.in_hmu), (v.in_hn, v.in_hn_closure),
+                      (v.in_hn_closure, v.in_h_closure)):
+        assert high or not low
 
 
 def test_mu_structures_spectral_norm(rng):
