@@ -54,7 +54,13 @@ class TetraAut:
 
 def tetra_aut_apply(t: TetraAut, x):
     """Apply the closed-form tetrablock automorphism; the flip acts first."""
-    x1, x2, x3 = (cx(s) for s in x)
+    return _tetra_aut(t, *(cx(s) for s in x))[0]
+
+
+def _tetra_aut(t, x1, x2, x3):
+    """(image, denominator) of `tetra_aut_apply` for coerced coordinates
+    and the v, chi and flip of t, a `TetraAut` or a `HexaAut`, whose first
+    coordinate has the same denominator."""
     if t.flip:
         x1, x2 = x2, x1
     xi1, z1 = _params_v(t.v)
@@ -62,11 +68,11 @@ def tetra_aut_apply(t: TetraAut, x):
     den = (1.0 - z1.conjugate() * x1) \
         - xi2 * z2.conjugate() * (x2 - z1.conjugate() * x3)
     if abs(den) < 1e-14:
-        raise DomainError("tetrablock automorphism denominator vanished")
+        raise DomainError("automorphism denominator vanished")
     t1 = xi1 * ((x1 - z1) + xi2 * z2.conjugate() * (z1 * x2 - x3)) / den
     t2 = (z2 * (z1.conjugate() * x1 - 1.0) + xi2 * (x2 - z1.conjugate() * x3)) / den
     t3 = xi1 * (z2 * (z1 - x1) - xi2 * (z1 * x2 - x3)) / den
-    return (t1, t2, t3)
+    return (t1, t2, t3), den
 
 
 def tetra_aut_apply_diamond(t: TetraAut, x):
@@ -107,10 +113,6 @@ class HexaAut:
     def identity(cls) -> "HexaAut":
         return cls(DiscAut.identity(), DiscAut.identity(), 1.0, False)
 
-    @property
-    def tetra_part(self) -> TetraAut:
-        return TetraAut(self.v, self.chi, self.flip)
-
     def __call__(self, p, check: bool = True):
         return hexa_aut_apply(self, p, check=check)
 
@@ -133,19 +135,11 @@ def hexa_aut_apply(T: HexaAut, p, check: bool = True, tol: float = 1e-7):
         if not ok and margin < -tol:
             raise DomainError(f"point outside the closed hexablock "
                               f"(margin {margin:.3e})")
-    u1, u2, u3 = x1, x2, x3
-    if T.flip:
-        u1, u2 = u2, u1
-    xi1, z1 = _params_v(T.v)
+    image, den = _tetra_aut(T, x1, x2, x3)
+    _, z1 = _params_v(T.v)
     xi2, z2 = _params_chi(T.chi)
-    den = 1.0 - u1 * z1.conjugate() - u2 * z2.conjugate() * xi2 \
-        + u3 * z1.conjugate() * z2.conjugate() * xi2
-    if abs(den) < 1e-14:
-        raise DomainError("hexablock automorphism denominator vanished")
     scale = math.sqrt((1.0 - abs(z1) ** 2) * (1.0 - abs(z2) ** 2))
-    b = T.omega * xi2 * a * scale / den
-    t1, t2, t3 = tetra_aut_apply(T.tetra_part, (x1, x2, x3))
-    return (b, t1, t2, t3)
+    return (T.omega * xi2 * a * scale / den, *image)
 
 
 def hexa_aut_invert(T: HexaAut) -> HexaAut:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Complex scalars are encoded as two-element arrays [re, im] in all JSON
-input and output; points are arrays of complex scalars, polynomials are
+A complex scalar in JSON input is [re, im] or a real number; output always
+writes [re, im].  Points are arrays of complex scalars, polynomials are
 coefficient arrays (ascending) with a declared degree bound.
 
 Exit codes: 0 interior, 1 boundary (distinguished or not), 2 exterior,
@@ -21,15 +21,17 @@ import sys
 import numpy as np
 
 from .numerics import (ConsistencyError, DiscAut, DomainError, Mat2,
-                       BlaschkeProduct, Poly, op_norm, spectral_radius)
-from .domains import Region, g2_classify, penta_classify, tetra_classify
-from .hexa import classify_hexa, mu_value
+                       BlaschkeProduct)
+from .numerics import cx_from_json as _cx
+from .domains import (Region, _region, g2_classify, penta_classify,
+                      tetra_classify)
+from .hexa import classify_hexa, hp_param, mu_value
 from .autos import HexaAut, hexa_aut_apply, hexa_aut_compose, hexa_aut_invert
 from .inner import (RationalHexaInner, RationalTetraInner, SchwarzProblem,
                     _schwarz_construct, hexa_inner_construct,
                     hexa_inner_validate, interpolation_residuals,
                     schwarz_feasible)
-from .realslice import face_classify, real_h_member
+from .realslice import K_real, face_classify, real_h_member, real_tetra_margin
 from . import __version__
 
 EXIT_INTERIOR = 0
@@ -43,14 +45,6 @@ EXIT_INTERNAL = 70
 
 class UsageError(Exception):
     pass
-
-
-def _cx(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise UsageError(f"expected [re, im] or a real number, got {v!r}")
 
 
 def _cx_out(z: complex):
@@ -114,13 +108,6 @@ def _hexaaut_out(T: HexaAut):
             "omega": _cx_out(T.omega), "flip": T.flip}
 
 
-def _tetra_arg(data) -> RationalTetraInner:
-    n = int(data["n"])
-    E1, E2, D = (Poly(np.array([_cx(v) for v in data[key]]), n)
-                 for key in ("E1", "E2", "D"))
-    return RationalTetraInner(E1, E2, D, n)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -146,14 +133,7 @@ def cmd_classify(args) -> int:
             inside, closure = full.in_hn, full.in_hn_closure
         if args.closed:
             inside = closure
-        if not closure:
-            region = Region.EXTERIOR
-        elif full.in_bh:
-            region = Region.DISTINGUISHED_BOUNDARY
-        elif inside:
-            region = Region.INTERIOR
-        else:
-            region = Region.BOUNDARY
+        region = _region(closure, full.in_bh, inside)
         payload = {"domain": args.domain, "region": region.value,
                    "tolerance": tol,
                    "flags": {"h": full.in_h, "h_closure": full.in_h_closure,
@@ -179,12 +159,7 @@ def cmd_classify(args) -> int:
 
 def cmd_mu(args) -> int:
     A = _matrix(args.matrix)
-    if args.structure == "norm":
-        value = op_norm(A)
-    elif args.structure == "spectral":
-        value = spectral_radius(A)
-    else:
-        value = mu_value(A, args.structure)
+    value = mu_value(A, args.structure)
     payload = {"structure": args.structure, "value": value}
     if args.oracle:
         from .oracles import mu_bruteforce
@@ -219,7 +194,7 @@ def cmd_aut(args) -> int:
 def cmd_inner(args) -> int:
     if args.action == "construct":
         data = _parse_json(args.data, "inner data")
-        tetra = _tetra_arg(data)
+        tetra = RationalTetraInner.from_dict(data)
         B = BlaschkeProduct(_cx(data.get("B_phase", 1.0)),
                             tuple(_cx(z) for z in data.get("B_zeros", [])))
         f = hexa_inner_construct(tetra, B, _cx(data.get("c", 1.0)))
@@ -251,7 +226,8 @@ def cmd_schwarz(args) -> int:
         return EXIT_INFEASIBLE
     supplied = None
     if args.tetra_data:
-        supplied = _tetra_arg(_parse_json(args.tetra_data, "tetra data"))
+        supplied = RationalTetraInner.from_dict(
+            _parse_json(args.tetra_data, "tetra data"))
     try:
         f = _schwarz_construct(prob, rep, supplied)
     except DomainError as exc:
@@ -271,7 +247,6 @@ def cmd_sample(args) -> int:
         header = ["a", "x1", "x2", "x3", "region", "margin", "faces"]
         for _ in range(args.count):
             x = rng.uniform(-1, 1, 3)
-            from .realslice import real_tetra_margin, K_real
             if real_tetra_margin(x) <= 1e-6:
                 continue
             k = K_real(x)
@@ -290,7 +265,6 @@ def cmd_sample(args) -> int:
         header = ["theta", "z_re", "z_im", "w_re", "w_im",
                   "a_re", "a_im", "x1_re", "x1_im", "x2_re", "x2_im",
                   "x3_re", "x3_im"]
-        from .hexa import hp_param
         for _ in range(args.count):
             theta = rng.uniform(0.0, 2.0 * math.pi)
             z = complex(*rng.normal(0, 1, 2))

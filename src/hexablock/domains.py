@@ -20,7 +20,8 @@ import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, DiscAut, cx,
                        cx_arrays, cx_coords, stable_quadratic_roots)
-from .psi import _betas_from, _interior_margin, _maximizer, is_triangular
+from .psi import (REFUSE_MARGIN, _betas_from, _interior_margin, _maximizer,
+                  is_triangular)
 
 
 class Region(enum.Enum):
@@ -94,6 +95,23 @@ def _vote_each(flags: dict, margins: dict, tol: float, what: str, point):
     return yes | (next(iter(flags.values())) > no)
 
 
+# the regions by their codes in `_region`: a tuple for scalars (indexing it
+# is cheaper than reading an Enum member), an object array for arrays
+_CODES = (Region.BOUNDARY, Region.INTERIOR, Region.DISTINGUISHED_BOUNDARY,
+          Region.EXTERIOR)
+_REGIONS = np.array(_CODES, dtype=object)
+
+
+def _region(in_closure, on_b, interior):
+    """The region decided by the closure, distinguished-boundary and
+    interior calls, which take precedence in that order; elementwise, an
+    object array of regions, when the calls are arrays."""
+    if isinstance(in_closure, np.ndarray):
+        return _REGIONS[np.where(in_closure,
+                                 np.where(on_b, 2, np.where(interior, 1, 0)), 3)]
+    return _CODES[(2 if on_b else 1 if interior else 0) if in_closure else 3]
+
+
 # ---------------------------------------------------------------------------
 # Symmetrized bidisc
 # ---------------------------------------------------------------------------
@@ -147,7 +165,6 @@ def _g2_verdict(s: complex, p: complex, tol: float):
 
     mb = -max(abs(abs(p) - 1.0), abs(s - s.conjugate() * p), abs(s) - 2.0)
     margins["b_gamma"] = mb
-    on_b = mb >= -tol
 
     witnesses = {}
     if beta is not None:
@@ -155,14 +172,7 @@ def _g2_verdict(s: complex, p: complex, tol: float):
     l1, l2 = stable_quadratic_roots(s, p)
     witnesses["eigenvalues"] = (l1, l2)
 
-    if not in_closure:
-        region = Region.EXTERIOR
-    elif on_b:
-        region = Region.DISTINGUISHED_BOUNDARY
-    elif inside and mc > tol:
-        region = Region.INTERIOR
-    else:
-        region = Region.BOUNDARY
+    region = _region(in_closure, mb >= -tol, inside and mc > tol)
     return region, margins, witnesses
 
 
@@ -190,11 +200,6 @@ def _pick(cond, if_true, if_false):
     if isinstance(cond, np.ndarray):
         return np.where(cond, if_true, if_false)
     return if_true if cond else if_false
-
-
-# regions by the codes of `_tetra_verdict` on arrays
-_REGIONS = np.array([Region.BOUNDARY, Region.INTERIOR,
-                     Region.DISTINGUISHED_BOUNDARY, Region.EXTERIOR], dtype=object)
 
 
 def _tetra_verdict(x1, x2, x3, tol: float):
@@ -264,28 +269,16 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     margins["boundary_part5"] = 0.0 - m5
 
     # part 1 is `bE_margin`; outside the closure part 6 reads -1 and part 1
-    # is never positive, so the vote cannot split there
+    # is never positive, so the vote cannot split there (nor does it count)
     mb = -hi(hi(d12, g3), over2)
     mb6 = _pick(in_closure, -g3, -1.0)
     margins["b_tetra_part1"] = mb
     margins["b_tetra_part6"] = mb6
-    on_b = in_closure & vote(
+    on_b = vote(
         {"b_tetra_part1": mb >= -tol, "b_tetra_part6": mb6 >= -tol},
         {"b_tetra_part1": mb, "b_tetra_part6": mb6}, tol,
         "tetrablock distinguished boundary")
-
-    interior = inside & (mc > tol)
-    if batch:
-        region = _REGIONS[np.where(in_closure,
-                                   np.where(on_b, 2, np.where(interior, 1, 0)), 3)]
-    elif not in_closure:
-        region = Region.EXTERIOR
-    elif on_b:
-        region = Region.DISTINGUISHED_BOUNDARY
-    elif interior:
-        region = Region.INTERIOR
-    else:
-        region = Region.BOUNDARY
+    region = _region(in_closure, on_b, inside & (mc > tol))
     return region, margins, witnesses
 
 
@@ -343,8 +336,8 @@ def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
     """(region, margins, witnesses) of `penta_classify` for coerced
     a, s, p.  c_plus comes from the roots in the G2 verdict's witnesses.
     The interior margin of the symmetric point (s/2, s/2, p) is taken
-    once; where it exceeds the maximizer's refusal margin 1e-9, K* comes
-    from the maximizer's core."""
+    once; where it exceeds the maximizer's `REFUSE_MARGIN`, K* comes from
+    the maximizer's core."""
     g2_region, g2_margins, witnesses = _g2_verdict(s, p, tol)
     g2_interior = g2_region is Region.INTERIOR
     _, cp = _penta_radii(*witnesses["eigenvalues"])
@@ -355,7 +348,7 @@ def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
 
     # the psi-sup route through the hexablock bridge
     h = s / 2.0
-    if _interior_margin(h, h, p) > 1e-9:
+    if _interior_margin(h, h, p) > REFUSE_MARGIN:
         m_sup = 1.0 - a_a * _maximizer(h, h, p).k_star
         margins["psi_sup"] = m_sup
         flags["psi_sup"] = g2_interior and m_sup > 0.0
@@ -368,16 +361,8 @@ def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
     mb = min(g2_margins["b_gamma"],
              -abs(a_a ** 2 + abs(s) ** 2 / 4.0 - 1.0))
     margins["b_penta"] = mb
-    on_b = in_closure and mb >= -tol
-
-    if not in_closure:
-        region = Region.EXTERIOR
-    elif on_b:
-        region = Region.DISTINGUISHED_BOUNDARY
-    elif inside and m_closure > tol and g2_interior:
-        region = Region.INTERIOR
-    else:
-        region = Region.BOUNDARY
+    region = _region(in_closure, mb >= -tol,
+                     inside and m_closure > tol and g2_interior)
     return region, margins, witnesses
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, Mat2, cx,
                        cx_arrays, op_norm, spectral_radius)
-from .psi import (_k_star_closed, is_triangular, k_star, k_star_closed,
-                  maximizer, tetra_interior_margin)
+from .psi import (REFUSE_MARGIN, _k_star_closed, is_triangular, k_star,
+                  k_star_closed, maximizer, tetra_interior_margin)
 from .domains import (Region, _tetra_verdict, bE_margin, penta_classify,
                       tetra_classify)
 
@@ -45,7 +45,7 @@ def psi_sup(p, tol: float = TOL):
     if abs(a) == 0.0:
         return 0.0, None, "zero"
     m = tetra_interior_margin(x)
-    if m > max(tol, 1e-9):
+    if m > max(tol, REFUSE_MARGIN):
         r = maximizer(x)
         return abs(a) * r.k_star, (r.z1, r.z2), "maximizer"
     v = tetra_classify(x, tol)
@@ -166,10 +166,10 @@ def h_closure_batch(p, tol: float = TOL):
 
     The tetrablock verdict is taken on the whole arrays.  In the closed
     tetrablock the margin is 1 where a = 0 and 1 - |a| K*(x) where the
-    tetrablock interior margin exceeds max(tol, 1e-9), with K* evaluated
-    on those points at once by `k_star_closed`; every other point (outside
-    the closed tetrablock, near its boundary) goes through the scalar
-    `h_member`."""
+    tetrablock interior margin exceeds max(tol, REFUSE_MARGIN), with K*
+    evaluated on those points at once by `k_star_closed`; every other point
+    (outside the closed tetrablock, near its boundary) goes through the
+    scalar `h_member`."""
     return _h_closure_arrays(p, tol)[:2]
 
 
@@ -183,7 +183,7 @@ def _h_closure_arrays(p, tol: float):
     closed = region != Region.EXTERIOR
     zero = closed & (a == 0)
     # part 3 is the tetrablock interior margin that `psi_sup` thresholds
-    route = closed & ~zero & (tm["part3"] > max(tol, 1e-9))
+    route = closed & ~zero & (tm["part3"] > max(tol, REFUSE_MARGIN))
     margins = np.ones(a.shape)
     if route.any():
         margins[route] = 1.0 - abs(a[route]) * _k_star_closed(*(t[route] for t in x))

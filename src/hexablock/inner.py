@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .numerics import (BlaschkeProduct, ConsistencyError, DomainError, Poly,
-                       PowerTable, _frozen, cx, cx_arrays, fejer_riesz,
-                       poly_abs2_trig, trig_sub)
+                       PowerTable, _frozen, cx, cx_arrays, cx_from_json,
+                       fejer_riesz, poly_abs2_trig, trig_sub)
 from .psi import k_star
 from .domains import _bE_margin, _tetra_verdict
 from .hexa import _h_closure_arrays, h_member
@@ -40,26 +40,17 @@ def _disc_samples(n: int, rmax: float = 0.93) -> np.ndarray:
 
 
 # Sample grids shared by every validation.  A validation evaluates all the
-# polynomials of its function in one product with `_validation_table()`.
+# polynomials of its function in one product with `_VALIDATION_TABLE`, the
+# power table of the closed-disc grid, the circle, the tetra disc grid and
+# the hexa disc grid, concatenated in that order.
 _CIRCLE = _circle(_CIRCLE_N)
 _CIRCLE_K0 = _circle(128)
 _CIRCLE_SPOT = _circle(16)
 _CLOSED_DISC = _frozen(np.concatenate([_disc_samples(200, 0.999), _circle(256)]))
 _DISC_TETRA = _disc_samples(60)
 _DISC_HEXA = _disc_samples(100)
-
-
-def _validation_table() -> PowerTable:
-    """The power table of the closed-disc grid, the circle, the tetra disc
-    grid and the hexa disc grid, concatenated in that order.  `_CIRCLE` is
-    read at call time; it is `_circle(n)` for its length n."""
-    return _grid_table(len(_CIRCLE))
-
-
-@lru_cache(maxsize=2)
-def _grid_table(n_circle: int) -> PowerTable:
-    return PowerTable(np.concatenate([_CLOSED_DISC, _circle(n_circle),
-                                      _DISC_TETRA, _DISC_HEXA]))
+_VALIDATION_TABLE = PowerTable(np.concatenate([_CLOSED_DISC, _CIRCLE,
+                                               _DISC_TETRA, _DISC_HEXA]))
 
 
 def _stack(polys) -> np.ndarray:
@@ -109,6 +100,15 @@ class RationalTetraInner:
         dv = D(lam)
         return (E1(lam) / dv, E2(lam) / dv, Dr(lam) / dv)
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "RationalTetraInner":
+        """E1, E2 and D from the JSON form: the bound "n" and coefficient
+        arrays of complex scalars, each [re, im] or a real number."""
+        n = int(d["n"])
+        E1, E2, D = (Poly(np.array([cx_from_json(v) for v in d[key]]), n)
+                     for key in ("E1", "E2", "D"))
+        return cls(E1, E2, D, n)
+
 
 def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
     """Validation report for tetrablock inner data.
@@ -117,7 +117,7 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
     E1 = E2~n, the circle bounds |Ei| <= |D|, circle images on the
     distinguished boundary and disc images in the closed tetrablock.
     """
-    vals = _validation_table().eval(t._rows)
+    vals = _VALIDATION_TABLE.eval(t._rows)
     k, nc, nt = len(_CLOSED_DISC), len(_CIRCLE), len(_DISC_TETRA)
     # the images of the circle and of the tetra disc grid, coerced once
     x = cx_arrays(_ratios(vals[:, k: k + nc + nt]))
@@ -130,7 +130,7 @@ def _tetra_report(e: np.ndarray, vals: np.ndarray, circle: list,
                   disc_closure: np.ndarray, tol: float) -> dict:
     """`tetra_inner_validate` from the coefficient rows `e` of E1 and E2 at
     the bound n, the values `vals` of E1, E2, D, D~n (and possibly more)
-    on the `_validation_table()` grid, the coerced images `circle` of
+    on the `_VALIDATION_TABLE` grid, the coerced images `circle` of
     `_CIRCLE` and the smaller closure margin of the tetrablock,
     `disc_closure`, at the images of `_DISC_TETRA`."""
     k, nc = len(_CLOSED_DISC), len(_CIRCLE)
@@ -179,7 +179,6 @@ class RationalHexaInner:
     A: Poly
     B: BlaschkeProduct = BlaschkeProduct()
     c: complex = 1.0
-    a_in: BlaschkeProduct | None = None
 
     def __call__(self, lam):
         return (self.a_component(lam), *self.tetra(lam))
@@ -215,13 +214,13 @@ class RationalHexaInner:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RationalHexaInner":
-        def poly(key):
-            return Poly(np.array([complex(r, i) for r, i in d[key]]), d["n"])
-
-        tetra = RationalTetraInner(poly("E1"), poly("E2"), poly("D"), d["n"])
-        B = BlaschkeProduct(complex(*d["B_phase"]),
-                            tuple(complex(r, i) for r, i in d["B_zeros"]))
-        return cls(tetra, poly("A"), B, complex(*d["c"]))
+        """The inverse of `to_dict`, which also accepts a real number for
+        each complex scalar."""
+        tetra = RationalTetraInner.from_dict(d)
+        A = Poly(np.array([cx_from_json(v) for v in d["A"]]), tetra.n)
+        B = BlaschkeProduct(cx_from_json(d["B_phase"]),
+                            tuple(cx_from_json(z) for z in d["B_zeros"]))
+        return cls(tetra, A, B, cx_from_json(d["c"]))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -256,20 +255,18 @@ def hexa_inner_construct(t: RationalTetraInner, B: BlaschkeProduct,
     return RationalHexaInner(t, A.with_bound(t.n), B, cx(c))
 
 
-def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6,
-                        interior_tol: float = 1e-8) -> dict:
+def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6) -> dict:
     """Validation report for hexablock inner data: circle images satisfy
     |a|^2 + |x1|^2 = 1 and land on the distinguished boundary of E; disc
-    images stay in the closed hexablock; the tetra part validates.
+    images stay in the closed hexablock (to 1e-8); the tetra part validates.
 
     The tetra part's report is `tetra_inner_validate`'s, made from the same
     samples: its disc check reads the tetrablock margins of the closure
     verdict, which covers both disc grids."""
-    table = _validation_table()
-    vals = table.eval(f._rows)
+    vals = _VALIDATION_TABLE.eval(f._rows)
     k, nc, nt = len(_CLOSED_DISC), len(_CIRCLE), len(_DISC_TETRA)
     # f on the circle and on both disc grids; each block is coerced once
-    a = f.c * f.B(table.points[k:]) * vals[4, k:] / vals[2, k:]
+    a = f.c * f.B(_VALIDATION_TABLE.points[k:]) * vals[4, k:] / vals[2, k:]
     x = _ratios(vals[:, k:])
     _, margins, tm = _h_closure_arrays((a[nc:], *(v[nc:] for v in x)), tol=1e-9)
     circle = cx_arrays(v[:nc] for v in x)
@@ -280,14 +277,14 @@ def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6,
                               - 1.0).max())
     worst_b = max(0.0, -float(_bE_margin(*circle).min()))
     low = float(margins[nt:].min())
-    worst_marg = -low if low < -interior_tol else 0.0
+    worst_marg = -low if low < -1e-8 else 0.0
     return _report((
         ("tetra", sub, not sub["ok"], "tetra part invalid"),
         ("circle_norm_residual", worst_norm, worst_norm > tol,
          "|a|^2 + |x1|^2 != 1 on the circle"),
         ("circle_bE_violation", worst_b, worst_b > tol,
          "circle image off the distinguished boundary"),
-        ("disc_closure_violation", worst_marg, worst_marg > interior_tol,
+        ("disc_closure_violation", worst_marg, worst_marg > 1e-8,
          "disc image leaves the closed hexablock")))
 
 
@@ -467,7 +464,7 @@ def _phase_align_tetra(parts, n: int) -> RationalTetraInner:
 
 
 def construct_from_tetra(t: RationalTetraInner, lambda0: complex,
-                         a_target: complex, tol: float = 1e-9) -> RationalHexaInner:
+                         a_target: complex) -> RationalHexaInner:
     """Lift tetrablock inner data interpolating x(0) = 0, x(lambda0) = x to a
     hexablock inner function with a(0) = 0, a(lambda0) = a_target.
 
@@ -510,12 +507,12 @@ def schwarz_construct(prob: SchwarzProblem,
     and raise a DomainError saying so.
     """
     return _schwarz_construct(prob, schwarz_feasible(prob, tol),
-                              supplied_tetra, tol)
+                              supplied_tetra)
 
 
 def _schwarz_construct(prob: SchwarzProblem, rep: FeasibilityReport,
-                       supplied_tetra: RationalTetraInner | None = None,
-                       tol: float = 1e-9) -> RationalHexaInner:
+                       supplied_tetra: RationalTetraInner | None = None
+                       ) -> RationalHexaInner:
     """`schwarz_construct` given the feasibility report of `prob`."""
     if not rep.feasible:
         raise DomainError(f"infeasible Schwarz data: {rep.violated} violated "
@@ -532,14 +529,14 @@ def _schwarz_construct(prob: SchwarzProblem, rep: FeasibilityReport,
         if e0 > 1e-7 or e1 > 1e-7:
             raise DomainError("supplied tetrablock data does not interpolate "
                               f"the target (residuals {e0:.2e}, {e1:.2e})")
-        return construct_from_tetra(t, lam, a, tol)
+        return construct_from_tetra(t, lam, a)
 
     if abs(abs(x3) - abs(lam)) <= 1e-9 and max(abs(x1), abs(x2)) <= 1e-9:
         omega = x3 / lam
         w1 = _unit_sqrt(omega)
         D = Poly.const(w1.conjugate(), 1)
         t = RationalTetraInner(Poly.const(0.0, 1), Poly.const(0.0, 1), D, 1)
-        return construct_from_tetra(t, lam, a, tol)
+        return construct_from_tetra(t, lam, a)
 
     if abs(x1 * x2 - x3) <= 1e-9 * (1.0 + abs(x3)):
         # the inner g-pair forces |x1| = 1 on the circle, so the lifted
@@ -554,7 +551,7 @@ def _schwarz_construct(prob: SchwarzProblem, rep: FeasibilityReport,
         b2 = _interp_zero_blaschke(lam, x2 / lam)
         t = _phase_align_tetra([b1.as_rational(), b2.as_rational()],
                                b1.degree + b2.degree)
-        return construct_from_tetra(t, lam, a, tol)
+        return construct_from_tetra(t, lam, a)
 
     raise DomainError("general synthesis requires external tetrablock inner "
                       "interpolation data; pass supplied_tetra")
@@ -591,11 +588,8 @@ class RationalPentaInner:
     n: int
 
     def __call__(self, lam):
-        E = self.E.with_bound(self.n)
-        D = self.D.with_bound(self.n)
-        dv = D(lam)
-        a = self.c * self.B(lam) * self.A(lam) / dv
-        return (a, E(lam) / dv, D.reflect()(lam) / dv)
+        a, x1, x2, x3 = penta_inner_to_hexa(self)(lam)
+        return (a, x1 + x2, x3)
 
 
 def penta_inner_to_hexa(f: RationalPentaInner) -> RationalHexaInner:

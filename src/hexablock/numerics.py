@@ -54,6 +54,15 @@ def cx_coords(values) -> tuple:
     return tuple(map(cx, values))
 
 
+def cx_from_json(value) -> complex:
+    """A complex scalar from its JSON form: [re, im] or a real number."""
+    if isinstance(value, (int, float)):
+        return complex(value)
+    if isinstance(value, list) and len(value) == 2:
+        return complex(float(value[0]), float(value[1]))
+    raise ValueError(f"expected [re, im] or a real number, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # 2x2 matrices
 # ---------------------------------------------------------------------------
@@ -250,27 +259,24 @@ class DiscAut:
 # ---------------------------------------------------------------------------
 
 def _horner(coeffs: np.ndarray, lam):
-    """Polynomials with ascending complex coefficients along the last axis
-    of `coeffs`, evaluated at `lam` by Horner's rule.
+    """The polynomial with ascending complex coefficients `coeffs`,
+    evaluated at `lam` by Horner's rule.
 
-    One polynomial (1-D `coeffs`) at a scalar runs a plain-Python loop and
-    returns a numpy complex scalar; at an array it returns lam's shape.  A
-    (k, n+1) matrix evaluates its k rows in one pass, shape (k, *lam.shape).
-    The arithmetic is that of numpy's `polyval`, step for step.
+    At a scalar it runs a plain-Python loop and returns a numpy complex
+    scalar; at an array it returns lam's shape.  The arithmetic is that of
+    numpy's `polyval`, step for step.
     """
-    if coeffs.ndim == 1 and not isinstance(lam, np.ndarray):
+    if not isinstance(lam, np.ndarray):
         x = complex(lam)
         c = coeffs.tolist()
         acc = c[-1]
         for a in reversed(c[:-1]):
             acc = a + acc * x
         return np.complex128(acc)
-    lam = np.asarray(lam)
-    rows = coeffs.T.reshape(coeffs.shape[::-1] + (1,) * lam.ndim)
-    acc = rows[-1] + lam * 0
-    for r in rows[-2::-1]:
+    acc = coeffs[-1] + lam * 0
+    for a in coeffs[-2::-1]:
         acc *= lam
-        acc += r
+        acc += a
     return acc
 
 
@@ -485,8 +491,7 @@ _FR_CIRCLE = np.exp(2j * np.pi * np.arange(2048) / 2048)
 _FR_CIRCLE.setflags(write=False)
 
 
-def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
-                degeneracy_tol: float = 1e-10) -> Poly:
+def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9) -> Poly:
     """Spectral factor of a nonnegative trigonometric polynomial.
 
     Parameters
@@ -495,8 +500,9 @@ def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
         Laurent coefficients a_{-n}..a_n of f; Hermitian (a_{-k} = conj(a_k))
         so that f is real on the circle.
     strict : bool
-        Require min f on the circle to exceed `degeneracy_tol`, guaranteeing
-        the factor is zero-free on the closed disc.
+        Require min f on the circle to exceed 1e-10 times the largest
+        coefficient, guaranteeing the factor is zero-free on the closed
+        disc.
 
     Returns
     -------
@@ -508,7 +514,7 @@ def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
     ------
     DomainError
         If f is not Hermitian, goes negative on the circle, or (strict mode)
-        comes within `degeneracy_tol` of zero there.
+        comes within that bound of zero there.
 
     The factorization roots q(t) = t^n f(t), pairs roots (r, 1/conj(r)) and
     assigns the representative of modulus >= 1 of each pair to D.
@@ -532,7 +538,7 @@ def fejer_riesz(coeffs, strict: bool = False, tol: float = 1e-9,
     fmin = float(np.min(vals))
     if fmin < -max(tol, 1e-10) * scale:
         raise DomainError(f"trig polynomial negative on the circle (min {fmin:.3e})")
-    if strict and fmin <= degeneracy_tol * scale:
+    if strict and fmin <= 1e-10 * scale:
         raise DomainError("circle value too close to zero for the strict factorization")
 
     # Trim vanishing extreme coefficients: they only lower the true degree.

@@ -62,7 +62,7 @@ def _golden_min(f, a: float, b: float, iters: int) -> float:
     return 0.5 * (a + b)
 
 
-def _corner_fan(x, spec: GridSpec):
+def _corner_fan(x):
     """Best |kappa| along approach fans into torus zeros of the denominator.
 
     On the boundary of the tetrablock the supremum can be a limit at a
@@ -189,7 +189,7 @@ def grid_sup_kappa(x, spec: GridSpec = GridSpec()):
         b2 = complex(np.broadcast_to(g2, vals.shape)[idx])
         best = max(best, cand)
         window *= 0.20
-    corner, corner_arg = _corner_fan(x, spec)
+    corner, corner_arg = _corner_fan(x)
     if corner > best and corner_arg is not None:
         best = corner
         b1, b2 = corner_arg

@@ -19,6 +19,11 @@ from .numerics import DomainError, cx, cx_coords
 
 _DEN_TINY = 1e-14
 
+#: The interior margin a point must exceed for `maximizer`: closer to the
+#: boundary of E the cost blows up off distinguished-boundary directions,
+#: and the suprema there are in closed form (`k_star_closed`, `sup_on_bE`).
+REFUSE_MARGIN = 1e-9
+
 
 def _any(flags) -> bool:
     """Whether a flag, or any entry of a flag array, is set."""
@@ -150,17 +155,15 @@ def _interior_margin(x1, x2, x3):
     return 1.0 - (abs(x1) ** 2 + abs(x2 - x1.conjugate() * x3) + abs(x1 * x2 - x3))
 
 
-def maximizer(x, refuse_margin: float = 1e-9) -> MaximizerResult:
+def maximizer(x) -> MaximizerResult:
     """Unique interior maximizer of |kappa(., x)| for x in the open tetrablock.
 
-    Refuses points whose interior margin does not exceed `refuse_margin`;
-    the cost blows up off distinguished-boundary directions and the honest
-    boundary cases are handled by `sup_on_bE`.
+    Refuses points whose interior margin does not exceed `REFUSE_MARGIN`.
     """
     x1, x2, x3 = cx_coords(x)
     m = _interior_margin(x1, x2, x3)
-    if _any(m <= refuse_margin):
-        raise DomainError(f"maximizer needs interior margin > {refuse_margin} "
+    if _any(m <= REFUSE_MARGIN):
+        raise DomainError(f"maximizer needs interior margin > {REFUSE_MARGIN} "
                           f"(got {np.min(m):.3e})")
     return _maximizer(x1, x2, x3)
 
@@ -175,9 +178,9 @@ def _maximizer(x1, x2, x3) -> MaximizerResult:
     return MaximizerResult(z1, z2, b1, b2, k, d1, d2)
 
 
-def k_star(x, refuse_margin: float = 1e-9) -> float:
+def k_star(x) -> float:
     """K*(x) = sup over the bidisc of |kappa(., x)|, always >= 1."""
-    return maximizer(x, refuse_margin).k_star
+    return maximizer(x).k_star
 
 
 def k_star_closed(x, on_dE: bool = False) -> float:

@@ -135,6 +135,24 @@ def test_inner_construct_and_validate():
     assert json.loads(out2)["ok"] is True
 
 
+def test_inner_validate_reads_real_number_scalars():
+    # a complex scalar is [re, im] or a real number on input, as for
+    # construct; a three-element scalar is malformed
+    real = {"n": 1, "E1": [0, 0], "E2": [0, 0], "D": [1, 0], "A": [0, 1],
+            "B_zeros": [], "B_phase": 1, "c": 1}
+    pairs = {k: [[v, 0] for v in real[k]] for k in ("E1", "E2", "D", "A")}
+    pairs.update(n=1, B_zeros=[], B_phase=[1, 0], c=[1, 0])
+    code, out = run_cli(["inner", "validate", "--data", json.dumps(real),
+                         "--json"])
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert run_cli(["inner", "validate", "--data", json.dumps(pairs),
+                    "--json"]) == (code, out)
+    bad = dict(real, c=[1, 0, 0])
+    code, out, err = _run_cli_all(["inner", "validate", "--data",
+                                   json.dumps(bad)])
+    assert code == 64 and out == "" and "[re, im]" in err
+
+
 def test_schwarz_check_infeasible_named():
     code, out = run_cli(["schwarz", "check", "--lam", "[0.5,0]",
                          "--target", "[[0.6,0],[0,0],[0,0],[0.5,0]]",

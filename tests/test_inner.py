@@ -271,6 +271,9 @@ def test_hexa_inner_validate_work_is_independent_of_circle_size(rng,
     seen = []
     for n in (inner._CIRCLE_N, 8 * inner._CIRCLE_N):
         monkeypatch.setattr(inner, "_CIRCLE", inner._circle(n))
+        monkeypatch.setattr(inner, "_VALIDATION_TABLE", PowerTable(
+            np.concatenate([inner._CLOSED_DISC, inner._CIRCLE,
+                            inner._DISC_TETRA, inner._DISC_HEXA])))
         counts.update(poly=0, product=0, bE=0)
         assert hexa_inner_validate(f)["ok"]
         seen.append(dict(counts))

@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -43,3 +45,24 @@ def test_lazy_name_loads_its_module_only():
         "from hexablock import grid_sup_kappa\n"
         f"print(*[m for m in {LAZY!r} if m in sys.modules])")
     assert loaded == ["hexablock.oracles"]
+
+
+def test_every_parameter_is_read():
+    # a parameter that the function body never reads only threads a value
+    # through, or is a knob that does nothing
+    unread = []
+    for path in sorted(pathlib.Path(hexablock.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg,
+                                      args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {p}" for p in params
+                       if p not in read]
+    assert unread == []
