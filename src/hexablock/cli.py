@@ -20,17 +20,16 @@ import sys
 
 import numpy as np
 
-from .numerics import (ConsistencyError, DiscAut, DomainError, Mat2,
-                       BlaschkeProduct)
+from .numerics import ConsistencyError, DiscAut, DomainError, Mat2
 from .numerics import cx_from_json as _cx
 from .domains import (Region, _region, g2_classify, penta_classify,
                       tetra_classify)
 from .hexa import classify_hexa, hp_param, mu_value
 from .autos import HexaAut, hexa_aut_apply, hexa_aut_compose, hexa_aut_invert
 from .inner import (RationalHexaInner, RationalTetraInner, SchwarzProblem,
-                    _schwarz_construct, hexa_inner_construct,
-                    hexa_inner_validate, interpolation_residuals,
-                    schwarz_feasible)
+                    _completion_from_dict, _schwarz_construct,
+                    hexa_inner_construct, hexa_inner_validate,
+                    interpolation_residuals, schwarz_feasible)
 from .realslice import K_real, face_classify, real_h_member, real_tetra_margin
 from . import __version__
 
@@ -194,10 +193,8 @@ def cmd_aut(args) -> int:
 def cmd_inner(args) -> int:
     if args.action == "construct":
         data = _parse_json(args.data, "inner data")
-        tetra = RationalTetraInner.from_dict(data)
-        B = BlaschkeProduct(_cx(data.get("B_phase", 1.0)),
-                            tuple(_cx(z) for z in data.get("B_zeros", [])))
-        f = hexa_inner_construct(tetra, B, _cx(data.get("c", 1.0)))
+        f = hexa_inner_construct(RationalTetraInner.from_dict(data),
+                                 *_completion_from_dict(data))
         _emit(f.to_dict(), args.json)
         return 0
     f = RationalHexaInner.from_dict(_parse_json(args.data, "inner data"))

@@ -19,7 +19,8 @@ from functools import partial
 import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, DiscAut, cx,
-                       cx_arrays, cx_coords, stable_quadratic_roots)
+                       cx_arrays, cx_coords, _quadratic_roots,
+                       stable_quadratic_roots)
 from .psi import (REFUSE_MARGIN, _betas_from, _interior_margin, _maximizer,
                   is_triangular)
 
@@ -169,7 +170,7 @@ def _g2_verdict(s: complex, p: complex, tol: float):
     witnesses = {}
     if beta is not None:
         witnesses["beta"] = beta
-    l1, l2 = stable_quadratic_roots(s, p)
+    l1, l2 = _quadratic_roots(s, p)
     witnesses["eigenvalues"] = (l1, l2)
 
     region = _region(in_closure, mb >= -tol, inside and mc > tol)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, Mat2, cx,
                        cx_arrays, op_norm, spectral_radius)
-from .psi import (REFUSE_MARGIN, _k_star_closed, is_triangular, k_star,
-                  k_star_closed, maximizer, tetra_interior_margin)
+from .psi import (REFUSE_MARGIN, _k_star, _k_star_terms, is_triangular, k_star,
+                  maximizer, sup_on_bE, tetra_interior_margin)
 from .domains import (Region, _tetra_verdict, bE_margin, penta_classify,
                       tetra_classify)
 
@@ -32,20 +32,20 @@ def psi_sup(p, tol: float = TOL):
 
     Returns (sup, witness, method).  The supremum is in closed form on the
     whole closed tetrablock.  On the open tetrablock the unique maximizer
-    gives it with its argmax as witness ("maximizer"), and on the
-    distinguished boundary with |x1| < 1 the bE formula with the witness
-    (conj(x1), 0) ("b_tetra").  On dE off bE, and at interior points below
-    the maximizer's refusal margin, `k_star_closed` gives it with no
-    witness ("boundary_limit"): off the interior the value is a limit at a
-    torus zero of the denominator, never attained.  The supremum is
+    gives it, as |psi| at its argmax, with that argmax as witness
+    ("maximizer"), and on the distinguished boundary with |x1| < 1
+    `sup_on_bE` with the witness (conj(x1), 0) ("b_tetra").  On dE off bE,
+    and at interior points below the maximizer's refusal margin, the
+    closed form of `k_star_closed` gives it with no witness
+    ("boundary_limit"): off the interior the value is a limit at a torus
+    zero of the denominator, never attained.  The supremum is
     infinite when a != 0 and |x1| or |x2| reaches the circle; it is None
     outside the closed tetrablock where the map itself is undefined.
     """
     a, x = _point4(p)
     if abs(a) == 0.0:
         return 0.0, None, "zero"
-    m = tetra_interior_margin(x)
-    if m > max(tol, REFUSE_MARGIN):
+    if tetra_interior_margin(x) > max(tol, REFUSE_MARGIN):
         r = maximizer(x)
         return abs(a) * r.k_star, (r.z1, r.z2), "maximizer"
     v = tetra_classify(x, tol)
@@ -54,13 +54,12 @@ def psi_sup(p, tol: float = TOL):
     x1, x2, x3 = x
     if v.region is Region.DISTINGUISHED_BOUNDARY:
         if abs(x1) < 1.0 - tol:
-            return abs(a) / math.sqrt(1.0 - abs(x1) ** 2), \
-                (x1.conjugate(), 0.0), "b_tetra"
+            return abs(a) * sup_on_bE(x, tol), (x1.conjugate(), 0.0), "b_tetra"
         return _INF, None, "circle_coordinate"
     if abs(x1) >= 1.0 - tol or abs(x2) >= 1.0 - tol:
         return _INF, None, "circle_coordinate"
     on_dE = v.region is Region.BOUNDARY
-    return abs(a) * k_star_closed(x, on_dE), None, "boundary_limit"
+    return abs(a) * _k_star(*x, on_dE), None, "boundary_limit"
 
 
 def hmu_member(p, tol: float = TOL):
@@ -104,14 +103,11 @@ def hmu_closure_member(p, tol: float = TOL):
 
 def hn_params(x):
     """beta = 1 - |x1|^2 - |x2|^2 + |x3|^2, w^2 = x1 x2 - x3 and the interval
-    (m, M) = (beta -/+ sqrt(beta^2 - 4|w|^4)) / 2 of admissible |a|^2."""
-    x1, x2, x3 = (cx(t) for t in x)
-    beta = 1.0 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2
-    wsq = x1 * x2 - x3
-    disc = beta * beta - 4.0 * abs(wsq) ** 2
-    disc = max(disc, 0.0)
-    root = math.sqrt(disc)
-    return beta, wsq, 0.5 * (beta - root), 0.5 * (beta + root)
+    (m, M) = (beta -/+ sqrt(beta^2 - 4|w|^4)) / 2 of admissible |a|^2:
+    M = K*(x)^-2 (`psi._k_star_terms`) and m = |w|^4 / M, precise at m << M."""
+    beta, wsq, M = _k_star_terms(*(cx(t) for t in x))
+    m = abs(wsq) ** 2 / M if M > 0.0 else beta - M
+    return beta, wsq, m, M
 
 
 def hn_member(p, closed: bool = False, tol: float = TOL):
@@ -167,7 +163,7 @@ def h_closure_batch(p, tol: float = TOL):
     The tetrablock verdict is taken on the whole arrays.  In the closed
     tetrablock the margin is 1 where a = 0 and 1 - |a| K*(x) where the
     tetrablock interior margin exceeds max(tol, REFUSE_MARGIN), with K*
-    evaluated on those points at once by `k_star_closed`; every other point
+    evaluated on those points at once in closed form; every other point
     (outside the closed tetrablock, near its boundary) goes through the
     scalar `h_member`."""
     return _h_closure_arrays(p, tol)[:2]
@@ -186,7 +182,7 @@ def _h_closure_arrays(p, tol: float):
     route = closed & ~zero & (tm["part3"] > max(tol, REFUSE_MARGIN))
     margins = np.ones(a.shape)
     if route.any():
-        margins[route] = 1.0 - abs(a[route]) * _k_star_closed(*(t[route] for t in x))
+        margins[route] = 1.0 - abs(a[route]) * _k_star(*(t[route] for t in x))
     flags = margins >= -tol
     for i in zip(*np.nonzero(~(zero | route))):
         flags[i], margins[i] = h_member(tuple(t[i] for t in (a, *x)),

@@ -215,12 +215,11 @@ class RationalHexaInner:
     @classmethod
     def from_dict(cls, d: dict) -> "RationalHexaInner":
         """The inverse of `to_dict`, which also accepts a real number for
-        each complex scalar."""
+        each complex scalar and takes absent B_phase, B_zeros and c as in
+        `_completion_from_dict`."""
         tetra = RationalTetraInner.from_dict(d)
         A = Poly(np.array([cx_from_json(v) for v in d["A"]]), tetra.n)
-        B = BlaschkeProduct(cx_from_json(d["B_phase"]),
-                            tuple(cx_from_json(z) for z in d["B_zeros"]))
-        return cls(tetra, A, B, cx_from_json(d["c"]))
+        return cls(tetra, A, *_completion_from_dict(d))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -228,6 +227,14 @@ class RationalHexaInner:
     @classmethod
     def from_json(cls, text: str) -> "RationalHexaInner":
         return cls.from_dict(json.loads(text))
+
+
+def _completion_from_dict(d: dict) -> tuple[BlaschkeProduct, complex]:
+    """B and c of a hexablock inner function from its JSON form: B_phase
+    and c default to 1 and B_zeros to [], so an absent B is B = 1."""
+    B = BlaschkeProduct(cx_from_json(d.get("B_phase", 1.0)),
+                        tuple(cx_from_json(z) for z in d.get("B_zeros", [])))
+    return B, cx_from_json(d.get("c", 1.0))
 
 
 def hexa_inner_construct(t: RationalTetraInner, B: BlaschkeProduct,

@@ -101,10 +101,6 @@ class Mat2:
     def scaled(self, r: complex) -> "Mat2":
         return Mat2(r * self.a11, r * self.a12, r * self.a21, r * self.a22)
 
-    def adjoint(self) -> "Mat2":
-        return Mat2(self.a11.conjugate(), self.a21.conjugate(),
-                    self.a12.conjugate(), self.a22.conjugate())
-
 
 def singular_values(A: Mat2) -> tuple[float, float]:
     """Both singular values of a 2x2 matrix by the closed-form quadratic on
@@ -124,13 +120,8 @@ def op_norm(A: Mat2) -> float:
     return singular_values(A)[0]
 
 
-def eigenvalues2(A: Mat2) -> tuple[complex, complex]:
-    """Eigenvalues of a 2x2 matrix via the numerically stable quadratic."""
-    return stable_quadratic_roots(A.trace, A.det)
-
-
 def spectral_radius(A: Mat2) -> float:
-    l1, l2 = eigenvalues2(A)
+    l1, l2 = _quadratic_roots(A.trace, A.det)
     return max(abs(l1), abs(l2))
 
 
@@ -141,8 +132,11 @@ def stable_quadratic_roots(s: complex, p: complex) -> tuple[complex, complex]:
     the square root chosen to avoid subtraction; the other root comes from
     the product identity.
     """
-    s = cx(s)
-    p = cx(p)
+    return _quadratic_roots(cx(s), cx(p))
+
+
+def _quadratic_roots(s: complex, p: complex) -> tuple[complex, complex]:
+    """`stable_quadratic_roots` for coerced s, p."""
     sq = cmath.sqrt(s * s - 4.0 * p)
     if abs(s + sq) < abs(s - sq):
         sq = -sq

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .numerics import DomainError, cx
-from .psi import is_triangular, k_star, maximizer
+from .psi import is_triangular, k_star
 from .domains import Region, g2_classify, tetra_classify
 
 
@@ -42,15 +42,9 @@ def real_tetra_margin(x) -> float:
 
 
 def K_real(x) -> float:
-    """K(x) = 1/K*(x) on the real tetrahedron, computed through the real
-    maximizer; the defining numerator is positive there."""
-    x1, x2, x3 = _real3(x)
-    m = maximizer((x1, x2, x3))
-    z1, z2 = m.z1.real, m.z2.real
-    num = 1.0 - x1 * z1 - x2 * z2 + x3 * z1 * z2
-    if num <= 0.0:
-        raise DomainError("K numerator non-positive: point outside the real tetrablock")
-    return num / math.sqrt((1.0 - z1 * z1) * (1.0 - z2 * z2))
+    """K(x) = 1/K*(x) on the real tetrahedron; refuses, as `k_star` does,
+    points within `psi.REFUSE_MARGIN` of its boundary."""
+    return 1.0 / k_star(_real3(x))
 
 
 def real_h_member(p, tol: float = 1e-9):
@@ -117,11 +111,11 @@ def face_classify(p, tol: float = 1e-7):
     forms = [f(x1, x2, x3) for f in _FACE_FORMS]
     mt = real_tetra_margin(x)
     in_closed_tetra = mt >= -tol
+    ks = k_star(x) if mt > tol else None
     if in_closed_tetra:
         # psi bound: sup |psi| <= 1 over the bidisc
-        if mt > tol:
-            sup = abs(a) * k_star(x)
-            psi_ok = sup <= 1.0 + tol * max(1.0, k_star(x))
+        if ks is not None:
+            psi_ok = abs(a) * ks <= 1.0 + tol * max(1.0, ks)
         elif abs(a) <= tol:
             psi_ok = True
         else:
@@ -132,8 +126,7 @@ def face_classify(p, tol: float = 1e-7):
         for j, f in enumerate(forms):
             if abs(f) <= tol and psi_ok:
                 labels.append(f"C{j + 1}")
-    if mt > tol:
-        ks = k_star(x)
+    if ks is not None:
         eq = abs(abs(a) * ks - 1.0)
         if eq <= tol * max(1.0, ks):
             if a >= -tol:

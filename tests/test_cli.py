@@ -153,6 +153,23 @@ def test_inner_validate_reads_real_number_scalars():
     assert code == 64 and out == "" and "[re, im]" in err
 
 
+def test_inner_validate_defaults_b_and_c_as_construct():
+    # absent B_phase, B_zeros and c read as 1, [] and 1 in validate, as in
+    # construct, whose output validates to the same report
+    bare = {"n": 1, "E1": [0, 0], "E2": [0, 0], "D": [1, 0], "A": [0, 1]}
+    code, out = run_cli(["inner", "validate", "--data", json.dumps(bare),
+                         "--json"])
+    assert code == 0 and json.loads(out)["ok"] is True
+    full = dict(bare, B_phase=1, B_zeros=[], c=1)
+    assert run_cli(["inner", "validate", "--data", json.dumps(full),
+                    "--json"]) == (code, out)
+    code, built = run_cli(["inner", "construct", "--data",
+                           json.dumps({k: bare[k] for k in ("n", "E1", "E2", "D")}),
+                           "--json"])
+    assert code == 0
+    assert run_cli(["inner", "validate", "--data", built, "--json"])[0] == 0
+
+
 def test_schwarz_check_infeasible_named():
     code, out = run_cli(["schwarz", "check", "--lam", "[0.5,0]",
                          "--target", "[[0.6,0],[0,0],[0,0],[0.5,0]]",

@@ -317,22 +317,25 @@ def _counted(monkeypatch, name, modules):
 
 def test_penta_classify_work_per_call(monkeypatch, rng):
     # one root solve, read by the G2 verdict and c_plus; the symmetric
-    # point's interior margin and K* come from psi's private cores
+    # point's interior margin and K* come from psi's private cores; a, s
+    # and p are coerced once each, the root solve takes them as they are
     import hexablock.domains as domains
     import hexablock.hexa as hexa
     import hexablock.numerics as numerics
     import hexablock.psi as psi
     mods = (numerics, psi, domains, hexa)
-    roots = _counted(monkeypatch, "stable_quadratic_roots", mods)
+    roots = _counted(monkeypatch, "_quadratic_roots", mods)
     ks = _counted(monkeypatch, "k_star", mods[1:])
     margin = _counted(monkeypatch, "tetra_interior_margin", mods[1:])
+    coerce = _counted(monkeypatch, "cx", mods)
     points = [(0, 0, 0), (1, 0, -1), (1, 0, 0.5), (0.1, 2, 1)]
     points += [pi_penta(rand_contraction(rng, 0.95)) for _ in range(40)]
     routes = 0
     for k, q in enumerate(points, 1):
+        coerce[0] = 0
         v = penta_classify(*q)
         routes += "psi_sup" in v.margins
-        assert (roots[0], ks[0], margin[0]) == (k, 0, 0)
+        assert (roots[0], ks[0], margin[0], coerce[0]) == (k, 0, 0, 3)
     assert routes >= 40
 
 

@@ -121,6 +121,19 @@ def test_hn_interval_params():
     assert beta == pytest.approx(2.0)
     assert abs(wsq + 1) < 1e-12
     assert m == pytest.approx(1.0) and M == pytest.approx(1.0)
+    # at the circle point (1, 0, 0) of the closed tetrablock, M = K*^-2 = 0
+    assert hn_params((1, 0, 0)) == (0.0, 0.0, 0.0, 0.0)
+    assert hn_member((0.5, 1, 0, 0), closed=True)[0] is False
+
+
+@given(st_tetra_point(norm_range=(0.05, 0.999), min_margin=1e-6))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_hn_upper_end_is_k_star_inverse_square(x):
+    # the normed hexablock's upper end M is K*^-2; m M = |x1 x2 - x3|^2
+    beta, wsq, m, M = hn_params(x)
+    assert abs(M * k_star(x) ** 2 - 1.0) <= 1e-13
+    assert m * M == pytest.approx(abs(wsq) ** 2, rel=1e-14, abs=1e-300)
+    assert m + M == pytest.approx(beta, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +623,29 @@ def test_mu_hexa_evaluates_no_membership(monkeypatch):
     for _ in range(50):
         A = rand_mat(rng)
         assert mu_value(A, "hexa") in (op_norm(A), hexa._mu_tetra(A))
+
+
+def test_k_star_users_take_no_maximizer(monkeypatch, rng):
+    # K* is one closed form; the maximizer runs only for psi_sup's witness,
+    # once per interior classify_hexa
+    import hexablock.psi as psi
+    from hexablock.realslice import K_real
+    calls = []
+    core = psi._maximizer
+    monkeypatch.setattr(psi, "_maximizer",
+                        lambda *x: (calls.append(x), core(*x))[1])
+    for _ in range(30):
+        p = rand_hexa_point(rng)
+        x = p[1:]
+        calls.clear()
+        classify_hexa(p)
+        assert len(calls) == 1
+        calls.clear()
+        k_star(x), h_member(p), hartogs_u(x), k_star(columns([x, x]))
+        assert calls == []
+    x = (0.3, -0.2, 0.1)
+    assert K_real(x) == pytest.approx(1.0 / k_star(x), rel=1e-15)
+    assert calls == []
 
 
 def test_mu_homogeneous_at_small_scales():
