@@ -26,11 +26,6 @@ from .domains import (Region, _region, g2_classify, penta_classify,
                       tetra_classify)
 from .hexa import classify_hexa, hp_param, mu_value
 from .autos import HexaAut, hexa_aut_apply, hexa_aut_compose, hexa_aut_invert
-from .inner import (RationalHexaInner, RationalTetraInner, SchwarzProblem,
-                    _completion_from_dict, _schwarz_construct,
-                    hexa_inner_construct, hexa_inner_validate,
-                    interpolation_residuals, schwarz_feasible)
-from .realslice import K_real, face_classify, real_h_member, real_tetra_margin
 from . import __version__
 
 EXIT_INTERIOR = 0
@@ -159,6 +154,8 @@ def cmd_classify(args) -> int:
 def cmd_mu(args) -> int:
     A = _matrix(args.matrix)
     value = mu_value(A, args.structure)
+    if not math.isfinite(value):
+        raise ArithmeticError(f"mu evaluated to {value}")
     payload = {"structure": args.structure, "value": value}
     if args.oracle:
         from .oracles import mu_bruteforce
@@ -191,6 +188,9 @@ def cmd_aut(args) -> int:
 
 
 def cmd_inner(args) -> int:
+    from .inner import (RationalHexaInner, RationalTetraInner,
+                        _completion_from_dict, hexa_inner_construct,
+                        hexa_inner_validate)
     if args.action == "construct":
         data = _parse_json(args.data, "inner data")
         f = hexa_inner_construct(RationalTetraInner.from_dict(data),
@@ -206,6 +206,8 @@ def cmd_inner(args) -> int:
 
 
 def cmd_schwarz(args) -> int:
+    from .inner import (RationalTetraInner, SchwarzProblem, _schwarz_construct,
+                        interpolation_residuals, schwarz_feasible)
     lam = _cx(_parse_json(args.lam, "lambda0"))
     target = _point(args.target, 4)
     try:
@@ -238,6 +240,7 @@ def cmd_schwarz(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .realslice import K_real, face_classify, real_h_member, real_tetra_margin
     rng = np.random.default_rng(args.seed)
     rows = []
     if args.what == "real-slice":
@@ -343,9 +346,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _subparsers() -> dict:
+    """{command name: its parser}, taken from `_parser()`."""
+    return next(a.choices for a in _parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _parse(argv: list):
+    """`_parser().parse_args(argv)`, in one pass over the subcommand's own
+    parser when argv starts with a subcommand's name.  Arguments that
+    parser leaves over are reported by the top-level parser, as
+    `parse_args` would."""
+    sub = _subparsers().get(argv[0]) if argv else None
+    if sub is None:
+        return _parser().parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        _parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # looked up at call time, so a rebinding of cmd_<command> takes effect
@@ -360,6 +385,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ConsistencyError as exc:
         sys.stderr.write(f"internal consistency fault: {exc}\n")
+        return EXIT_INTERNAL
+    except ArithmeticError as exc:
+        sys.stderr.write(f"internal arithmetic fault: {exc!r}\n")
         return EXIT_INTERNAL
     except (KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"malformed input: {exc!r}\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .numerics import (TOL, ConsistencyError, DomainError, DiscAut, cx,
                        cx_arrays, cx_coords, _quadratic_roots,
                        stable_quadratic_roots)
 from .psi import (REFUSE_MARGIN, _betas_from, _interior_margin, _maximizer,
-                  is_triangular)
+                  _tetra_terms, is_triangular)
 
 
 class Region(enum.Enum):
@@ -73,16 +73,19 @@ def _vote(flags: dict, margins: dict, tol: float, what: str) -> bool:
     return vals.pop()
 
 
-def _vote_each(flags: dict, margins: dict, tol: float, what: str, point):
-    """`_vote` at every entry of flag and margin arrays; nan margins abstain.
-    Each flag must be its margin's sign, m > 0 or m >= -tol: a decisive
-    criterion then votes yes where m > tol and no where m < -tol.
+def _vote_each(first, margins: dict, tol: float, what: str, point):
+    """`_vote` at every entry of margin arrays; nan margins abstain.  Each
+    criterion's flag must be its margin's sign, m > 0 or m >= -tol: a
+    decisive criterion then votes yes where m > tol and no where m < -tol.
+    Only the first criterion's flag array, `first`, is read: it decides
+    where every criterion abstains.
 
     `point` holds the coordinate arrays, named in the `ConsistencyError`
     of the first point with a split vote."""
-    margin = np.array(list(margins.values()))
-    yes = np.logical_or.reduce(margin > tol)
-    no = np.logical_or.reduce(margin < -tol)
+    # fmax and fmin pass over nan: a point votes yes where some margin
+    # exceeds tol, no where some margin is below -tol
+    yes = reduce(np.fmax, margins.values()) > tol
+    no = reduce(np.fmin, margins.values()) < -tol
     split = yes & no
     if split.any():
         i = np.unravel_index(np.argmax(split), split.shape)
@@ -93,23 +96,25 @@ def _vote_each(flags: dict, margins: dict, tol: float, what: str, point):
             f"tolerance: {votes} margins={{"
             f"{', '.join(f'{k}: {m[i]:.3e}' for k, m in margins.items())}}}")
     # without a split, a decisive vote is yes or no; else the first flag
-    return yes | (next(iter(flags.values())) > no)
+    return yes | (first > no)
 
 
-# the regions by their codes in `_region`: a tuple for scalars (indexing it
-# is cheaper than reading an Enum member), an object array for arrays
+# the regions by their codes in `_region`: indexing a tuple is cheaper than
+# reading an Enum member
 _CODES = (Region.BOUNDARY, Region.INTERIOR, Region.DISTINGUISHED_BOUNDARY,
           Region.EXTERIOR)
+_EXTERIOR_CODE = _CODES.index(Region.EXTERIOR)
 _REGIONS = np.array(_CODES, dtype=object)
 
 
 def _region(in_closure, on_b, interior):
     """The region decided by the closure, distinguished-boundary and
     interior calls, which take precedence in that order; elementwise, an
-    object array of regions, when the calls are arrays."""
+    array of region codes (indices into `_CODES`), when the calls are
+    arrays."""
     if isinstance(in_closure, np.ndarray):
-        return _REGIONS[np.where(in_closure,
-                                 np.where(on_b, 2, np.where(interior, 1, 0)), 3)]
+        return np.where(in_closure, np.where(on_b, 2, np.where(interior, 1, 0)),
+                        _EXTERIOR_CODE)
     return _CODES[(2 if on_b else 1 if interior else 0) if in_closure else 3]
 
 
@@ -204,10 +209,11 @@ def _pick(cond, if_true, if_false):
 
 
 def _tetra_verdict(x1, x2, x3, tol: float):
-    """(region, margins, witnesses) of `tetra_classify` for coerced
-    coordinates: scalars, or arrays of one shape, on which every margin,
-    vote and region is elementwise.  On arrays part 7 is nan (abstaining)
-    where |x3| >= 1 and the beta witnesses are not kept.
+    """(region, margins, witnesses, terms) of `tetra_classify` for coerced
+    coordinates, with the `psi._tetra_terms` it read: scalars, or arrays
+    of one shape, on which every margin, vote and region is elementwise
+    and the region is a region code (`_region`).  On arrays part 7 is nan
+    (abstaining) where |x3| >= 1 and the beta witnesses are not kept.
 
     Each quantity shared by several criteria is computed once: c12 =
     x1 - conj(x2) x3 and c21 give d12, d21 and the betas, w = |x1 x2 - x3|
@@ -216,12 +222,8 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     batch = isinstance(x1, np.ndarray)
     lo, hi = (np.minimum, np.maximum) if batch else (min, max)
     vote = partial(_vote_each, point=(x1, x2, x3)) if batch else _vote
-    a1, a2, a3 = abs(x1), abs(x2), abs(x3)
-    s1, s2, s3 = a1 ** 2, a2 ** 2, a3 ** 2
-    c12 = x1 - x2.conjugate() * x3
-    c21 = x2 - x1.conjugate() * x3
-    d12, d21 = abs(c12), abs(c21)
-    w = abs(x1 * x2 - x3)
+    terms = _tetra_terms(x1, x2, x3)
+    a1, a2, a3, s1, s2, s3, c12, c21, d12, d21, _, w = terms
     g3 = abs(a3 - 1.0)
     q8 = 1.0 - s1 - s2 + s3 - 2.0 * w
     below3, den, over2 = 1.0 - a3, 1.0 - s3, a2 - 1.0
@@ -248,8 +250,9 @@ def _tetra_verdict(x1, x2, x3, tol: float):
         witnesses["beta2"] = b2
     else:
         m7 = math.nan
-    inside = vote({k: v > 0.0 for k, v in margins.items()}, margins, tol,
-                  "tetrablock interior")
+    # an array vote reads only the first flag
+    inside = vote(m3 > 0.0 if batch else {k: v > 0.0 for k, v in margins.items()},
+                  margins, tol, "tetrablock interior")
 
     # the closure: the non-strict beta margin, extended continuously through
     # |x3| = 1, where it forces x1 = conj(x2) x3 (bE directions), and part
@@ -258,9 +261,10 @@ def _tetra_verdict(x1, x2, x3, tol: float):
                _pick(g3 < 1e-13, -hi(hi(d12, a1 - 1.0), over2), m7))
     margins["closure_beta"] = mc
     margins["closure_part4"] = m4
-    in_closure = vote({"closure_beta": mc >= -tol, "closure_part4": m4 >= -tol},
-                      {"closure_beta": mc, "closure_part4": m4},
-                      tol, "tetrablock closure")
+    in_closure = vote(
+        mc >= -tol if batch else {"closure_beta": mc >= -tol,
+                                  "closure_part4": m4 >= -tol},
+        {"closure_beta": mc, "closure_part4": m4}, tol, "tetrablock closure")
 
     # boundary equalities (only meaningful inside the closure): interior
     # margins negated, as 0.0 - m so that an exact zero stays +0.0
@@ -276,11 +280,12 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     margins["b_tetra_part1"] = mb
     margins["b_tetra_part6"] = mb6
     on_b = vote(
-        {"b_tetra_part1": mb >= -tol, "b_tetra_part6": mb6 >= -tol},
+        mb >= -tol if batch else {"b_tetra_part1": mb >= -tol,
+                                  "b_tetra_part6": mb6 >= -tol},
         {"b_tetra_part1": mb, "b_tetra_part6": mb6}, tol,
         "tetrablock distinguished boundary")
     region = _region(in_closure, on_b, inside & (mc > tol))
-    return region, margins, witnesses
+    return region, margins, witnesses, terms
 
 
 def tetra_classify(x, tol: float = TOL) -> RegionVerdict:
@@ -291,7 +296,8 @@ def tetra_classify(x, tol: float = TOL) -> RegionVerdict:
     the distinguished-boundary characterizations, asserting agreement.
     """
     x1, x2, x3 = x
-    return RegionVerdict(*_tetra_verdict(cx(x1), cx(x2), cx(x3), tol))
+    region, margins, witnesses, _ = _tetra_verdict(cx(x1), cx(x2), cx(x3), tol)
+    return RegionVerdict(region, margins, witnesses)
 
 
 def tetra_classify_batch(x, tol: float = TOL):
@@ -300,8 +306,8 @@ def tetra_classify_batch(x, tol: float = TOL):
     dict of margin arrays under the scalar keys (part 7 is nan where
     |x3| >= 1).  The votes are taken point by point; a split vote raises
     `ConsistencyError` naming the point."""
-    region, margins, _ = _tetra_verdict(*cx_arrays(x), tol)
-    return region, margins
+    region, margins, _, _ = _tetra_verdict(*cx_arrays(x), tol)
+    return _REGIONS[region], margins
 
 
 # ---------------------------------------------------------------------------

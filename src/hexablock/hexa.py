@@ -14,10 +14,11 @@ import numpy as np
 
 from .numerics import (TOL, ConsistencyError, DomainError, Mat2, cx,
                        cx_arrays, op_norm, spectral_radius)
-from .psi import (REFUSE_MARGIN, _k_star, _k_star_terms, is_triangular, k_star,
-                  maximizer, sup_on_bE, tetra_interior_margin)
-from .domains import (Region, _tetra_verdict, bE_margin, penta_classify,
-                      tetra_classify)
+from .psi import (REFUSE_MARGIN, _k_star, _k_star_M, _k_star_of_M,
+                  _tetra_terms, is_triangular, k_star, maximizer, sup_on_bE,
+                  tetra_interior_margin)
+from .domains import (_EXTERIOR_CODE, Region, _tetra_verdict, bE_margin,
+                      penta_classify, tetra_classify)
 
 _INF = math.inf
 
@@ -104,8 +105,10 @@ def hmu_closure_member(p, tol: float = TOL):
 def hn_params(x):
     """beta = 1 - |x1|^2 - |x2|^2 + |x3|^2, w^2 = x1 x2 - x3 and the interval
     (m, M) = (beta -/+ sqrt(beta^2 - 4|w|^4)) / 2 of admissible |a|^2:
-    M = K*(x)^-2 (`psi._k_star_terms`) and m = |w|^4 / M, precise at m << M."""
-    beta, wsq, M = _k_star_terms(*(cx(t) for t in x))
+    M = K*(x)^-2 (`psi._k_star_M`) and m = |w|^4 / M, precise at m << M."""
+    terms = _tetra_terms(*(cx(t) for t in x))
+    beta, M = _k_star_M(terms)
+    wsq = terms[10]  # v = x1 x2 - x3
     m = abs(wsq) ** 2 / M if M > 0.0 else beta - M
     return beta, wsq, m, M
 
@@ -166,23 +169,24 @@ def h_closure_batch(p, tol: float = TOL):
     evaluated on those points at once in closed form; every other point
     (outside the closed tetrablock, near its boundary) goes through the
     scalar `h_member`."""
-    return _h_closure_arrays(p, tol)[:2]
+    return _h_closure_arrays(*cx_arrays(p), tol)[:2]
 
 
-def _h_closure_arrays(p, tol: float):
-    """`h_closure_batch` with the tetrablock margins of x it computed:
-    (flags, margins, tetrablock margins).  The coordinates are coerced
-    once."""
-    a, x1, x2, x3 = cx_arrays(p)
+def _h_closure_arrays(a, x1, x2, x3, tol: float):
+    """`h_closure_batch` for coerced coordinate arrays of one shape, with
+    the tetrablock margins of x it computed: (flags, margins, tetrablock
+    margins).  K* comes from the terms of the tetrablock verdict, on all
+    points at once; the margin reads it where the point is routed."""
     x = (x1, x2, x3)
-    region, tm, _ = _tetra_verdict(x1, x2, x3, tol)
-    closed = region != Region.EXTERIOR
+    region, tm, _, terms = _tetra_verdict(x1, x2, x3, tol)
+    closed = region != _EXTERIOR_CODE
     zero = closed & (a == 0)
     # part 3 is the tetrablock interior margin that `psi_sup` thresholds
     route = closed & ~zero & (tm["part3"] > max(tol, REFUSE_MARGIN))
-    margins = np.ones(a.shape)
-    if route.any():
-        margins[route] = 1.0 - abs(a[route]) * _k_star(*(t[route] for t in x))
+    # off the route K* may be infinite, |a| K* nan (a = 0): not read there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = _k_star_of_M(_k_star_M(terms)[1])
+        margins = np.where(route, 1.0 - abs(a) * k, 1.0)
     flags = margins >= -tol
     for i in zip(*np.nonzero(~(zero | route))):
         flags[i], margins[i] = h_member(tuple(t[i] for t in (a, *x)),

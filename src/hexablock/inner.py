@@ -121,26 +121,34 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
     k, nc, nt = len(_CLOSED_DISC), len(_CIRCLE), len(_DISC_TETRA)
     # the images of the circle and of the tetra disc grid, coerced once
     x = cx_arrays(_ratios(vals[:, k: k + nc + nt]))
-    _, margins, _ = _tetra_verdict(*(v[nc:] for v in x), 1e-9)
+    _, margins, _, _ = _tetra_verdict(*(v[nc:] for v in x), 1e-9)
     closure = np.minimum(margins["closure_beta"], margins["closure_part4"])
-    return _tetra_report(t._rows[:2], vals, [v[:nc] for v in x], closure, tol)
+    step = _circle_step()
+    return _tetra_report(t._rows[:2], vals,
+                         _bE_margin(*(v[:nc:step] for v in x)), closure, tol)
 
 
-def _tetra_report(e: np.ndarray, vals: np.ndarray, circle: list,
+def _circle_step() -> int:
+    """The stride of the circle samples that the tetra report's bE check
+    reads: about 64 of them."""
+    return max(1, len(_CIRCLE) // 64)
+
+
+def _tetra_report(e: np.ndarray, vals: np.ndarray, circle_bE: np.ndarray,
                   disc_closure: np.ndarray, tol: float) -> dict:
     """`tetra_inner_validate` from the coefficient rows `e` of E1 and E2 at
     the bound n, the values `vals` of E1, E2, D, D~n (and possibly more)
-    on the `_VALIDATION_TABLE` grid, the coerced images `circle` of
-    `_CIRCLE` and the smaller closure margin of the tetrablock,
-    `disc_closure`, at the images of `_DISC_TETRA`."""
+    on the `_VALIDATION_TABLE` grid, the bE margin `circle_bE` of the
+    images of every `_circle_step()`-th point of `_CIRCLE` and the smaller
+    closure margin of the tetrablock, `disc_closure`, at the images of
+    `_DISC_TETRA`."""
     k, nc = len(_CLOSED_DISC), len(_CIRCLE)
     E1, E2 = e
     dmin = float(np.abs(vals[2, :k]).min())
     refl = float(np.abs(E1 - np.conj(E2[::-1])).max())
     circ = np.abs(vals[:3, k: k + nc])
     excess = float((circ[:2] - circ[2]).max())
-    step = max(1, nc // 64)
-    worst_b = max(0.0, -float(_bE_margin(*(v[::step] for v in circle)).min()))
+    worst_b = max(0.0, -float(circle_bE.min()))
     worst_in = max(0.0, -float(disc_closure.min()))
     return _report((
         ("min_abs_D", dmin, dmin <= 1e-9, "D vanishes on the closed disc"),
@@ -272,17 +280,20 @@ def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6) -> dict:
     verdict, which covers both disc grids."""
     vals = _VALIDATION_TABLE.eval(f._rows)
     k, nc, nt = len(_CLOSED_DISC), len(_CIRCLE), len(_DISC_TETRA)
-    # f on the circle and on both disc grids; each block is coerced once
-    a = f.c * f.B(_VALIDATION_TABLE.points[k:]) * vals[4, k:] / vals[2, k:]
-    x = _ratios(vals[:, k:])
-    _, margins, tm = _h_closure_arrays((a[nc:], *(v[nc:] for v in x)), tol=1e-9)
-    circle = cx_arrays(v[:nc] for v in x)
+    # f on the circle and on both disc grids, coerced once
+    f_all = cx_arrays((f.c * f.B(_VALIDATION_TABLE.points[k:]) * vals[4, k:]
+                       / vals[2, k:], *_ratios(vals[:, k:])))
+    circle = [v[:nc] for v in f_all]
+    _, margins, tm = _h_closure_arrays(*(v[nc:] for v in f_all), tol=1e-9)
+    circle_bE = _bE_margin(*circle[1:])
 
-    sub = _tetra_report(f._rows[:2, : f.tetra.n + 1], vals, circle, np.minimum(
-        tm["closure_beta"][:nt], tm["closure_part4"][:nt]), tol)
-    worst_norm = float(np.abs(np.abs(a[:nc]) ** 2 + np.abs(circle[0]) ** 2
+    sub = _tetra_report(f._rows[:2, : f.tetra.n + 1], vals,
+                        circle_bE[::_circle_step()], np.minimum(
+                            tm["closure_beta"][:nt], tm["closure_part4"][:nt]),
+                        tol)
+    worst_norm = float(np.abs(np.abs(circle[0]) ** 2 + np.abs(circle[1]) ** 2
                               - 1.0).max())
-    worst_b = max(0.0, -float(_bE_margin(*circle).min()))
+    worst_b = max(0.0, -float(circle_bE.min()))
     low = float(margins[nt:].min())
     worst_marg = -low if low < -1e-8 else 0.0
     return _report((

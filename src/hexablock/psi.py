@@ -1,7 +1,8 @@
 """The linear fractional families psi_{z1,z2}, Psi, Phi_z and kappa, the
 closed-form unique maximizer of |kappa| over the bidisc, and the cost
 K* = sup |kappa| that drives every hexablock membership test, written
-once, in closed form, by `_k_star_terms`.
+once, in closed form, by `_k_star_M` on the terms that `_tetra_terms`
+shares with the tetrablock verdict.
 
 The array entry points of the library are `k_star`, `k_star_closed`,
 `domains.bE_margin`, `domains.tetra_classify_batch` and
@@ -159,10 +160,24 @@ def _maximizer(x1, x2, x3) -> MaximizerResult:
     return MaximizerResult(z1, z2, b1, b2, abs(_kappa(z1, z2, x1, x2, x3)))
 
 
-def _k_star_terms(x1, x2, x3, on_dE: bool = False):
-    """(beta, v, M) for coerced coordinates, scalars or arrays: beta =
-    1 - |x1|^2 - |x2|^2 + |x3|^2, v = x1 x2 - x3 and the one K* expression,
-    M = K*^-2 = (beta + sqrt(max(D, 0)))/2 with D = beta^2 - 4|v|^2.
+def _tetra_terms(x1, x2, x3):
+    """The terms that the tetrablock verdict and K* share, for coerced
+    coordinates, scalars or arrays: the moduli a_i = |x_i| and their
+    squares s_i, c12 = x1 - conj(x2) x3 and c21 = x2 - conj(x1) x3 with
+    their moduli d12 and d21, v = x1 x2 - x3 and w = |v|, as the flat tuple
+    (a1, a2, a3, s1, s2, s3, c12, c21, d12, d21, v, w)."""
+    a1, a2, a3 = abs(x1), abs(x2), abs(x3)
+    c12 = x1 - x2.conjugate() * x3
+    c21 = x2 - x1.conjugate() * x3
+    v = x1 * x2 - x3
+    return (a1, a2, a3, a1 ** 2, a2 ** 2, a3 ** 2, c12, c21, abs(c12),
+            abs(c21), v, abs(v))
+
+
+def _k_star_M(terms, on_dE: bool = False):
+    """(beta, M) from `_tetra_terms`, scalars or arrays: beta = 1 - |x1|^2 -
+    |x2|^2 + |x3|^2 and the one K* expression, M = K*^-2 =
+    (beta + sqrt(max(D, 0)))/2 with D = beta^2 - 4|v|^2.
 
     D is (A - 2B)(A + 2B) for (A, B) = (beta, |v|), (sigma, |x2 - conj(x1)
     x3|) and (sigma', |x1 - conj(x2) x3|), sigma = 1 - |x1|^2 + |x2|^2 -
@@ -172,33 +187,36 @@ def _k_star_terms(x1, x2, x3, on_dE: bool = False):
     `on_dE` takes for a point placed on dE within a tolerance: its computed
     D is rounding noise, which the square root would turn into a relative
     error of about 1e-8 in K*."""
-    s1, s2, s3 = abs(x1) ** 2, abs(x2) ** 2, abs(x3) ** 2
+    _, _, _, s1, s2, s3, _, _, d12, d21, _, w = terms
     beta = 1.0 - s1 - s2 + s3
-    v = x1 * x2 - x3
     if on_dE:
-        return beta, v, 0.5 * beta
+        return beta, 0.5 * beta
     # (A + 2B, D) of each form; D is taken from the first smallest A + 2B
-    terms = []
-    for a, b in ((beta, abs(v)), (1.0 - s1 + s2 - s3, abs(x2 - x1.conjugate() * x3)),
-                 (1.0 + s1 - s2 - s3, abs(x1 - x2.conjugate() * x3))):
+    forms = []
+    for a, b in ((beta, w), (1.0 - s1 + s2 - s3, d21), (1.0 + s1 - s2 - s3, d12)):
         b = 2.0 * b
         p = a + b
-        terms.append((p, (a - b) * p))
-    (p, d), *rest = terms
+        forms.append((p, (a - b) * p))
+    (p, d), *rest = forms
     if isinstance(beta, np.ndarray):
         for p2, d2 in rest:
             d, p = np.where(p2 < p, d2, d), np.minimum(p, p2)
-        return beta, v, 0.5 * (beta + np.sqrt(np.maximum(d, 0.0)))
+        return beta, 0.5 * (beta + np.sqrt(np.maximum(d, 0.0)))
     for p2, d2 in rest:
         if p2 < p:
             p, d = p2, d2
-    return beta, v, 0.5 * (beta + math.sqrt(max(d, 0.0)))
+    return beta, 0.5 * (beta + math.sqrt(max(d, 0.0)))
 
 
 def _k_star(x1, x2, x3, on_dE: bool = False):
-    """K* = M^-1/2 from `_k_star_terms`; infinite where rounding leaves
-    M <= 0 (in closed E, beta vanishes only where |x1| or |x2| = 1)."""
-    M = _k_star_terms(x1, x2, x3, on_dE)[2]
+    """K* of coerced coordinates, scalars or arrays, by `_k_star_M` and
+    `_k_star_of_M`."""
+    return _k_star_of_M(_k_star_M(_tetra_terms(x1, x2, x3), on_dE)[1])
+
+
+def _k_star_of_M(M):
+    """K* = M^-1/2; infinite where rounding leaves M <= 0 (in closed E,
+    beta vanishes only where |x1| or |x2| = 1)."""
     if isinstance(M, np.ndarray):
         with np.errstate(divide="ignore"):
             return np.sqrt(1.0 / np.maximum(M, 0.0))
@@ -217,7 +235,7 @@ def k_star(x):
 def k_star_closed(x, on_dE: bool = False):
     """K*(x) for x in closed E with |x1|, |x2| < 1, with no refusal; on dE
     off bE, K*^2 = 2/beta is a limit at a torus zero of the denominator,
-    not attained in the bidisc.  `on_dE` is `_k_star_terms`'."""
+    not attained in the bidisc.  `on_dE` is `_k_star_M`'s."""
     return _k_star(*cx_coords(x), on_dE)
 
 

@@ -199,7 +199,6 @@ def test_schwarz_solve_checks_feasibility_once(monkeypatch):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "schwarz_feasible", counted)
     monkeypatch.setattr(inner, "schwarz_feasible", counted)
     for lam, target, code in (
             ("[0.5,0]", "[[0.25,0],[0,0],[0,0],[0.5,0]]", 0),
@@ -300,6 +299,83 @@ def test_cli_reuses_one_parser(monkeypatch):
     monkeypatch.setattr(cli, "cmd_inner", recorded)
     assert _run_cli_all(calls[5]) == reused[5]
     assert seen == ["construct"]
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--domain", "tetra", "--point", "[[1e200,0],[0,0],[0,0]]"],
+    ["mu", "--structure", "hexa", "--matrix", "[[1e100,2e100],[1e100,0]]"],
+    ["mu", "--structure", "hexa", "--matrix", "[[1e100,0.5e100],[1e100,0]]",
+     "--json"],
+])
+def test_arithmetic_fault_is_internal(args):
+    # an overflow, or a mu that is not finite, is an internal fault: exit 70
+    # with one line on stderr, never a region code or a NaN on stdout
+    code, out, err = _run_cli_all(args)
+    assert code == 70
+    assert out == ""
+    assert err.startswith("internal arithmetic fault: ")
+    assert err.count("\n") == 1
+
+
+# per subcommand: a complete argv, then (option, bad value) for one choice
+_COMMANDS = {
+    "classify": (["classify", "--domain", "tetra", "--point", "[[0,0],[0,0],[0,0]]"],
+                 ("--domain", "banana")),
+    "mu": (["mu", "--structure", "tetra", "--matrix", "[[1,0],[0,1]]"],
+           ("--structure", "banana")),
+    "aut": (["aut", "invert", "--aut", "{}"], (1, "banana")),
+    "inner": (["inner", "validate", "--data", "{}"], (1, "banana")),
+    "schwarz": (["schwarz", "check", "--lam", "[0.5,0]",
+                 "--target", "[[0,0],[0,0],[0,0],[0,0]]"], (1, "banana")),
+    "sample": (["sample", "boundary"], (1, "banana")),
+}
+
+
+def _bad_argvs(cmd):
+    """{case: argv} of argvs that argparse rejects or answers itself."""
+    full, (opt, bad) = _COMMANDS[cmd]
+    if isinstance(opt, int):
+        choice = full[:opt] + [bad] + full[opt + 1:]
+    else:
+        i = full.index(opt) + 1
+        choice = full[:i] + [bad] + full[i + 1:]
+    return {"help": [cmd, "-h"], "unknown": full + ["--bogus"],
+            "missing": [cmd], "choice": choice}
+
+
+@pytest.mark.parametrize("cmd", sorted(_COMMANDS))
+def test_direct_dispatch_keeps_argparse_answers(cmd):
+    # the subcommand's own parser answers as the full parser does: same exit
+    # code, usage line and message
+    import contextlib
+    import io
+    from hexablock.cli import build_parser
+
+    def reference(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                build_parser().parse_args(argv)
+                code = None
+            except SystemExit as exc:
+                code = int(exc.code or 0)
+        return code, out.getvalue(), err.getvalue()
+
+    for case, argv in _bad_argvs(cmd).items():
+        code, out, err = _run_cli_all(argv)
+        assert (code, out, err) == reference(argv), case
+        if case == "help":
+            assert code == 0 and out.startswith(f"usage: hexablock {cmd} ")
+            continue
+        assert code == 2 and out == ""
+        if case == "unknown":
+            assert err.startswith("usage: hexablock [-h] [--version]")
+            assert "hexablock: error: unrecognized arguments: --bogus" in err
+        else:
+            assert err.startswith(f"usage: hexablock {cmd} ")
+            assert f"hexablock {cmd}: error: " in err
+            assert ("invalid choice: 'banana'" if case == "choice"
+                    else "the following arguments are required") in err
 
 
 def test_sample_real_slice(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hexablock import hexa
 from hexablock.numerics import DomainError, Mat2, op_norm, pi_hexa, \
-    pi_penta, spectral_radius
+    pi_penta, pi_tetra, spectral_radius
 from hexablock.psi import k_star, tetra_interior_margin
 from hexablock.hexa import (bh_member, classify_boundary, classify_hexa,
                             h_closure_batch, h_member, hartogs_u,
@@ -286,6 +286,25 @@ def test_h_closure_batch_matches_scalar(rng, monkeypatch):
     assert len(calls) == len(expect) < len(pts) / 2
     assert [complex(t) for p in calls for t in p] == \
         [complex(t) for p in expect for t in p]
+
+
+def test_h_closure_margins_take_k_star_from_the_verdict(rng):
+    # K* from the tetrablock verdict's terms, on all points at once, is
+    # k_star_closed bit for bit where the margin reads it, near dE as well
+    from hexablock.psi import REFUSE_MARGIN, k_star_closed
+    pts = []
+    for k in range(1, 9):
+        for _ in range(6):
+            A = rand_mat(rng)
+            x = pi_tetra(A.scaled((1.0 - 10.0 ** -k) / mu_value(A, "tetra")))
+            pts.append((rand_unit(rng) * rng.uniform(0.0, 1.2) / k_star(x), *x))
+    a, *x = columns(pts)
+    flags, margins, tm = hexa._h_closure_arrays(a, *x, 1e-9)
+    routed = tm["part3"] > REFUSE_MARGIN
+    assert routed.sum() >= 40 and tm["part3"][routed].min() < 1e-6
+    want = 1.0 - abs(a[routed]) * k_star_closed(tuple(t[routed] for t in x))
+    assert margins[routed].tobytes() == want.tobytes()
+    assert (flags == (margins >= -1e-9)).all()
 
 
 def test_classify_boundary_d0(rng):

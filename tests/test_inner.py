@@ -282,8 +282,8 @@ def test_hexa_inner_validate_work_is_independent_of_circle_size(rng,
         + len(inner._DISC_HEXA)
     assert grids == [others + inner._CIRCLE_N, others + 8 * inner._CIRCLE_N]
     # one stacked product for the tetra and hexa checks; one bE margin on
-    # the circle for each
-    assert seen[0] == {"poly": 0, "product": 1, "bE": 2}
+    # the circle, which the tetra check reads every eighth point of
+    assert seen[0] == {"poly": 0, "product": 1, "bE": 1}
 
 
 def test_hexa_inner_validate_takes_one_array_tetra_verdict(rng, monkeypatch):
@@ -340,6 +340,31 @@ def test_hexa_inner_validate_work_counts(rng, monkeypatch):
         assert hexa_inner_validate(f)["ok"]
         assert counts["product"] == 1 and counts["verdict"] == 1
         assert counts["coerce"] <= 2 and counts["maximizer"] == 0
+
+
+def test_hexa_inner_validate_coerces_once(rng, monkeypatch):
+    # f on the circle and on both disc grids is coerced in one call
+    import hexablock.domains as domains
+    import hexablock.hexa as hexa
+    import hexablock.inner as inner
+    import hexablock.numerics as numerics
+    coerce = numerics.cx_arrays
+    calls = []
+
+    def counted(values):
+        values = tuple(values)
+        calls.append(len(values))
+        return coerce(values)
+
+    for mod in (numerics, domains, hexa, inner):
+        monkeypatch.setattr(mod, "cx_arrays", counted)
+    for _ in range(3):
+        f = hexa_inner_construct(_random_tetra_inner(rng),
+                                 BlaschkeProduct(rand_unit(rng), (0.3,)),
+                                 rand_unit(rng))
+        calls.clear()
+        assert hexa_inner_validate(f)["ok"]
+        assert calls == [4]
 
 
 def test_hexa_tetra_report_is_tetra_inner_validate(rng):

@@ -30,6 +30,21 @@ def test_scalar_calls_load_no_lazy_module():
     assert loaded == []
 
 
+def test_cli_classify_loads_no_inner_or_realslice():
+    # the CLI imports the inner functions only for `inner` and `schwarz`,
+    # and the real slices only for `sample`
+    loaded = _run(
+        "import contextlib, io, sys\n"
+        "from hexablock.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['classify', '--domain', 'hexa', '--point',\n"
+        "                 '[[0.1,0],[0.2,0],[0,0.3],[0.05,0]]', '--json'])\n"
+        "assert code == 0, code\n"
+        "print(*[m for m in ('hexablock.inner', 'hexablock.realslice')\n"
+        "        if m in sys.modules])")
+    assert loaded == []
+
+
 def test_every_export_resolves():
     assert len(set(hexablock.__all__)) == len(hexablock.__all__)
     for name in hexablock.__all__:
