@@ -107,7 +107,7 @@ def hn_params(x):
     (m, M) = (beta -/+ sqrt(beta^2 - 4|w|^4)) / 2 of admissible |a|^2:
     M = K*(x)^-2 (`psi._k_star_M`) and m = |w|^4 / M, precise at m << M."""
     terms = _tetra_terms(*(cx(t) for t in x))
-    beta, M = _k_star_M(terms)
+    beta, _, M = _k_star_M(terms)
     wsq = terms[10]  # v = x1 x2 - x3
     m = abs(wsq) ** 2 / M if M > 0.0 else beta - M
     return beta, wsq, m, M
@@ -185,7 +185,7 @@ def _h_closure_arrays(a, x1, x2, x3, tol: float):
     route = closed & ~zero & (tm["part3"] > max(tol, REFUSE_MARGIN))
     # off the route K* may be infinite, |a| K* nan (a = 0): not read there
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = _k_star_of_M(_k_star_M(terms)[1])
+        k = _k_star_of_M(_k_star_M(terms)[2])
         margins = np.where(route, 1.0 - abs(a) * k, 1.0)
     flags = margins >= -tol
     for i in zip(*np.nonzero(~(zero | route))):

@@ -1,5 +1,6 @@
 """Independent brute-force references: grid suprema of |psi|, the
-definitional tetrablock test, and a sweep-based structured singular value.
+definitional tetrablock test, a sweep-based structured singular value, and
+the finite-difference Levi form of the defining function rho.
 
 These deliberately share no code path with the closed-form implementations
 they are used to test.  All grids are deterministic functions of a GridSpec.
@@ -13,6 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Mat2, cx, op_norm
+from .psi import _k_star_M, _tetra_terms
+
+#: Step of the central differences in `levi_fd_matrix`.
+LEVI_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -394,3 +399,25 @@ def mu_bruteforce(A: Mat2, spec: GridSpec = GridSpec()) -> float:
         if not shrunk:
             break
     return 1.0 / best if best > 1e-13 else 0.0
+
+
+def levi_fd_matrix(x) -> np.ndarray:
+    """Finite-difference mixed Hessian d^2 rho / dx_i d conj(x_j) of rho = -D
+    (`psi._k_star_M`), the reference for `realslice.levi_matrix`: central
+    differences on the six real coordinates, at x +/- (h/2)(e_i +/- e_j)
+    for h = `LEVI_FD_STEP`, combined by the Wirtinger rule."""
+    base = np.array([c for t in x for c in (cx(t).real, cx(t).imag)])
+
+    def rho(e):
+        u = base + e
+        return -_k_star_M(_tetra_terms(*map(complex, u[0::2], u[1::2])))[1]
+
+    E = 0.5 * LEVI_FD_STEP * np.eye(6)
+    Hr = np.empty((6, 6))
+    for i in range(6):
+        for j in range(i, 6):
+            s, t = E[i] + E[j], E[i] - E[j]
+            Hr[i, j] = Hr[j, i] = ((rho(s) - rho(t) - rho(-t) + rho(-s))
+                                   / LEVI_FD_STEP ** 2)
+    return 0.25 * (Hr[0::2, 0::2] + Hr[1::2, 1::2]
+                   + 1j * (Hr[0::2, 1::2] - Hr[1::2, 0::2]))

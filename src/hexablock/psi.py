@@ -175,9 +175,9 @@ def _tetra_terms(x1, x2, x3):
 
 
 def _k_star_M(terms, on_dE: bool = False):
-    """(beta, M) from `_tetra_terms`, scalars or arrays: beta = 1 - |x1|^2 -
-    |x2|^2 + |x3|^2 and the one K* expression, M = K*^-2 =
-    (beta + sqrt(max(D, 0)))/2 with D = beta^2 - 4|v|^2.
+    """(beta, D, M) from `_tetra_terms`, scalars or arrays: beta = 1 - |x1|^2
+    - |x2|^2 + |x3|^2, D = beta^2 - 4|v|^2 (= -rho, `realslice.rho_value`)
+    and the one K* expression, M = K*^-2 = (beta + sqrt(max(D, 0)))/2.
 
     D is (A - 2B)(A + 2B) for (A, B) = (beta, |v|), (sigma, |x2 - conj(x1)
     x3|) and (sigma', |x1 - conj(x2) x3|), sigma = 1 - |x1|^2 + |x2|^2 -
@@ -190,7 +190,7 @@ def _k_star_M(terms, on_dE: bool = False):
     _, _, _, s1, s2, s3, _, _, d12, d21, _, w = terms
     beta = 1.0 - s1 - s2 + s3
     if on_dE:
-        return beta, 0.5 * beta
+        return beta, 0.0, 0.5 * beta
     # (A + 2B, D) of each form; D is taken from the first smallest A + 2B
     forms = []
     for a, b in ((beta, w), (1.0 - s1 + s2 - s3, d21), (1.0 + s1 - s2 - s3, d12)):
@@ -201,17 +201,17 @@ def _k_star_M(terms, on_dE: bool = False):
     if isinstance(beta, np.ndarray):
         for p2, d2 in rest:
             d, p = np.where(p2 < p, d2, d), np.minimum(p, p2)
-        return beta, 0.5 * (beta + np.sqrt(np.maximum(d, 0.0)))
+        return beta, d, 0.5 * (beta + np.sqrt(np.maximum(d, 0.0)))
     for p2, d2 in rest:
         if p2 < p:
             p, d = p2, d2
-    return beta, 0.5 * (beta + math.sqrt(max(d, 0.0)))
+    return beta, d, 0.5 * (beta + math.sqrt(max(d, 0.0)))
 
 
 def _k_star(x1, x2, x3, on_dE: bool = False):
     """K* of coerced coordinates, scalars or arrays, by `_k_star_M` and
     `_k_star_of_M`."""
-    return _k_star_of_M(_k_star_M(_tetra_terms(x1, x2, x3), on_dE)[1])
+    return _k_star_of_M(_k_star_M(_tetra_terms(x1, x2, x3), on_dE)[2])
 
 
 def _k_star_of_M(M):

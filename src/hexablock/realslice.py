@@ -1,8 +1,11 @@
 """Real-coordinate geometry of the hexablock: membership in H with real
-coordinates, the concave-candidate potential K and its Hessian probe, the
+coordinates, the concave-candidate potential K and its exact Hessian, the
 six boundary faces C1..C6 over the tetrahedron faces D1..D4, the defining
 function rho of the non-Levi-flat boundary part of the tetrablock with its
 Levi form, and the real pentablock sets T1, T2, E, S1, S2.
+
+K = 1/K* = sqrt(M) and rho = -D come from the one K* core in `psi`
+(`_tetra_terms`, `_k_star_M`); nothing here differentiates numerically.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import math
 import numpy as np
 
 from .numerics import DomainError, cx
-from .psi import is_triangular, k_star
+from .psi import (_k_star_M, _refuse_boundary, _tetra_terms, is_triangular,
+                  k_star)
 from .domains import Region, g2_classify, tetra_classify
 
 
@@ -50,48 +54,47 @@ def K_real(x) -> float:
 def real_h_member(p, tol: float = 1e-9):
     """Membership of H intersect R^4: x in the open tetrahedron and
     |a| < K(x).  Returns (flag, margin)."""
-    a = cx(p[0])
-    if abs(a.imag) > 1e-12:
-        raise DomainError("real-slice routines need real coordinates")
-    x = _real3(p[1:])
+    a, *x = _real3(p)
     mt = real_tetra_margin(x)
     if mt <= tol:
         return False, min(mt, 0.0)
-    margin = K_real(x) - abs(a.real)
+    margin = K_real(x) - abs(a)
     return margin > tol, margin
 
 
-def hessian_probe_K(x, h: float = 1e-3, richardson: bool = True):
-    """Central-difference Hessian of K_real at x with a negative-semidefinite
-    probe flag.
+# Hessians of beta = 1 - x1^2 - x2^2 + x3^2 and v = x1 x2 - x3 on R^3
+_HESS_BETA = np.diag([-2.0, -2.0, 2.0])
+_HESS_V = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
-    Returns (H, eigenvalues, flag).  This is an empirical probe supporting
-    the convexity conjecture for the real hexablock, never a proof; callers
-    should report its outcome as conjecture-consistent at best.
+
+def _sqrt_chain(f, grad, hess):
+    """Gradient and Hessian of f = sqrt(g) from those of g."""
+    df = grad / (2.0 * f)
+    return df, (hess - 2.0 * np.outer(df, df)) / (2.0 * f)
+
+
+def hessian_probe_K(x):
+    """Hessian of K = sqrt(M), M = (beta + sqrt(D))/2, at x in the open
+    real tetrahedron, with a negative-semidefinite flag (eigenvalues at
+    most 1e-4).  Refuses what `K_real` refuses.
+
+    Returns (H, eigenvalues, flag).  H is the exact Hessian up to rounding,
+    by the chain rule through beta, v = x1 x2 - x3 and D = beta^2 - 4 v^2
+    of `psi._k_star_M`.  It is evaluated at one point: a true flag supports
+    the concavity conjecture for the real hexablock there, never proves it;
+    callers should report its outcome as conjecture-consistent at best.
     """
-    x = np.array(_real3(x), dtype=float)
-    if real_tetra_margin(x) < 4.0 * h:
-        raise DomainError("Hessian probe needs interior margin above 4h")
-
-    def hess(step):
-        H = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                ei = np.zeros(3)
-                ej = np.zeros(3)
-                ei[i] = step
-                ej[j] = step
-                if i == j:
-                    v = (K_real(x + ei) - 2.0 * K_real(x) + K_real(x - ei)) / step ** 2
-                else:
-                    v = (K_real(x + ei + ej) - K_real(x + ei - ej)
-                         - K_real(x - ei + ej) + K_real(x - ei - ej)) / (4.0 * step ** 2)
-                H[i, j] = H[j, i] = v
-        return H
-
-    H = hess(h)
-    if richardson:
-        H = (4.0 * hess(h / 2.0) - H) / 3.0
+    x1, x2, x3 = _real3(x)
+    _refuse_boundary(x1, x2, x3)
+    terms = _tetra_terms(x1, x2, x3)
+    beta, D, M = _k_star_M(terms)
+    v = terms[10]
+    db = np.array([-2.0 * x1, -2.0 * x2, 2.0 * x3])
+    dv = np.array([x2, x1, -1.0])
+    dS, HS = _sqrt_chain(math.sqrt(D), 2.0 * beta * db - 8.0 * v * dv,
+                         2.0 * (np.outer(db, db) + beta * _HESS_BETA)
+                         - 8.0 * (np.outer(dv, dv) + v * _HESS_V))
+    _, H = _sqrt_chain(math.sqrt(M), 0.5 * (db + dS), 0.5 * (_HESS_BETA + HS))
     eig = np.linalg.eigvalsh(H)
     return H, eig, bool(np.all(eig <= 1e-4))
 
@@ -143,24 +146,26 @@ def face_classify(p, tol: float = 1e-7):
 # ---------------------------------------------------------------------------
 
 def _chart_check(x):
-    x1, x2, x3 = (cx(t) for t in x)
-    beta = 1.0 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2
-    w = abs(x1 * x2 - x3)
-    if not (max(abs(x1), abs(x2), abs(x3)) < 1.0 and beta > 0.0 and w > 0.0):
+    """Coerced x on the chart of rho (|x_i| < 1, beta > 0, x1 x2 != x3),
+    its `psi._tetra_terms`, and beta and D of `psi._k_star_M`."""
+    x = tuple(cx(t) for t in x)
+    terms = _tetra_terms(*x)
+    beta, D, _ = _k_star_M(terms)
+    if not (max(terms[:3]) < 1.0 and beta > 0.0 and terms[11] > 0.0):
         raise DomainError("point outside the chart of the defining function")
-    return x1, x2, x3, beta
+    return x, terms, beta, D
 
 
 def rho_value(x) -> float:
-    """rho = 4|x1 x2 - x3|^2 - (1 - |x1|^2 - |x2|^2 + |x3|^2)^2 on the chart."""
-    x1, x2, x3, beta = _chart_check(x)
-    return 4.0 * abs(x1 * x2 - x3) ** 2 - beta * beta
+    """rho = 4|x1 x2 - x3|^2 - (1 - |x1|^2 - |x2|^2 + |x3|^2)^2 on the chart,
+    evaluated as -D of `psi._k_star_M`, its least cancelled factorization."""
+    return -_chart_check(x)[3]
 
 
 def rho_gradient(x):
     """Holomorphic gradient (d rho/d x1, d rho/d x2, d rho/d x3)."""
-    x1, x2, x3, beta = _chart_check(x)
-    b = (x1 * x2 - x3).conjugate()
+    (x1, x2, x3), terms, beta, _ = _chart_check(x)
+    b = terms[10].conjugate()
     g1 = 2.0 * x1.conjugate() * beta + 4.0 * x2 * b
     g2 = 2.0 * x2.conjugate() * beta + 4.0 * x1 * b
     g3 = -2.0 * x3.conjugate() * beta - 4.0 * b
@@ -169,8 +174,8 @@ def rho_gradient(x):
 
 def levi_matrix(x) -> np.ndarray:
     """Hermitian matrix of mixed second derivatives d^2 rho / dx_i d conj(x_j)."""
-    x1, x2, x3, _ = _chart_check(x)
-    a1, a2, a3 = abs(x1) ** 2, abs(x2) ** 2, abs(x3) ** 2
+    (x1, x2, x3), terms, _, _ = _chart_check(x)
+    a1, a2, a3 = terms[3:6]
     L = np.empty((3, 3), dtype=complex)
     L[0, 0] = 2.0 * (1.0 - 2.0 * a1 + a2 + a3)
     L[1, 1] = 2.0 * (1.0 + a1 - 2.0 * a2 + a3)
@@ -199,46 +204,6 @@ def rho_and_levi(x, w):
     return rho, grad, pairing, levi.real
 
 
-def levi_fd_matrix(x, h: float = 1e-4) -> np.ndarray:
-    """Finite-difference mixed Hessian of rho (oracle for levi_matrix).
-
-    Uses the Wirtinger combination of the real 6x6 Hessian computed by
-    central differences on the underlying real coordinates.
-    """
-    x0 = np.array([cx(t) for t in x])
-
-    def rho_of(v6):
-        pt = [complex(v6[0], v6[1]), complex(v6[2], v6[3]), complex(v6[4], v6[5])]
-        x1, x2, x3 = pt
-        beta = 1.0 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2
-        return 4.0 * abs(x1 * x2 - x3) ** 2 - beta * beta
-
-    base = np.array([x0[0].real, x0[0].imag, x0[1].real, x0[1].imag,
-                     x0[2].real, x0[2].imag])
-    Hr = np.zeros((6, 6))
-    for i in range(6):
-        for j in range(i, 6):
-            ei = np.zeros(6)
-            ej = np.zeros(6)
-            ei[i] = h
-            ej[j] = h
-            if i == j:
-                v = (rho_of(base + ei) - 2.0 * rho_of(base) + rho_of(base - ei)) / h ** 2
-            else:
-                v = (rho_of(base + ei + ej) - rho_of(base + ei - ej)
-                     - rho_of(base - ei + ej) + rho_of(base - ei - ej)) / (4.0 * h ** 2)
-            Hr[i, j] = Hr[j, i] = v
-    L = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            uu = Hr[2 * i, 2 * j]
-            vv = Hr[2 * i + 1, 2 * j + 1]
-            uv = Hr[2 * i, 2 * j + 1]
-            vu = Hr[2 * i + 1, 2 * j]
-            L[i, j] = 0.25 * ((uu + vv) + 1j * (uv - vu))
-    return L
-
-
 def dE_part_classify(x, tol: float = 1e-9):
     """Split a point of dE off the distinguished boundary into the
     triangular part (one coordinate on the circle) or the non-Levi-flat
@@ -248,39 +213,41 @@ def dE_part_classify(x, tol: float = 1e-9):
     rotation angles (alpha, beta), the Blaschke centre x1 and the height r
     with f o tau_{v,chi}(x) = (0, r, 1-r).
     """
+    part = _d2E_image(x, tol)
+    if part is None:
+        return "d3E", None
+    x1, y2, y3 = part
+    alpha = math.atan2(y2.imag, y2.real)
+    beta = math.atan2(y3.imag, y3.real) - alpha
+    return "d2E", {"alpha": alpha, "beta": beta, "centre": x1, "r": abs(y2)}
+
+
+def _d2E_image(x, tol: float):
+    """None for a point of the triangular part d3E; for a point of d2E,
+    (x1, y2, y3) where (0, y2, y3) is its image under the automorphism
+    whose Blaschke centre is x1."""
     x1, x2, x3 = (cx(t) for t in x)
     v = tetra_classify((x1, x2, x3), tol)
     if v.region is not Region.BOUNDARY:
         raise DomainError("point is not on dE off the distinguished boundary")
     tri = is_triangular((x1, x2, x3), 1e-7)
     pattern = (abs(abs(x1) - 1.0) <= 1e-7) != (abs(abs(x2) - 1.0) <= 1e-7)
-    if tri != pattern:
-        # the two characterizations coincide; a mismatch is a tolerance clash
-        tri = tri or pattern
-    if tri:
-        return "d3E", None
-    y2 = (x2 - x1.conjugate() * x3) / (1.0 - abs(x1) ** 2)
-    y3 = (x1 * x2 - x3) / (1.0 - abs(x1) ** 2)
-    r = abs(y2)
-    alpha = math.atan2(y2.imag, y2.real)
-    beta = math.atan2(y3.imag, y3.real) - alpha
-    return "d2E", {"alpha": alpha, "beta": beta, "centre": x1, "r": r}
+    # the two characterizations coincide; a mismatch is a tolerance clash
+    if tri or pattern:
+        return None
+    den = 1.0 - abs(x1) ** 2
+    return x1, (x2 - x1.conjugate() * x3) / den, (x1 * x2 - x3) / den
 
 
 def d2E_normal_form(x):
-    """Map a d2E point through the recovered automorphism; lands at (0, r, 1-r)."""
-    kind, prm = dE_part_classify(x)
-    if kind != "d2E":
+    """Map a d2E point through the recovered automorphism and the rotation
+    by (alpha, beta) = (arg y2, arg y3 - arg y2): it lands at
+    (0, |y2|, |y3|) = (0, r, 1-r)."""
+    part = _d2E_image(x, 1e-9)
+    if part is None:
         raise DomainError("normal form exists only on the d2E part")
-    x1, x2, x3 = (cx(t) for t in x)
-    y1 = 0.0
-    y2 = (x2 - x1.conjugate() * x3) / (1.0 - abs(x1) ** 2)
-    y3 = (x1 * x2 - x3) / (1.0 - abs(x1) ** 2)
-    a, b = prm["alpha"], prm["beta"]
-    rot = (complex(math.cos(-b), math.sin(-b)) * y1,
-           complex(math.cos(-a), math.sin(-a)) * y2,
-           complex(math.cos(-(a + b)), math.sin(-(a + b))) * y3)
-    return rot
+    _, y2, y3 = part
+    return 0j, complex(abs(y2)), complex(abs(y3))
 
 
 def d3E_approach_sequence(x, steps=(0.9, 0.99, 0.999)):

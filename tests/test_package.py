@@ -55,11 +55,14 @@ def test_every_export_resolves():
 
 
 def test_lazy_name_loads_its_module_only():
-    loaded = _run(
-        "import sys\n"
-        "from hexablock import grid_sup_kappa\n"
-        f"print(*[m for m in {LAZY!r} if m in sys.modules])")
-    assert loaded == ["hexablock.oracles"]
+    # the real slices differentiate K exactly and need no oracle
+    for name, module in (("grid_sup_kappa", "hexablock.oracles"),
+                         ("hessian_probe_K", "hexablock.realslice")):
+        loaded = _run(
+            "import sys\n"
+            f"from hexablock import {name}\n"
+            f"print(*[m for m in {LAZY!r} if m in sys.modules])")
+        assert loaded == [module], name
 
 
 def test_every_parameter_is_read():

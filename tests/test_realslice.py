@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from hexablock.numerics import DomainError
+from hexablock.numerics import DomainError, op_norm, pi_tetra
+from hexablock.oracles import levi_fd_matrix
 from hexablock.psi import k_star
 from hexablock.realslice import (K_real, d2E_normal_form,
                                  d3E_approach_sequence, dE_part_classify,
                                  face_classify, hessian_probe_K,
-                                 levi_fd_matrix, levi_matrix, penta_real_sets,
+                                 levi_matrix, penta_real_sets,
                                  real_h_member, real_tetra_margin,
                                  rho_and_levi, rho_value, s1_c5_match,
                                  s1_surface_value)
 
-from conftest import rand_unit
+from conftest import rand_mat, rand_unit
+
+# the vertices of the real tetrahedron E intersect R^3
+_VERTICES = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], float)
 
 
 def _rand_real_tetra(rng, min_margin=0.05):
@@ -70,11 +74,45 @@ def test_hessian_probe_random(rng):
     bad = 0
     for _ in range(500):
         x = _rand_real_tetra(rng, 0.15)
-        _, eig, flag = hessian_probe_K(x, h=1e-3)
+        _, eig, flag = hessian_probe_K(x)
         if not flag:
             bad += 1
     # conjecture-consistent: no convexity violations found
     assert bad == 0
+
+
+def test_hessian_probe_matches_mpmath(rng):
+    # the exact Hessian against 50-digit numerical derivatives of
+    # K = sqrt(M), at convex combinations of the vertices; every third
+    # point sits at face margin 1e-3 (a face form is 4 times the weight of
+    # the opposite vertex).  8.9e-14 measured
+    mpmath = pytest.importorskip("mpmath")
+
+    def K(x1, x2, x3):
+        beta = 1 - x1 ** 2 - x2 ** 2 + x3 ** 2
+        v = x1 * x2 - x3
+        return mpmath.sqrt((beta + mpmath.sqrt(beta ** 2 - 4 * v ** 2)) / 2)
+
+    worst = 0.0
+    near = 0
+    for n in range(60):
+        lam = rng.dirichlet(np.ones(4))
+        if n % 3 == 0:
+            j = rng.integers(4)
+            lam *= (1.0 - 2.5e-4) / (1.0 - lam[j])
+            lam[j] = 2.5e-4
+        x = tuple(lam @ _VERTICES)
+        near += real_tetra_margin(x) == pytest.approx(1e-3)
+        H, _, _ = hessian_probe_K(x)
+        with mpmath.workdps(50):
+            ref = np.array([[float(mpmath.diff(K, x, [(i == m) + (j == m)
+                                                      for m in range(3)]))
+                             for j in range(3)] for i in range(3)])
+        worst = max(worst, np.max(np.abs(H - ref)) / np.max(np.abs(ref)))
+    assert near == 20
+    assert worst <= 1e-10
+    with pytest.raises(DomainError):
+        hessian_probe_K((0.6, 0.0, 0.4))  # on the face Delta_1
 
 
 def test_concavity_segment_probe(rng):
@@ -154,6 +192,27 @@ def test_rho_levi_fd_agreement(rng):
 def test_rho_chart_guard():
     with pytest.raises(DomainError):
         rho_value((0, 0, 0))  # |x1 x2 - x3| = 0 is off the chart
+
+
+def test_rho_near_dE_matches_mpmath(rng):
+    # x = pi_E(A) with |a12| = |a21|, so that ||A|| = mu_E(A), at
+    # ||A|| = 1 - 10^-k, k = 2..8: rho -> 0 near dE while its terms stay of
+    # order one, so its error is absolute.  3.2e-16 measured (relative
+    # 1.2e-8 at |rho| = 2e-9); the cancelling beta^2 - 4|v|^2 reads 8.4e-16
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for k in range(2, 9):
+        for _ in range(60):
+            A = rand_mat(rng)
+            t = math.sqrt(abs(A.a21) / abs(A.a12))
+            A = type(A)(A.a11, A.a12 * t, A.a21 / t, A.a22)
+            x = pi_tetra(A.scaled((1.0 - 10.0 ** -k) / op_norm(A)))
+            with mpmath.workdps(50):
+                x1, x2, x3 = (mpmath.mpc(c) for c in x)
+                beta = 1 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2
+                ref = 4 * abs(x1 * x2 - x3) ** 2 - beta ** 2
+                worst = max(worst, float(abs(rho_value(x) - ref)))
+    assert worst <= 2.0 * np.finfo(float).eps
 
 
 def test_dE_parts():
