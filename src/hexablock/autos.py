@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import ConsistencyError, DomainError, DiscAut, cx
+from .numerics import (AUT_CHECK_TOL, AUT_MATCH_TOL, AUT_ROUTE_SLACK,
+                       UNIT_SLACK, _DEN_TINY, _TINY, ConsistencyError,
+                       DomainError, DiscAut, cx)
 from .domains import tau_of, diamond
 from . import hexa as _hexa
 
@@ -67,7 +69,7 @@ def _tetra_aut(t, x1, x2, x3):
     xi2, z2 = _params_chi(t.chi)
     den = (1.0 - z1.conjugate() * x1) \
         - xi2 * z2.conjugate() * (x2 - z1.conjugate() * x3)
-    if abs(den) < 1e-14:
+    if abs(den) < _DEN_TINY:
         raise DomainError("automorphism denominator vanished")
     t1 = xi1 * ((x1 - z1) + xi2 * z2.conjugate() * (z1 * x2 - x3)) / den
     t2 = (z2 * (z1.conjugate() * x1 - 1.0) + xi2 * (x2 - z1.conjugate() * x3)) / den
@@ -105,7 +107,7 @@ class HexaAut:
 
     def __post_init__(self):
         w = cx(self.omega)
-        if abs(abs(w) - 1.0) > 1e-9:
+        if abs(abs(w) - 1.0) > UNIT_SLACK:
             raise DomainError("hexablock automorphism phase must be unimodular")
         object.__setattr__(self, "omega", w / abs(w))
 
@@ -116,23 +118,23 @@ class HexaAut:
     def __call__(self, p, check: bool = True):
         return hexa_aut_apply(self, p, check=check)
 
-    def approx_eq(self, other: "HexaAut", tol: float = 1e-10) -> bool:
+    def approx_eq(self, other: "HexaAut", tol: float = AUT_MATCH_TOL) -> bool:
         return (self.flip == other.flip
                 and abs(self.omega - other.omega) <= tol
                 and self.v.approx_eq(other.v, tol)
                 and self.chi.approx_eq(other.chi, tol))
 
 
-def hexa_aut_apply(T: HexaAut, p, check: bool = True, tol: float = 1e-7):
+def hexa_aut_apply(T: HexaAut, p, check: bool = True):
     """Apply T to a point of the closed hexablock.
 
-    With check=True the input must pass the closure criterion within a
-    loose tolerance; the image region always equals the input region.
+    With check=True the input must pass the closure criterion at the loose
+    `AUT_CHECK_TOL`; the image region always equals the input region.
     """
     a, x1, x2, x3 = (cx(s) for s in p)
     if check:
-        ok, margin = _hexa.h_member((a, x1, x2, x3), closed=True, tol=tol)
-        if not ok and margin < -tol:
+        ok, margin = _hexa.h_member((a, x1, x2, x3), True, AUT_CHECK_TOL)
+        if not ok and margin < -AUT_CHECK_TOL:
             raise DomainError(f"point outside the closed hexablock "
                               f"(margin {margin:.3e})")
     image, den = _tetra_aut(T, x1, x2, x3)
@@ -165,7 +167,7 @@ def _compose_noflip(T1: HexaAut, T2: HexaAut) -> tuple[DiscAut, DiscAut, complex
     _, alpha2 = _params_chi(T2.chi)
     u1 = 1.0 - z1.conjugate() * alpha1
     u2 = 1.0 - z2 * alpha2.conjugate()
-    if abs(u1) < 1e-14 or abs(u2) < 1e-14:
+    if abs(u1) < _TINY or abs(u2) < _TINY:
         raise ConsistencyError("degenerate phase factor in composition")
     gamma = (u1 / abs(u1)) * (u2 / abs(u2))
     v = T1.v.compose(T2.v)
@@ -186,7 +188,7 @@ def _compose_flipflip(T1: HexaAut, T2: HexaAut) -> tuple[DiscAut, DiscAut, compl
     alpha2 = -xi2b.conjugate() * z2b
     u1 = 1.0 - z1.conjugate() * eta2.conjugate() * alpha2
     u2 = 1.0 - z2 * eta1.conjugate() * alpha1.conjugate()
-    if abs(u1) < 1e-14 or abs(u2) < 1e-14:
+    if abs(u1) < _TINY or abs(u2) < _TINY:
         raise ConsistencyError("degenerate phase factor in composition")
     beta = eta1 * eta2 * (u1 / abs(u1)) * (u2 / abs(u2))
     v = T1.v.compose(T2.chi.star())
@@ -225,17 +227,16 @@ def hexa_aut_from_be_point(x) -> tuple[HexaAut, tuple]:
 # Pentablock automorphisms
 # ---------------------------------------------------------------------------
 
-def penta_aut_apply(omega: complex, v: DiscAut, q, check: bool = True,
-                    tol: float = 1e-10):
+def penta_aut_apply(omega: complex, v: DiscAut, q, check: bool = True):
     """f_{omega,v} on the closed pentablock, computed by the closed form and
     cross-checked against the factored route e_* o T_{v,v*,omega} o e_0."""
     omega = cx(omega)
-    if abs(abs(omega) - 1.0) > 1e-9:
+    if abs(abs(omega) - 1.0) > UNIT_SLACK:
         raise DomainError("pentablock automorphism phase must be unimodular")
     a, s, p = (cx(t) for t in q)
     xi, z = _params_v(v)
     den = 1.0 - z.conjugate() * s + z.conjugate() ** 2 * p
-    if abs(den) < 1e-14:
+    if abs(den) < _DEN_TINY:
         raise DomainError("pentablock automorphism denominator vanished")
     out = (xi / den * omega * (1.0 - abs(z) ** 2) * a,
            xi / den * (-2.0 * z + (1.0 + abs(z) ** 2) * s - 2.0 * z.conjugate() * p),
@@ -246,7 +247,7 @@ def penta_aut_apply(omega: complex, v: DiscAut, q, check: bool = True,
         b, y1, y2, y3 = hexa_aut_apply(T, (a, s / 2.0, s / 2.0, p), check=False)
         alt = (b, y1 + y2, y3)
         err = max(abs(o - t) for o, t in zip(out, alt))
-        if err > max(tol, 1e-10):
+        if err > AUT_ROUTE_SLACK:
             raise ConsistencyError(
                 f"pentablock automorphism routes disagree by {err:.3e}")
     return out

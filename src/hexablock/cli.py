@@ -20,7 +20,8 @@ import sys
 
 import numpy as np
 
-from .numerics import ConsistencyError, DiscAut, DomainError, Mat2
+from .numerics import (ORACLE_GAP_FLOOR, REAL_TOL, SAMPLE_FACE_EDGE, TOL,
+                       ConsistencyError, DiscAut, DomainError, Mat2)
 from .numerics import cx_from_json as _cx
 from .domains import (Region, _region, g2_classify, penta_classify,
                       tetra_classify)
@@ -70,8 +71,13 @@ def _matrix(text: str) -> Mat2:
 
 
 def _emit(payload: dict, machine: bool):
+    """Write payload as JSON or key: value lines; refuse non-finite floats."""
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"non-finite value in output: {exc}") from None
     if machine:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        sys.stdout.write(text + "\n")
     else:
         for key, val in payload.items():
             sys.stdout.write(f"{key}: {val}\n")
@@ -154,14 +160,12 @@ def cmd_classify(args) -> int:
 def cmd_mu(args) -> int:
     A = _matrix(args.matrix)
     value = mu_value(A, args.structure)
-    if not math.isfinite(value):
-        raise ArithmeticError(f"mu evaluated to {value}")
     payload = {"structure": args.structure, "value": value}
     if args.oracle:
         from .oracles import mu_bruteforce
         ref = mu_bruteforce(A)
         payload["oracle"] = ref
-        payload["relative_gap"] = abs(ref - value) / max(value, 1e-3)
+        payload["relative_gap"] = abs(ref - value) / max(value, ORACLE_GAP_FLOOR)
     _emit(payload, args.json)
     return 0
 
@@ -247,17 +251,17 @@ def cmd_sample(args) -> int:
         header = ["a", "x1", "x2", "x3", "region", "margin", "faces"]
         for _ in range(args.count):
             x = rng.uniform(-1, 1, 3)
-            if real_tetra_margin(x) <= 1e-6:
+            if real_tetra_margin(x) <= SAMPLE_FACE_EDGE:
                 continue
             k = K_real(x)
             a = rng.uniform(-1.2, 1.2) * k
             member, margin = real_h_member((a, *x))
             region = "interior" if member else (
-                "boundary" if abs(margin) <= 1e-7 else "exterior")
+                "boundary" if abs(margin) <= REAL_TOL else "exterior")
             faces = []
             if not member:
                 try:
-                    faces = face_classify((math.copysign(k, a), *x), 1e-7)
+                    faces = face_classify((math.copysign(k, a), *x))
                 except DomainError:
                     faces = []
             rows.append([a, *x, region, margin, "|".join(faces)])
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON array of complex entries, each [re, im]")
     c.add_argument("--closed", action="store_true",
                    help="test closure membership for the hexa domains")
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=float, default=TOL)
     c.add_argument("--json", action="store_true", help="machine-readable output")
 
     m = sub.add_parser("mu", help="structured singular value of a 2x2 matrix")

@@ -18,11 +18,12 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .numerics import (TOL, ConsistencyError, DomainError, DiscAut, cx,
-                       cx_arrays, cx_coords, _quadratic_roots,
+from .numerics import (BETA_SINGULAR, DIAMOND_POLE, REFUSE_MARGIN, TOL,
+                       UNIT_X3_EDGE, _TINY, ConsistencyError, DomainError,
+                       DiscAut, cx, cx_arrays, cx_coords, _quadratic_roots,
                        stable_quadratic_roots)
-from .psi import (REFUSE_MARGIN, _betas_from, _interior_margin, _maximizer,
-                  _tetra_terms, is_triangular)
+from .psi import (_betas_from, _interior_margin, _maximizer, _tetra_terms,
+                  is_triangular)
 
 
 class Region(enum.Enum):
@@ -133,7 +134,7 @@ def _solve_beta(s: complex, p: complex):
     a = 1.0 + p
     b = 1j * (1.0 - p)
     det = a.real * b.imag - b.real * a.imag
-    if abs(det) < 1e-12:
+    if abs(det) < BETA_SINGULAR:
         return None
     return complex((s.real * b.imag - b.real * s.imag) / det,
                    (a.real * s.imag - s.real * a.imag) / det)
@@ -258,7 +259,7 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     # |x3| = 1, where it forces x1 = conj(x2) x3 (bE directions), and part
     # 4's margin with the non-strict inequality
     mc = _pick(a3 > 1.0, below3,
-               _pick(g3 < 1e-13, -hi(hi(d12, a1 - 1.0), over2), m7))
+               _pick(g3 < UNIT_X3_EDGE, -hi(hi(d12, a1 - 1.0), over2), m7))
     margins["closure_beta"] = mc
     margins["closure_part4"] = m4
     in_closure = vote(
@@ -377,13 +378,13 @@ def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
 # The diamond action and tau
 # ---------------------------------------------------------------------------
 
-def diamond(x, y, tol: float = 1e-12):
+def diamond(x, y):
     """x <> y = (x1 - x3 y1, y2 - x2 y3, x1 y2 - x3 y3) / (1 - x2 y1),
     the composition law Psi(., x) o Psi(., y) = Psi(., x <> y)."""
     x1, x2, x3 = (cx(t) for t in x)
     y1, y2, y3 = (cx(t) for t in y)
     den = 1.0 - x2 * y1
-    if abs(den) < max(tol, 1e-14):
+    if abs(den) < DIAMOND_POLE:
         raise DomainError("diamond singularity: x2*y1 = 1")
     return ((x1 - x3 * y1) / den, (y2 - x2 * y3) / den,
             (x1 * y2 - x3 * y3) / den)
@@ -432,7 +433,7 @@ def retract_penta(q):
     return (a, x1 + x2, x3)
 
 
-def penta_hn_witness(a: complex, s: complex, p: complex, tol: float = TOL):
+def penta_hn_witness(a: complex, s: complex, p: complex):
     """A point of the open normed hexablock projecting onto (a, s, p) in P.
 
     Returns (a, s/2, s/2, p) on the c_- < |a| < c_+ branch, otherwise the
@@ -440,7 +441,7 @@ def penta_hn_witness(a: complex, s: complex, p: complex, tol: float = TOL):
     d = zeta_0 sqrt(|w|^2 - |a|^2) and w = (l1 - l2)/2.
     """
     a, s, p = cx(a), cx(s), cx(p)
-    region, _, witnesses = _penta_verdict(a, s, p, tol)
+    region, _, witnesses = _penta_verdict(a, s, p, TOL)
     if region is not Region.INTERIOR:
         raise DomainError("penta_hn_witness needs a point of the open pentablock")
     l1, l2 = witnesses["eigenvalues"]
@@ -448,7 +449,7 @@ def penta_hn_witness(a: complex, s: complex, p: complex, tol: float = TOL):
     if cm < abs(a) < cp:
         return (a, s / 2.0, s / 2.0, p)
     w = (l1 - l2) / 2.0
-    if abs(w) < 1e-14:
+    if abs(w) < _TINY:
         # c_- = 0 forces a = 0 here; the symmetric point is triangular
         return (a, s / 2.0, s / 2.0, p)
     zeta0 = w / abs(w)
@@ -460,7 +461,7 @@ def penta_hn_witness(a: complex, s: complex, p: complex, tol: float = TOL):
 # Distinguished-boundary generation for the tetrablock
 # ---------------------------------------------------------------------------
 
-def bE_generator_params(x, tol: float = 1e-9):
+def bE_generator_params(x):
     """Normal-form parameters reproducing a distinguished-boundary point.
 
     Returns ``(kind, xi1, z1, xi2, z2)`` with ``tau_{v, chi}(base) = x`` for
@@ -468,8 +469,8 @@ def bE_generator_params(x, tol: float = 1e-9):
     ``kind == 'triangular'`` or (0,0,1) otherwise.
     """
     x1, x2, x3 = (cx(t) for t in x)
-    if bE_margin(x) < -10 * tol:
+    if bE_margin(x) < -10 * TOL:
         raise DomainError("not a distinguished-boundary point of E")
-    if is_triangular(x, tol):
+    if is_triangular(x):
         return ("triangular", x1 / abs(x1), 0.0 + 0.0j, x2 / abs(x2), 0.0 + 0.0j)
     return ("generic", x3, -x1 * x3.conjugate(), 1.0 + 0.0j, 0.0 + 0.0j)

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (TOL, ConsistencyError, DomainError, Mat2, cx,
-                       cx_arrays, op_norm, spectral_radius)
-from .psi import (REFUSE_MARGIN, _k_star, _k_star_M, _k_star_of_M,
-                  _tetra_terms, is_triangular, k_star, maximizer, sup_on_bE,
-                  tetra_interior_margin)
+from .numerics import (MU_BRACKET_SLACK, MU_GUARD, MU_LO_FLOOR, MU_NEGLIGIBLE,
+                       MU_WIDTH, MU_ZERO_NORM, REFUSE_MARGIN, TOL, UNIT_SLACK,
+                       ConsistencyError, DomainError, Mat2, cx, cx_arrays,
+                       op_norm, spectral_radius)
+from .psi import (_k_star, _k_star_M, _k_star_of_M, _tetra_terms,
+                  is_triangular, k_star, maximizer, tetra_interior_margin)
 from .domains import (_EXTERIOR_CODE, Region, _tetra_verdict, bE_margin,
                       penta_classify, tetra_classify)
 
@@ -31,13 +32,12 @@ def _point4(p):
 def psi_sup(p, tol: float = TOL):
     """sup over the open bidisc of |psi_{z1,z2}(p)|.
 
-    Returns (sup, witness, method).  The supremum is in closed form on the
-    whole closed tetrablock.  On the open tetrablock the unique maximizer
-    gives it, as |psi| at its argmax, with that argmax as witness
-    ("maximizer"), and on the distinguished boundary with |x1| < 1
-    `sup_on_bE` with the witness (conj(x1), 0) ("b_tetra").  On dE off bE,
-    and at interior points below the maximizer's refusal margin, the
-    closed form of `k_star_closed` gives it with no witness
+    Returns (sup, witness, method).  The supremum is |a| K*(x), the one
+    closed form of `psi._k_star`, on the whole closed tetrablock; the
+    method names the witness.  On the open tetrablock it is the unique
+    maximizer ("maximizer"), on the distinguished boundary with |x1| < 1
+    the point (conj(x1), 0) ("b_tetra").  On dE off bE, and at interior
+    points below the maximizer's refusal margin, there is none
     ("boundary_limit"): off the interior the value is a limit at a torus
     zero of the denominator, never attained.  The supremum is
     infinite when a != 0 and |x1| or |x2| reaches the circle; it is None
@@ -48,19 +48,18 @@ def psi_sup(p, tol: float = TOL):
         return 0.0, None, "zero"
     if tetra_interior_margin(x) > max(tol, REFUSE_MARGIN):
         r = maximizer(x)
-        return abs(a) * r.k_star, (r.z1, r.z2), "maximizer"
-    v = tetra_classify(x, tol)
-    if v.region is Region.EXTERIOR:
-        return None, None, "exterior"
-    x1, x2, x3 = x
-    if v.region is Region.DISTINGUISHED_BOUNDARY:
-        if abs(x1) < 1.0 - tol:
-            return abs(a) * sup_on_bE(x, tol), (x1.conjugate(), 0.0), "b_tetra"
-        return _INF, None, "circle_coordinate"
-    if abs(x1) >= 1.0 - tol or abs(x2) >= 1.0 - tol:
-        return _INF, None, "circle_coordinate"
-    on_dE = v.region is Region.BOUNDARY
-    return abs(a) * _k_star(*x, on_dE), None, "boundary_limit"
+        witness, method = (r.z1, r.z2), "maximizer"
+    else:
+        region = tetra_classify(x, tol).region
+        if region is Region.EXTERIOR:
+            return None, None, "exterior"
+        x1, x2, _ = x
+        on_b = region is Region.DISTINGUISHED_BOUNDARY
+        if abs(x1) >= 1.0 - tol or not on_b and abs(x2) >= 1.0 - tol:
+            return _INF, None, "circle_coordinate"
+        witness, method = ((x1.conjugate(), 0.0), "b_tetra") if on_b \
+            else (None, "boundary_limit")
+    return abs(a) * _k_star(*x), witness, method
 
 
 def hmu_member(p, tol: float = TOL):
@@ -118,7 +117,9 @@ def hn_member(p, closed: bool = False, tol: float = TOL):
 
     Open: (x1,x2,x3) in E and either (a = 0 and x1 x2 = x3) or
     m < |a|^2 < M.  Closed: closed E and the non-strict inequalities.
-    Returns (flag, margin)."""
+    Returns (flag, margin).  For a != 0 the margin is min(1 - |a| K*,
+    1 - sqrt(m)/|a|), K* = M^-1/2 (-1 where K* is infinite): its first term
+    is the float that H and its closure read, so H_N <= H by construction."""
     a, x = _point4(p)
     if closed:
         v = tetra_classify(x, tol)
@@ -135,10 +136,10 @@ def hn_member(p, closed: bool = False, tol: float = TOL):
         x1, x2, x3 = x
         marg = -abs(x1 * x2 - x3)
         return marg >= -tol * (1.0 + abs(x3)), marg
-    # -(|a|^4 - beta |a|^2 + |w|^4): positive exactly on m < |a|^2 < M
-    beta, wsq, _, _ = hn_params(x)
-    t = abs(a) ** 2
-    q = -(t * t - beta * t + abs(wsq) ** 2)
+    _, _, m, M = hn_params(x)
+    k = _k_star_of_M(M)
+    a_a = abs(a)
+    q = min(1.0 - a_a * k, 1.0 - math.sqrt(m) / a_a) if k < _INF else -1.0
     if closed:
         return q >= -tol, q
     return q > tol, q
@@ -215,11 +216,11 @@ def _boundary_parts(p, v, sup_res, tol: float):
     a, _ = _point4(p)
     parts: set[str] = set()
     witness = None
-    on_dE = v.region in (Region.BOUNDARY, Region.DISTINGUISHED_BOUNDARY)
-    if abs(a) <= tol and on_dE:
+    x_in_dE = v.region in (Region.BOUNDARY, Region.DISTINGUISHED_BOUNDARY)
+    if abs(a) <= tol and x_in_dE:
         parts.add("d0")
     if abs(a) > tol:
-        if on_dE:
+        if x_in_dE:
             parts.add("d2")
         sup, arg, _ = sup_res
         if arg is not None and abs(sup - 1.0) <= 10 * tol:
@@ -245,7 +246,7 @@ def hp_param(theta: float, z: complex, w: complex):
     """The unitary-orbit parametrization (-e^{i t} z, w, e^{i t} conj(w),
     e^{i t}) of H_p; requires |z|^2 + |w|^2 = 1."""
     z, w = cx(z), cx(w)
-    if abs(abs(z) ** 2 + abs(w) ** 2 - 1.0) > 1e-9:
+    if abs(abs(z) ** 2 + abs(w) ** 2 - 1.0) > UNIT_SLACK:
         raise DomainError("hp_param needs |z|^2 + |w|^2 = 1")
     e = complex(math.cos(theta), math.sin(theta))
     return (-e * z, w, e * w.conjugate(), e)
@@ -339,7 +340,7 @@ def _penta_member(A: Mat2, t: float, tol: float) -> bool:
                           tol).in_interior
 
 
-def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
+def mu_value(A: Mat2, structure: str = "hexa") -> float:
     """Structured singular value of a 2x2 matrix.
 
     structure is one of 'tetra' (diagonal perturbations), 'penta'
@@ -358,7 +359,7 @@ def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
     the corner), so mu_hexa <= ||D A D^-1|| for every such delta; the
     balancing delta^2 = |a21|/|a12| gives mu_tetra when it is <= 1, and
     otherwise delta = 1 gives ||A|| (Packard & Doyle 1993).  penta bisects
-    its strict membership criterion to the width tol * ||A||, relative so
+    its strict membership criterion to the width MU_WIDTH ||A||, relative so
     that mu(cA) = |c| mu(A) at every scale, and is capped by mu_hexa, since
     span{I, e12} lies in the upper-triangular matrices.  The three mu
     values are not totally ordered: diagonal and span{I, e12}
@@ -379,23 +380,23 @@ def mu_value(A: Mat2, structure: str = "hexa", tol: float = 1e-9) -> float:
     if structure == "hexa":
         return mu_hexa
     hi = op_norm(A)
-    if hi <= 1e-300:
+    if hi <= MU_ZERO_NORM:
         return 0.0
     lo = spectral_radius(A)
-    lo_b = max(lo, hi * 1e-13)
-    if _penta_member(A, lo_b, tol):
-        if lo <= hi * 1e-12:
+    lo_b = max(lo, hi * MU_LO_FLOOR)
+    if _penta_member(A, lo_b, TOL):
+        if lo <= hi * MU_NEGLIGIBLE:
             return 0.0
         # mu equals the spectral radius up to roundoff
         return lo
-    hi_b = hi * (1.0 + 1e-12) + 1e-300
-    if not _penta_member(A, hi_b * (1.0 + 1e-6), tol):
+    hi_b = hi * (1.0 + MU_BRACKET_SLACK) + MU_ZERO_NORM
+    if not _penta_member(A, hi_b * (1.0 + MU_GUARD), TOL):
         # numerical guard; mu_penta <= mu_hexa always holds mathematically
         return mu_hexa
-    target = tol * hi
+    target = MU_WIDTH * hi
     while hi_b - lo_b > target:
         mid = 0.5 * (lo_b + hi_b)
-        if _penta_member(A, mid, tol):
+        if _penta_member(A, mid, TOL):
             hi_b = mid
         else:
             lo_b = mid

@@ -18,9 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (BlaschkeProduct, ConsistencyError, DomainError, Poly,
-                       PowerTable, _frozen, cx, cx_arrays, cx_from_json,
-                       fejer_riesz, poly_abs2_trig, trig_sub)
+from .numerics import (
+    BRIDGE_SLACK, CIRCLE_EDGE, INNER_A_ZERO, INNER_BOUND_SLACK,
+    INNER_CLOSURE_SLACK, INNER_D_ZERO, INNER_DISC_SLACK, INNER_FR_TOL,
+    INNER_REFL_SLACK, INNER_TOL, INTERP_SLACK, PHASE_ALIGN_SLACK, PHASE_ZERO,
+    SCHWARZ_A_ZERO, SCHWARZ_EDGE, SCHWARZ_TARGET_TOL, SYMMETRY_SLACK, TOL,
+    UNIMODULAR_EDGE, BlaschkeProduct, ConsistencyError, DomainError, Poly,
+    PowerTable, _frozen, cx, cx_arrays, cx_from_json, fejer_riesz,
+    poly_abs2_trig, trig_sub)
 from .psi import k_star
 from .domains import _bE_margin, _tetra_verdict
 from .hexa import _h_closure_arrays, h_member
@@ -49,6 +54,8 @@ _CIRCLE_SPOT = _circle(16)
 _CLOSED_DISC = _frozen(np.concatenate([_disc_samples(200, 0.999), _circle(256)]))
 _DISC_TETRA = _disc_samples(60)
 _DISC_HEXA = _disc_samples(100)
+# the stride of the circle samples that the tetra report's bE check reads
+_CIRCLE_STEP = max(1, len(_CIRCLE) // 64)
 _VALIDATION_TABLE = PowerTable(np.concatenate([_CLOSED_DISC, _CIRCLE,
                                                _DISC_TETRA, _DISC_HEXA]))
 
@@ -110,7 +117,7 @@ class RationalTetraInner:
         return cls(E1, E2, D, n)
 
 
-def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
+def tetra_inner_validate(t: RationalTetraInner) -> dict:
     """Validation report for tetrablock inner data.
 
     Checks D zero-free on a dense closed-disc grid, the reflection identity
@@ -121,25 +128,18 @@ def tetra_inner_validate(t: RationalTetraInner, tol: float = 1e-6) -> dict:
     k, nc, nt = len(_CLOSED_DISC), len(_CIRCLE), len(_DISC_TETRA)
     # the images of the circle and of the tetra disc grid, coerced once
     x = cx_arrays(_ratios(vals[:, k: k + nc + nt]))
-    _, margins, _, _ = _tetra_verdict(*(v[nc:] for v in x), 1e-9)
+    _, margins, _, _ = _tetra_verdict(*(v[nc:] for v in x), TOL)
     closure = np.minimum(margins["closure_beta"], margins["closure_part4"])
-    step = _circle_step()
     return _tetra_report(t._rows[:2], vals,
-                         _bE_margin(*(v[:nc:step] for v in x)), closure, tol)
-
-
-def _circle_step() -> int:
-    """The stride of the circle samples that the tetra report's bE check
-    reads: about 64 of them."""
-    return max(1, len(_CIRCLE) // 64)
+                         _bE_margin(*(v[:nc:_CIRCLE_STEP] for v in x)), closure)
 
 
 def _tetra_report(e: np.ndarray, vals: np.ndarray, circle_bE: np.ndarray,
-                  disc_closure: np.ndarray, tol: float) -> dict:
+                  disc_closure: np.ndarray) -> dict:
     """`tetra_inner_validate` from the coefficient rows `e` of E1 and E2 at
     the bound n, the values `vals` of E1, E2, D, D~n (and possibly more)
     on the `_VALIDATION_TABLE` grid, the bE margin `circle_bE` of the
-    images of every `_circle_step()`-th point of `_CIRCLE` and the smaller
+    images of every `_CIRCLE_STEP`-th point of `_CIRCLE` and the smaller
     closure margin of the tetrablock, `disc_closure`, at the images of
     `_DISC_TETRA`."""
     k, nc = len(_CLOSED_DISC), len(_CIRCLE)
@@ -151,14 +151,16 @@ def _tetra_report(e: np.ndarray, vals: np.ndarray, circle_bE: np.ndarray,
     worst_b = max(0.0, -float(circle_bE.min()))
     worst_in = max(0.0, -float(disc_closure.min()))
     return _report((
-        ("min_abs_D", dmin, dmin <= 1e-9, "D vanishes on the closed disc"),
+        ("min_abs_D", dmin, dmin <= INNER_D_ZERO,
+         "D vanishes on the closed disc"),
         ("reflection_residual", refl,
-         refl > 1e-9 * max(1.0, float(np.abs(E2).max())), "E1 != E2~n"),
-        ("circle_bound_excess", excess, excess > tol,
+         refl > INNER_REFL_SLACK * max(1.0, float(np.abs(E2).max())),
+         "E1 != E2~n"),
+        ("circle_bound_excess", excess, excess > INNER_TOL,
          "|E_i| exceeds |D| on the circle"),
-        ("circle_bE_violation", worst_b, worst_b > tol,
+        ("circle_bE_violation", worst_b, worst_b > INNER_TOL,
          "circle image leaves the distinguished boundary"),
-        ("disc_closure_violation", worst_in, worst_in > tol,
+        ("disc_closure_violation", worst_in, worst_in > INNER_TOL,
          "disc image leaves the closed tetrablock")))
 
 
@@ -260,17 +262,17 @@ def hexa_inner_construct(t: RationalTetraInner, B: BlaschkeProduct,
     d2 = poly_abs2_trig(D)
     f = trig_sub(d2, poly_abs2_trig(E1))
     scale = float(np.max(np.abs(d2)))
-    if float(np.max(np.abs(f))) <= 1e-12 * scale:
+    if float(np.max(np.abs(f))) <= INNER_A_ZERO * scale:
         # |E1| = |D| identically on the circle (x1 itself inner): A = 0
         A = Poly.const(0.0, t.n)
     else:
-        A = fejer_riesz(f, tol=1e-7)
+        A = fejer_riesz(f, tol=INNER_FR_TOL)
     if A.degree > t.n:
         raise ConsistencyError("spectral factor degree exceeded the bound")
     return RationalHexaInner(t, A.with_bound(t.n), B, cx(c))
 
 
-def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6) -> dict:
+def hexa_inner_validate(f: RationalHexaInner) -> dict:
     """Validation report for hexablock inner data: circle images satisfy
     |a|^2 + |x1|^2 = 1 and land on the distinguished boundary of E; disc
     images stay in the closed hexablock (to 1e-8); the tetra part validates.
@@ -284,29 +286,28 @@ def hexa_inner_validate(f: RationalHexaInner, tol: float = 1e-6) -> dict:
     f_all = cx_arrays((f.c * f.B(_VALIDATION_TABLE.points[k:]) * vals[4, k:]
                        / vals[2, k:], *_ratios(vals[:, k:])))
     circle = [v[:nc] for v in f_all]
-    _, margins, tm = _h_closure_arrays(*(v[nc:] for v in f_all), tol=1e-9)
+    _, margins, tm = _h_closure_arrays(*(v[nc:] for v in f_all), TOL)
     circle_bE = _bE_margin(*circle[1:])
 
     sub = _tetra_report(f._rows[:2, : f.tetra.n + 1], vals,
-                        circle_bE[::_circle_step()], np.minimum(
-                            tm["closure_beta"][:nt], tm["closure_part4"][:nt]),
-                        tol)
+                        circle_bE[::_CIRCLE_STEP], np.minimum(
+                            tm["closure_beta"][:nt], tm["closure_part4"][:nt]))
     worst_norm = float(np.abs(np.abs(circle[0]) ** 2 + np.abs(circle[1]) ** 2
                               - 1.0).max())
     worst_b = max(0.0, -float(circle_bE.min()))
     low = float(margins[nt:].min())
-    worst_marg = -low if low < -1e-8 else 0.0
+    worst_marg = -low if low < -INNER_CLOSURE_SLACK else 0.0
     return _report((
         ("tetra", sub, not sub["ok"], "tetra part invalid"),
-        ("circle_norm_residual", worst_norm, worst_norm > tol,
+        ("circle_norm_residual", worst_norm, worst_norm > INNER_TOL,
          "|a|^2 + |x1|^2 != 1 on the circle"),
-        ("circle_bE_violation", worst_b, worst_b > tol,
+        ("circle_bE_violation", worst_b, worst_b > INNER_TOL,
          "circle image off the distinguished boundary"),
-        ("disc_closure_violation", worst_marg, worst_marg > 1e-8,
+        ("disc_closure_violation", worst_marg, worst_marg > INNER_CLOSURE_SLACK,
          "disc image leaves the closed hexablock")))
 
 
-def rational_inner_outer(num: Poly, den: Poly, tol: float = 1e-9):
+def rational_inner_outer(num: Poly, den: Poly):
     """Inner-outer splitting of a rational function bounded by 1 on the disc.
 
     Returns (a_in, (out_num, out_den)) where a_in is the Blaschke product
@@ -314,12 +315,12 @@ def rational_inner_outer(num: Poly, den: Poly, tol: float = 1e-9):
     outer part is zero-free on the disc with a_in * out = num/den exactly.
     """
     dv = den(_CLOSED_DISC)
-    if float(np.min(np.abs(dv))) <= 1e-9:
+    if float(np.min(np.abs(dv))) <= INNER_D_ZERO:
         raise DomainError("denominator vanishes on the closed disc")
-    if float(np.max(np.abs(num(_CLOSED_DISC) / dv))) > 1.0 + 1e-7:
+    if float(np.max(np.abs(num(_CLOSED_DISC) / dv))) > 1.0 + INNER_BOUND_SLACK:
         raise DomainError("rational data exceeds modulus 1 on the disc")
     zero_list = [] if num.degree <= 0 else list(num.roots())
-    inner_zeros = [z for z in zero_list if abs(z) < 1.0 - tol]
+    inner_zeros = [z for z in zero_list if abs(z) < 1.0 - CIRCLE_EDGE]
     # divide out the disc zeros, multiply the reflected denominators back in
     q = num.coeffs.copy()
     for z in inner_zeros:
@@ -330,7 +331,7 @@ def rational_inner_outer(num: Poly, den: Poly, tol: float = 1e-9):
     # outer part normalized positive at the origin; the phase moves inside
     v0 = complex(out_num(0.0)) / complex(den(0.0))
     phase = 1.0 + 0.0j
-    if abs(v0) > 1e-13:
+    if abs(v0) > PHASE_ZERO:
         phase = v0 / abs(v0)
         out_num = out_num.scale(phase.conjugate())
     a_in = BlaschkeProduct(phase, tuple(inner_zeros))
@@ -365,7 +366,7 @@ class SchwarzProblem:
         if not 0.0 < abs(lam) < 1.0:
             raise DomainError("lambda0 must lie in the punctured open disc")
         tgt = tuple(cx(t) for t in self.target)
-        ok, margin = h_member(tgt, tol=1e-12)
+        ok, margin = h_member(tgt, tol=SCHWARZ_TARGET_TOL)
         if not ok:
             raise DomainError(f"target outside the open hexablock "
                               f"(margin {margin:.3e})")
@@ -389,7 +390,7 @@ class FeasibilityReport:
     violated: str | None = None
 
 
-def schwarz_feasible(prob: SchwarzProblem, tol: float = 1e-9) -> FeasibilityReport:
+def schwarz_feasible(prob: SchwarzProblem) -> FeasibilityReport:
     """Feasibility of the two-point problem.
 
     The psi-supremum bound sup |psi(a, x)| <= |lambda0| (equivalently the
@@ -407,39 +408,38 @@ def schwarz_feasible(prob: SchwarzProblem, tol: float = 1e-9) -> FeasibilityRepo
     m_ratio = lam - tetra_ratio(x)
     m_sup = lam - abs(a) * k_star(x)
     m_coord = lam * math.sqrt(1.0 - abs(x1) ** 2) - abs(a)
-    ok_resc, m_resc = h_member((a / prob.lambda0,) + tuple(x), closed=True,
-                               tol=tol)
+    ok_resc, m_resc = h_member((a / prob.lambda0,) + tuple(x), closed=True)
     margins = {"tetra_ratio": m_ratio, "psi_sup": m_sup,
                "a_bound": m_coord, "rescaled_closure": m_resc}
     # (3) <-> (4): the supremum bound and the rescaled closure must agree
-    if abs(m_sup) > tol and abs(m_resc) > tol and (m_sup > 0) != ok_resc:
+    if abs(m_sup) > TOL and abs(m_resc) > TOL and (m_sup > 0) != ok_resc:
         raise ConsistencyError(
             f"psi-supremum and rescaled-closure criteria disagree ({margins})")
     # the coordinate bound is a consequence of feasibility
-    if m_sup > tol and m_ratio > tol and m_coord < -tol:
+    if m_sup > TOL and m_ratio > TOL and m_coord < -TOL:
         raise ConsistencyError(
             f"necessary coordinate bound failed on feasible data ({margins})")
-    feasible = m_sup >= -tol and m_ratio >= -tol
+    feasible = m_sup >= -TOL and m_ratio >= -TOL
     violated = None
     if not feasible:
-        violated = "psi_sup" if m_sup < -tol else "tetra_ratio"
-        if m_coord < -tol:
+        violated = "psi_sup" if m_sup < -TOL else "tetra_ratio"
+        if m_coord < -TOL:
             violated = "a_bound"
     return FeasibilityReport(feasible, margins, violated)
 
 
-def _interp_zero_blaschke(lambda0: complex, ratio: complex,
-                          tol: float = 1e-10) -> BlaschkeProduct:
+def _interp_zero_blaschke(lambda0: complex, ratio: complex) -> BlaschkeProduct:
     """Blaschke product B with B(0) = 0 and B(lambda0) = lambda0 * ratio.
 
-    The rotation ratio * t when |ratio| = 1 within tol; otherwise t times
-    the disc automorphism taking lambda0 to ratio, with zeros {0, zeta},
+    The rotation ratio * t when |ratio| = 1 within `UNIMODULAR_EDGE`;
+    otherwise t times the disc automorphism taking lambda0 to ratio, with
+    zeros {0, zeta},
     zeta = (lambda0 - ratio)/(1 - ratio conj(lambda0))."""
     lam = cx(lambda0)
     ratio = cx(ratio)
-    if abs(abs(ratio) - 1.0) <= tol:
+    if abs(abs(ratio) - 1.0) <= UNIMODULAR_EDGE:
         return BlaschkeProduct(-ratio, (0.0,))
-    if abs(ratio) > 1.0 + 1e-12:
+    if abs(ratio) > 1.0 + INNER_DISC_SLACK:
         raise DomainError("interpolation value outside the closed disc")
     zeta = (lam - ratio) / (1.0 - ratio * lam.conjugate())
     u = (1.0 - ratio * lam.conjugate()) / (1.0 - ratio.conjugate() * lam)
@@ -458,7 +458,7 @@ def _phase_align_tetra(parts, n: int) -> RationalTetraInner:
     r1 = E10.padded()
     r2 = ref.padded()
     idx = int(np.argmax(np.abs(r2)))
-    if abs(r2[idx]) < 1e-13:
+    if abs(r2[idx]) < PHASE_ZERO:
         ratio = 1.0 + 0.0j
     else:
         ratio = r1[idx] / r2[idx]
@@ -470,13 +470,13 @@ def _phase_align_tetra(parts, n: int) -> RationalTetraInner:
     E2 = E20.scale(cD).with_bound(n)
     D = D0.scale(cD).with_bound(n)
     resid = float(np.max(np.abs(E1.padded() - E2.reflect().padded())))
-    if resid > 1e-8:
+    if resid > PHASE_ALIGN_SLACK:
         raise ConsistencyError(f"phase alignment failed, residual {resid:.3e}")
     # spot-check D~n/D against the product of the component maps
     lam = _CIRCLE_SPOT
     lhs = D.reflect()(lam) / D(lam)
     rhs = (n1(lam) / m1(lam)) * (n2(lam) / m2(lam))
-    if np.any(np.abs(lhs - rhs) > 1e-8):
+    if np.any(np.abs(lhs - rhs) > PHASE_ALIGN_SLACK):
         raise ConsistencyError("x3 does not match the product map")
     return RationalTetraInner(E1, E2, D, n)
 
@@ -498,10 +498,10 @@ def construct_from_tetra(t: RationalTetraInner, lambda0: complex,
     ratio = complex(A(lam) / D(lam))
     s = abs(ratio)
     cap = abs(lam) * s
-    if abs(a) <= 1e-13:
+    if abs(a) <= PHASE_ZERO:
         # the first component vanishes identically once B has a zero at 0
         return RationalHexaInner(t, A, BlaschkeProduct(1.0, (0.0,)), 1.0)
-    if abs(a) > cap + 1e-9:
+    if abs(a) > cap + SCHWARZ_EDGE:
         raise DomainError(
             "target first coordinate exceeds this data's Schwarz reach "
             f"(|a| = {abs(a):.6g} > {cap:.6g} = |lambda0| |A/D|(lambda0)); "
@@ -514,8 +514,8 @@ def construct_from_tetra(t: RationalTetraInner, lambda0: complex,
 
 
 def schwarz_construct(prob: SchwarzProblem,
-                      supplied_tetra: RationalTetraInner | None = None,
-                      tol: float = 1e-9) -> RationalHexaInner:
+                      supplied_tetra: RationalTetraInner | None = None
+                      ) -> RationalHexaInner:
     """Rational hexablock inner interpolant with f(0) = 0, f(lambda0) = target.
 
     Supported automatic cases: |x3| = |lambda0| (forces x1 = x2 = 0);
@@ -524,8 +524,7 @@ def schwarz_construct(prob: SchwarzProblem,
     lambda0).  Other feasible targets need external tetrablock inner data
     and raise a DomainError saying so.
     """
-    return _schwarz_construct(prob, schwarz_feasible(prob, tol),
-                              supplied_tetra)
+    return _schwarz_construct(prob, schwarz_feasible(prob), supplied_tetra)
 
 
 def _schwarz_construct(prob: SchwarzProblem, rep: FeasibilityReport,
@@ -544,23 +543,24 @@ def _schwarz_construct(prob: SchwarzProblem, rep: FeasibilityReport,
         val1 = t(lam)
         e0 = max(abs(cx(v)) for v in val0)
         e1 = max(abs(cx(u) - cx(v)) for u, v in zip(val1, (x1, x2, x3)))
-        if e0 > 1e-7 or e1 > 1e-7:
+        if e0 > INTERP_SLACK or e1 > INTERP_SLACK:
             raise DomainError("supplied tetrablock data does not interpolate "
                               f"the target (residuals {e0:.2e}, {e1:.2e})")
         return construct_from_tetra(t, lam, a)
 
-    if abs(abs(x3) - abs(lam)) <= 1e-9 and max(abs(x1), abs(x2)) <= 1e-9:
+    if abs(abs(x3) - abs(lam)) <= SCHWARZ_EDGE \
+            and max(abs(x1), abs(x2)) <= SCHWARZ_EDGE:
         omega = x3 / lam
         w1 = _unit_sqrt(omega)
         D = Poly.const(w1.conjugate(), 1)
         t = RationalTetraInner(Poly.const(0.0, 1), Poly.const(0.0, 1), D, 1)
         return construct_from_tetra(t, lam, a)
 
-    if abs(x1 * x2 - x3) <= 1e-9 * (1.0 + abs(x3)):
+    if abs(x1 * x2 - x3) <= SCHWARZ_EDGE * (1.0 + abs(x3)):
         # the inner g-pair forces |x1| = 1 on the circle, so the lifted
         # first component vanishes identically: this route only reaches
         # targets with a = 0
-        if abs(a) > 1e-12:
+        if abs(a) > SCHWARZ_A_ZERO:
             raise DomainError(
                 "triangular targets with a != 0 are outside the automatic "
                 "g-pair construction; general synthesis requires external "
@@ -617,33 +617,33 @@ def penta_inner_to_hexa(f: RationalPentaInner) -> RationalHexaInner:
     return RationalHexaInner(tetra, f.A, f.B, f.c)
 
 
-def hexa_inner_to_penta(f: RationalHexaInner, tol: float = 1e-9) -> RationalPentaInner:
+def hexa_inner_to_penta(f: RationalHexaInner) -> RationalPentaInner:
     """Inverse bridge; requires symmetric tetra data E1 = E2."""
     E1 = f.tetra.E1.with_bound(f.tetra.n)
     E2 = f.tetra.E2.with_bound(f.tetra.n)
-    if float(np.max(np.abs(E1.padded() - E2.padded()))) > tol:
+    if float(np.max(np.abs(E1.padded() - E2.padded()))) > SYMMETRY_SLACK:
         raise DomainError("hexablock inner data is not symmetric (E1 != E2)")
     return RationalPentaInner(E1.scale(2.0), f.tetra.D, f.A, f.B, cx(f.c),
                               f.tetra.n)
 
 
-def penta_inner_validate(f: RationalPentaInner, tol: float = 1e-6) -> dict:
+def penta_inner_validate(f: RationalPentaInner) -> dict:
     """Validate pentablock inner data through the hexablock bridge and the
     direct circle conditions |a|^2 + |s|^2/4 = 1, (s, p) in b Gamma."""
-    report = hexa_inner_validate(penta_inner_to_hexa(f), tol)
+    report = hexa_inner_validate(penta_inner_to_hexa(f))
     a, s, p = f(_CIRCLE_K0)
     worst = max(float(np.max(np.abs(np.abs(a) ** 2 + np.abs(s) ** 2 / 4.0 - 1.0))),
                 float(np.max(np.abs(np.abs(p) - 1.0))),
                 float(np.max(np.abs(s - s.conjugate() * p))))
     report["circle_K0_violation"] = worst
-    if worst > 10.0 * tol:
+    if worst > 10.0 * INNER_TOL:
         report["ok"] = False
         report["issues"].append("circle image off K0")
     return report
 
 
 def penta_schwarz_feasible(lambda0: complex, a: complex, s: complex,
-                           p: complex, tol: float = 1e-9) -> FeasibilityReport:
+                           p: complex) -> FeasibilityReport:
     """Feasibility of the pentablock two-point problem; delegates to the
     symmetric embedded hexablock problem and cross-checks the direct
     inequalities (2|s - conj(s)p| + |s^2 - 4p|)/(4 - |s|^2) <= |lambda0|
@@ -651,14 +651,14 @@ def penta_schwarz_feasible(lambda0: complex, a: complex, s: complex,
     lam = cx(lambda0)
     a, s, p = cx(a), cx(s), cx(p)
     prob = SchwarzProblem(lam, (a, s / 2.0, s / 2.0, p))
-    rep = schwarz_feasible(prob, tol)
+    rep = schwarz_feasible(prob)
     direct_ratio = (2.0 * abs(s - s.conjugate() * p) + abs(s * s - 4.0 * p)) \
         / (4.0 - abs(s) ** 2)
     m1 = abs(lam) - direct_ratio
     m2 = abs(lam) * math.sqrt(max(1.0 - abs(s) ** 2 / 4.0, 0.0)) - abs(a)
     for name, direct, bridged in (("ratio", m1, rep.margins["tetra_ratio"]),
                                   ("a_bound", m2, rep.margins["a_bound"])):
-        if abs(direct - bridged) > 1e-8 * (1.0 + abs(direct)):
+        if abs(direct - bridged) > BRIDGE_SLACK * (1.0 + abs(direct)):
             raise ConsistencyError(
                 f"pentablock {name} margin disagrees with the bridge: "
                 f"{direct} vs {bridged}")

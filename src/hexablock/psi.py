@@ -18,18 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, cx, cx_coords
-
-_DEN_TINY = 1e-14
-
-#: The interior margin a point must exceed for `maximizer` and `k_star`:
-#: closer to the boundary of E the cost blows up off distinguished-boundary
-#: directions, and the suprema there are in closed form (`k_star_closed`,
-#: `sup_on_bE`).
-REFUSE_MARGIN = 1e-9
+from .numerics import (D_FLOOR, DISC_SLACK, REFUSE_MARGIN, TOL, _DEN_TINY,
+                       DomainError, cx, cx_coords)
 
 
-def is_triangular(x, tol: float = 1e-9) -> bool:
+def is_triangular(x, tol: float = TOL) -> bool:
     """x1*x2 = x3 within a tolerance scaled by 1 + |x3|."""
     x1, x2, x3 = map(cx, x)
     return abs(x1 * x2 - x3) <= tol * (1.0 + abs(x3))
@@ -57,13 +50,13 @@ def psi_eval(z1: complex, z2: complex, p) -> complex:
     return cx(p[0]) * kappa_eval(z1, z2, p[1:])
 
 
-def Psi_eval(z: complex, x, tol: float = 1e-9) -> complex:
+def Psi_eval(z: complex, x) -> complex:
     """Psi(z, x) = (x3 z - x1)/(x2 z - 1); the constant x1 on triangular x."""
     z = cx(z)
     x1, x2, x3 = map(cx, x)
     den = x2 * z - 1.0
     if abs(den) < _DEN_TINY:
-        if is_triangular(x, tol):
+        if is_triangular(x):
             return x1
         raise DomainError("Psi pole: x2*z = 1 on non-triangular input")
     return (x3 * z - x1) / den
@@ -113,7 +106,7 @@ def _half_maximizer(b_this: complex, b_other: complex, x3: complex) -> complex:
     if d < 0.0:
         # the betas divide by 1 - |x3|^2: their rounding error, and that
         # of d, grows like its reciprocal
-        if d < -1e-12 / (1.0 - abs(x3) ** 2):
+        if d < -DISC_SLACK / (1.0 - abs(x3) ** 2):
             raise DomainError(f"negative maximizer discriminant {d:.3e}")
         d = 0.0
     return 2.0 * b_this.conjugate() / (t + math.sqrt(d))
@@ -174,23 +167,21 @@ def _tetra_terms(x1, x2, x3):
             abs(c21), v, abs(v))
 
 
-def _k_star_M(terms, on_dE: bool = False):
+def _k_star_M(terms):
     """(beta, D, M) from `_tetra_terms`, scalars or arrays: beta = 1 - |x1|^2
     - |x2|^2 + |x3|^2, D = beta^2 - 4|v|^2 (= -rho, `realslice.rho_value`)
-    and the one K* expression, M = K*^-2 = (beta + sqrt(max(D, 0)))/2.
+    and the one K* expression, M = K*^-2 = (beta + sqrt(D))/2.
 
     D is (A - 2B)(A + 2B) for (A, B) = (beta, |v|), (sigma, |x2 - conj(x1)
     x3|) and (sigma', |x1 - conj(x2) x3|), sigma = 1 - |x1|^2 + |x2|^2 -
     |x3|^2 and sigma' its x1 <-> x2 flip.  Near dE every A - 2B cancels to
     a few ulps of absolute error, least in relative terms where A + 2B is
-    smallest: that form is evaluated.  On dE, D = 0 and M = beta/2, which
-    `on_dE` takes for a point placed on dE within a tolerance: its computed
-    D is rounding noise, which the square root would turn into a relative
-    error of about 1e-8 in K*."""
+    smallest: that form is evaluated.  On dE, D = 0 and M = beta/2.  A
+    computed D at or below `D_FLOOR` times that A + 2B is rounding noise,
+    which the square root would turn into a relative error of about 1e-8
+    in K*: M is then beta/2.  D is returned signed."""
     _, _, _, s1, s2, s3, _, _, d12, d21, _, w = terms
     beta = 1.0 - s1 - s2 + s3
-    if on_dE:
-        return beta, 0.0, 0.5 * beta
     # (A + 2B, D) of each form; D is taken from the first smallest A + 2B
     forms = []
     for a, b in ((beta, w), (1.0 - s1 + s2 - s3, d21), (1.0 + s1 - s2 - s3, d12)):
@@ -201,17 +192,17 @@ def _k_star_M(terms, on_dE: bool = False):
     if isinstance(beta, np.ndarray):
         for p2, d2 in rest:
             d, p = np.where(p2 < p, d2, d), np.minimum(p, p2)
-        return beta, d, 0.5 * (beta + np.sqrt(np.maximum(d, 0.0)))
+        return beta, d, 0.5 * (beta + np.sqrt(np.where(d > D_FLOOR * p, d, 0.0)))
     for p2, d2 in rest:
         if p2 < p:
             p, d = p2, d2
-    return beta, d, 0.5 * (beta + math.sqrt(max(d, 0.0)))
+    return beta, d, 0.5 * (beta + (math.sqrt(d) if d > D_FLOOR * p else 0.0))
 
 
-def _k_star(x1, x2, x3, on_dE: bool = False):
+def _k_star(x1, x2, x3):
     """K* of coerced coordinates, scalars or arrays, by `_k_star_M` and
     `_k_star_of_M`."""
-    return _k_star_of_M(_k_star_M(_tetra_terms(x1, x2, x3), on_dE)[2])
+    return _k_star_of_M(_k_star_M(_tetra_terms(x1, x2, x3))[2])
 
 
 def _k_star_of_M(M):
@@ -232,21 +223,21 @@ def k_star(x):
     return _k_star(x1, x2, x3)
 
 
-def k_star_closed(x, on_dE: bool = False):
+def k_star_closed(x):
     """K*(x) for x in closed E with |x1|, |x2| < 1, with no refusal; on dE
     off bE, K*^2 = 2/beta is a limit at a torus zero of the denominator,
-    not attained in the bidisc.  `on_dE` is `_k_star_M`'s."""
-    return _k_star(*cx_coords(x), on_dE)
+    not attained in the bidisc."""
+    return _k_star(*cx_coords(x))
 
 
-def sup_on_bE(x, tol: float = 1e-9) -> float:
+def sup_on_bE(x) -> float:
     """sup |kappa(., x)| over D^2 for x on the distinguished boundary of E
     with |x1| < 1; equals 1/sqrt(1-|x1|^2), attained at (conj(x1), 0)."""
     x1, x2, x3 = map(cx, x)
-    if abs(abs(x3) - 1.0) > tol or abs(x1 - x2.conjugate() * x3) > tol * 10 \
-            or abs(x2) > 1.0 + tol:
+    if abs(abs(x3) - 1.0) > TOL or abs(x1 - x2.conjugate() * x3) > TOL * 10 \
+            or abs(x2) > 1.0 + TOL:
         raise DomainError("point is not on the distinguished boundary of E")
-    if abs(x1) >= 1.0 - tol:
+    if abs(x1) >= 1.0 - TOL:
         raise DomainError("sup_on_bE needs |x1| < 1")
     return 1.0 / math.sqrt(1.0 - abs(x1) ** 2)
 

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .numerics import DomainError, cx
+from .numerics import (CIRCLE_EDGE, D3E_EDGE, HESS_SLACK, REAL_IMAG_SLACK,
+                       REAL_TOL, TOL, DomainError, cx)
 from .psi import (_k_star_M, _refuse_boundary, _tetra_terms, is_triangular,
                   k_star)
 from .domains import Region, g2_classify, tetra_classify
@@ -24,7 +25,7 @@ def _real3(x):
     out = []
     for t in x:
         t = cx(t)
-        if abs(t.imag) > 1e-12:
+        if abs(t.imag) > REAL_IMAG_SLACK:
             raise DomainError("real-slice routines need real coordinates")
         out.append(t.real)
     return tuple(out)
@@ -51,15 +52,15 @@ def K_real(x) -> float:
     return 1.0 / k_star(_real3(x))
 
 
-def real_h_member(p, tol: float = 1e-9):
+def real_h_member(p):
     """Membership of H intersect R^4: x in the open tetrahedron and
-    |a| < K(x).  Returns (flag, margin)."""
+    |a| < K(x), both decided at `TOL`.  Returns (flag, margin)."""
     a, *x = _real3(p)
     mt = real_tetra_margin(x)
-    if mt <= tol:
+    if mt <= TOL:
         return False, min(mt, 0.0)
     margin = K_real(x) - abs(a)
-    return margin > tol, margin
+    return margin > TOL, margin
 
 
 # Hessians of beta = 1 - x1^2 - x2^2 + x3^2 and v = x1 x2 - x3 on R^3
@@ -76,7 +77,7 @@ def _sqrt_chain(f, grad, hess):
 def hessian_probe_K(x):
     """Hessian of K = sqrt(M), M = (beta + sqrt(D))/2, at x in the open
     real tetrahedron, with a negative-semidefinite flag (eigenvalues at
-    most 1e-4).  Refuses what `K_real` refuses.
+    most `HESS_SLACK`).  Refuses what `K_real` refuses.
 
     Returns (H, eigenvalues, flag).  H is the exact Hessian up to rounding,
     by the chain rule through beta, v = x1 x2 - x3 and D = beta^2 - 4 v^2
@@ -96,10 +97,10 @@ def hessian_probe_K(x):
                          - 8.0 * (np.outer(dv, dv) + v * _HESS_V))
     _, H = _sqrt_chain(math.sqrt(M), 0.5 * (db + dS), 0.5 * (_HESS_BETA + HS))
     eig = np.linalg.eigvalsh(H)
-    return H, eig, bool(np.all(eig <= 1e-4))
+    return H, eig, bool(np.all(eig <= HESS_SLACK))
 
 
-def face_classify(p, tol: float = 1e-7):
+def face_classify(p, tol: float = REAL_TOL):
     """Face labels C1..C6 of a point of the real hexablock boundary.
 
     C1..C4 attach to the tetrahedron faces D1..D4 and require the psi bound
@@ -107,8 +108,7 @@ def face_classify(p, tol: float = 1e-7):
     tetrablock where |a| K*(x) = 1.  Every real boundary point receives at
     least one label; none is an error.
     """
-    a = cx(p[0]).real
-    x = _real3(p[1:])
+    a, *x = _real3(p)
     labels = []
     x1, x2, x3 = x
     forms = [f(x1, x2, x3) for f in _FACE_FORMS]
@@ -124,7 +124,7 @@ def face_classify(p, tol: float = 1e-7):
         else:
             # x sits on dE, where psi_sup's suprema are closed-form limits
             from .hexa import psi_sup
-            sup, _, _ = psi_sup((complex(a), *x), tol=1e-9)
+            sup, _, _ = psi_sup((complex(a), *x))
             psi_ok = sup is not None and sup <= 1.0 + tol
         for j, f in enumerate(forms):
             if abs(f) <= tol and psi_ok:
@@ -164,7 +164,11 @@ def rho_value(x) -> float:
 
 def rho_gradient(x):
     """Holomorphic gradient (d rho/d x1, d rho/d x2, d rho/d x3)."""
-    (x1, x2, x3), terms, beta, _ = _chart_check(x)
+    return _rho_gradient(_chart_check(x))
+
+
+def _rho_gradient(chart):
+    (x1, x2, x3), terms, beta, _ = chart
     b = terms[10].conjugate()
     g1 = 2.0 * x1.conjugate() * beta + 4.0 * x2 * b
     g2 = 2.0 * x2.conjugate() * beta + 4.0 * x1 * b
@@ -174,7 +178,11 @@ def rho_gradient(x):
 
 def levi_matrix(x) -> np.ndarray:
     """Hermitian matrix of mixed second derivatives d^2 rho / dx_i d conj(x_j)."""
-    (x1, x2, x3), terms, _, _ = _chart_check(x)
+    return _levi_matrix(_chart_check(x))
+
+
+def _levi_matrix(chart) -> np.ndarray:
+    (x1, x2, x3), terms, _, _ = chart
     a1, a2, a3 = terms[3:6]
     L = np.empty((3, 3), dtype=complex)
     L[0, 0] = 2.0 * (1.0 - 2.0 * a1 + a2 + a3)
@@ -196,15 +204,14 @@ def rho_and_levi(x, w):
     tangent directions; the Levi value is sum_ij L_ij w_i conj(w_j).
     """
     wv = np.array([cx(t) for t in w])
-    rho = rho_value(x)
-    grad = rho_gradient(x)
+    chart = _chart_check(x)
+    grad = _rho_gradient(chart)
     pairing = sum(g * t for g, t in zip(grad, wv))
-    L = levi_matrix(x)
-    levi = complex(wv @ L @ np.conj(wv))
-    return rho, grad, pairing, levi.real
+    levi = complex(wv @ _levi_matrix(chart) @ np.conj(wv))
+    return -chart[3], grad, pairing, levi.real
 
 
-def dE_part_classify(x, tol: float = 1e-9):
+def dE_part_classify(x):
     """Split a point of dE off the distinguished boundary into the
     triangular part (one coordinate on the circle) or the non-Levi-flat
     hypersurface part, returning normal-form data for the latter.
@@ -213,7 +220,7 @@ def dE_part_classify(x, tol: float = 1e-9):
     rotation angles (alpha, beta), the Blaschke centre x1 and the height r
     with f o tau_{v,chi}(x) = (0, r, 1-r).
     """
-    part = _d2E_image(x, tol)
+    part = _d2E_image(x)
     if part is None:
         return "d3E", None
     x1, y2, y3 = part
@@ -222,16 +229,16 @@ def dE_part_classify(x, tol: float = 1e-9):
     return "d2E", {"alpha": alpha, "beta": beta, "centre": x1, "r": abs(y2)}
 
 
-def _d2E_image(x, tol: float):
+def _d2E_image(x):
     """None for a point of the triangular part d3E; for a point of d2E,
     (x1, y2, y3) where (0, y2, y3) is its image under the automorphism
     whose Blaschke centre is x1."""
     x1, x2, x3 = (cx(t) for t in x)
-    v = tetra_classify((x1, x2, x3), tol)
+    v = tetra_classify((x1, x2, x3))
     if v.region is not Region.BOUNDARY:
         raise DomainError("point is not on dE off the distinguished boundary")
-    tri = is_triangular((x1, x2, x3), 1e-7)
-    pattern = (abs(abs(x1) - 1.0) <= 1e-7) != (abs(abs(x2) - 1.0) <= 1e-7)
+    tri = is_triangular((x1, x2, x3), D3E_EDGE)
+    pattern = (abs(abs(x1) - 1.0) <= D3E_EDGE) != (abs(abs(x2) - 1.0) <= D3E_EDGE)
     # the two characterizations coincide; a mismatch is a tolerance clash
     if tri or pattern:
         return None
@@ -243,25 +250,23 @@ def d2E_normal_form(x):
     """Map a d2E point through the recovered automorphism and the rotation
     by (alpha, beta) = (arg y2, arg y3 - arg y2): it lands at
     (0, |y2|, |y3|) = (0, r, 1-r)."""
-    part = _d2E_image(x, 1e-9)
+    part = _d2E_image(x)
     if part is None:
         raise DomainError("normal form exists only on the d2E part")
     _, y2, y3 = part
     return 0j, complex(abs(y2)), complex(abs(y3))
 
 
-def d3E_approach_sequence(x, steps=(0.9, 0.99, 0.999)):
-    """Points of d2E converging to a given d3E point (density probe)."""
+def d3E_approach_sequence(x):
+    """Points of d2E at e = 0.9, 0.99, 0.999 converging to a d3E point."""
     x1, x2, x3 = (cx(t) for t in x)
-    if abs(abs(x1) - 1.0) <= 1e-9:
-        seq = [((e * x1 + (1 - e) * x1.conjugate() * x3),
-                ((1 - e) * x1 + e * x1.conjugate() * x3), x3) for e in steps]
-    elif abs(abs(x2) - 1.0) <= 1e-9:
-        seq = [(((1 - e) * x2 + e * x2.conjugate() * x3),
-                (e * x2 + (1 - e) * x2.conjugate() * x3), x3) for e in steps]
-    else:
+    first = abs(abs(x1) - 1.0) <= CIRCLE_EDGE
+    if not (first or abs(abs(x2) - 1.0) <= CIRCLE_EDGE):
         raise DomainError("d3E point needs a circle coordinate")
-    return seq
+    u = x1 if first else x2
+    pairs = [(e * u + (1 - e) * u.conjugate() * x3,
+              (1 - e) * u + e * u.conjugate() * x3) for e in (0.9, 0.99, 0.999)]
+    return [(p, q, x3) if first else (q, p, x3) for p, q in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -275,44 +280,44 @@ def s1_surface_value(s: float, p: float) -> float:
     return abs(1.0 - s * s / (2.0 * ((1.0 + p) + math.sqrt(max(q, 0.0)))))
 
 
-def _in_triangle(q, v1, v2, v3, tol):
+def _in_triangle(q, v1, v2, v3):
     A = np.column_stack([np.array(v2) - np.array(v1), np.array(v3) - np.array(v1)])
     rhs = np.array(q) - np.array(v1)
     sol, res, _, _ = np.linalg.lstsq(A, rhs, rcond=None)
     recon = A @ sol
-    if np.max(np.abs(recon - rhs)) > tol:
+    if np.max(np.abs(recon - rhs)) > REAL_TOL:
         return False
     u, v = sol
-    return u >= -tol and v >= -tol and u + v <= 1.0 + tol
+    return u >= -REAL_TOL and v >= -REAL_TOL and u + v <= 1.0 + REAL_TOL
 
 
-def penta_real_sets(a: float, s: float, p: float, tol: float = 1e-7):
-    """Labels among {T1, T2, Ell, S1, S2} of a real (a, s, p) triple."""
+def penta_real_sets(a: float, s: float, p: float):
+    """Labels among {T1, T2, Ell, S1, S2} of a real (a, s, p), at `REAL_TOL`."""
     a, s, p = float(a), float(s), float(p)
     labels = []
-    if _in_triangle((a, s, p), (0, 2, 1), (1, 0, -1), (-1, 0, -1), tol):
+    if _in_triangle((a, s, p), (0, 2, 1), (1, 0, -1), (-1, 0, -1)):
         labels.append("T1")
-    if _in_triangle((a, s, p), (0, -2, 1), (1, 0, -1), (-1, 0, -1), tol):
+    if _in_triangle((a, s, p), (0, -2, 1), (1, 0, -1), (-1, 0, -1)):
         labels.append("T2")
-    if abs(p - 1.0) <= tol and a * a + s * s / 4.0 <= 1.0 + tol:
+    if abs(p - 1.0) <= REAL_TOL and a * a + s * s / 4.0 <= 1.0 + REAL_TOL:
         labels.append("Ell")
-    g2 = g2_classify(s, p, 1e-9)
+    g2 = g2_classify(s, p)
     if g2.in_interior:
         g = s1_surface_value(s, p)
-        if -tol <= a <= 1.0 + tol and abs(a - g) <= tol:
+        if -REAL_TOL <= a <= 1.0 + REAL_TOL and abs(a - g) <= REAL_TOL:
             labels.append("S1")
-        if -1.0 - tol <= a <= tol and abs(a + g) <= tol:
+        if -1.0 - REAL_TOL <= a <= REAL_TOL and abs(a + g) <= REAL_TOL:
             labels.append("S2")
     return labels
 
 
-def s1_c5_match(a: float, s: float, p: float, tol: float = 1e-7) -> bool:
+def s1_c5_match(a: float, s: float, p: float) -> bool:
     """Check the correspondence S1 <-> C5 (and S2 <-> C6) under the
     symmetric embedding (a, s, p) -> (a, s/2, s/2, p)."""
-    labels = penta_real_sets(a, s, p, tol)
+    labels = penta_real_sets(a, s, p)
     q = (a, s / 2.0, s / 2.0, p)
     try:
-        faces = face_classify(q, tol)
+        faces = face_classify(q)
     except DomainError:
         faces = []
     return (("S1" in labels) == ("C5" in faces)) and \

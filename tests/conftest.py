@@ -147,24 +147,24 @@ def de_points(rng):
     30 nearly triangular ones (a21 scaled by 1e-3)."""
     from hexablock.hexa import mu_value
 
-    def on_dE(A):
+    def onto_dE(A):
         return pi_tetra(A.scaled(1.0 / mu_value(A, "tetra")))
 
     dense, near_x1, near_tri = [], [], []
     while len(dense) < 240:
-        x = on_dE(rand_mat(rng))
+        x = onto_dE(rand_mat(rng))
         if max(abs(t) for t in x) < 0.999:
             dense.append(x)
     while len(near_x1) < 30:
         eps = 10.0 ** rng.uniform(-4.0, -1.5)
-        x = on_dE(Mat2(rand_unit(rng), rand_complex(rng),
-                       eps * rand_complex(rng),
-                       0.8 * rng.uniform() * rand_unit(rng)))
+        x = onto_dE(Mat2(rand_unit(rng), rand_complex(rng),
+                         eps * rand_complex(rng),
+                         0.8 * rng.uniform() * rand_unit(rng)))
         if 0.99 < abs(x[0]) < 1.0 - 1e-6 and abs(x[1]) < 0.999:
             near_x1.append(x)
     while len(near_tri) < 30:
         A = rand_mat(rng)
-        x = on_dE(Mat2(A.a11, A.a12, 1e-3 * A.a21, A.a22))
+        x = onto_dE(Mat2(A.a11, A.a12, 1e-3 * A.a21, A.a22))
         if max(abs(x[0]), abs(x[1])) < 1.0 - 1e-6:
             near_tri.append(x)
     return dense + near_x1 + near_tri

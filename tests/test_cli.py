@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -315,6 +316,34 @@ def test_arithmetic_fault_is_internal(args):
     assert out == ""
     assert err.startswith("internal arithmetic fault: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("domain", ["hexa", "hexa-n"])
+@pytest.mark.parametrize("closed", [[], ["--closed"]])
+def test_classify_json_is_strict_where_k_star_is_infinite(domain, closed):
+    # K* is infinite at x = (1, 0, 0): every margin is a finite float
+    def refuse(name):
+        raise AssertionError(f"non-finite JSON constant {name}")
+
+    code, out, err = _run_cli_all(
+        ["classify", "--domain", domain, "--point",
+         "[[0.5,0],[1,0],[0,0],[0,0]]", "--json", *closed])
+    assert err == "" and code == 2
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["margins"]["hn_closure"] == -1.0
+
+
+def test_emit_refuses_non_finite_floats(monkeypatch):
+    # one rule for both output forms: a non-finite float is an internal
+    # arithmetic fault, whatever computed it
+    import hexablock.cli as cli
+    monkeypatch.setattr(cli, "mu_value", lambda A, s: math.inf)
+    for extra in ([], ["--json"]):
+        code, out, err = _run_cli_all(["mu", "--structure", "tetra",
+                                       "--matrix", "[[1,0],[0,1]]", *extra])
+        assert (code, out) == (70, "")
+        assert err.startswith("internal arithmetic fault: ")
+        assert err.count("\n") == 1
 
 
 # per subcommand: a complete argv, then (option, bad value) for one choice

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hexablock import hexa
 from hexablock.numerics import DomainError, Mat2, op_norm, pi_hexa, \
     pi_penta, pi_tetra, spectral_radius
-from hexablock.psi import k_star, tetra_interior_margin
+from hexablock.psi import k_star, k_star_closed, tetra_interior_margin
 from hexablock.hexa import (bh_member, classify_boundary, classify_hexa,
                             h_closure_batch, h_member, hartogs_u,
                             hmu_closure_member, hmu_member, hn_member,
@@ -250,7 +250,7 @@ def test_psi_sup_boundary_limit_matches_grid_oracle(rng):
         sups.append(sup)
     # numpy's complex modulus rounds apart from Python's, and beta cancels
     # to about 1e-4 as |x1| -> 1: 7.5e-12 measured
-    closed = k_star_closed(columns(pts), on_dE=True)
+    closed = k_star_closed(columns(pts))
     assert np.max(np.abs(closed - sups) / closed) <= 1e-10
 
 
@@ -742,6 +742,64 @@ def test_hexa_verdict_lattice(x, f, u):
                       (v.in_int_hmu, v.in_hmu), (v.in_hn, v.in_hn_closure),
                       (v.in_hn_closure, v.in_h_closure)):
         assert high or not low
+
+
+def _mp_margins(a, x):
+    """(1 - |a| K*, min(1 - |a| K*, 1 - sqrt(m)/|a|)) at 50 digits, the
+    margins of closed H and closed H_N: M = K*^-2 = (beta + sqrt(D))/2 and
+    m = |x1 x2 - x3|^2 / M."""
+    import mpmath
+    with mpmath.workdps(50):
+        a, x1, x2, x3 = (mpmath.mpc(t) for t in (a, *x))
+        beta = 1 - abs(x1) ** 2 - abs(x2) ** 2 + abs(x3) ** 2
+        v2 = abs(x1 * x2 - x3) ** 2
+        M = (beta + mpmath.sqrt(max(beta ** 2 - 4 * v2, 0))) / 2
+        h = 1 - abs(a) / mpmath.sqrt(M)
+        return float(h), float(min(h, 1 - mpmath.sqrt(v2 / M) / abs(a)))
+
+
+def test_hexa_lattice_near_dE(rng):
+    # H_N <= H reads one K*: no ConsistencyError next to bH or dE, and
+    # each closure agrees with 50 digits wherever they are decisive
+    pytest.importorskip("mpmath")
+    import mpmath
+    tol = 1e-9
+    cases = []
+    # (a) bH points (a(1 + eps), x): |a| K* = 1 + eps at the exact point
+    for _ in range(60):
+        w = rand_disc(rng, 0.95)
+        z = rand_unit(rng) * math.sqrt(1.0 - abs(w) ** 2)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        a, *x = hp_param(theta, z, w)
+        with mpmath.workdps(50):
+            zm, wm = mpmath.mpc(z), mpmath.mpc(w)
+            r = mpmath.sqrt(abs(zm) ** 2 + abs(wm) ** 2)
+            e = mpmath.expjpi(mpmath.mpf(theta) / mpmath.pi)
+            exact = (-e * zm / r, wm / r, e * mpmath.conj(wm) / r, e)
+            for eps in (0.0, 1e-9, 2e-9, 1e-7, 1e-5, 1e-4):
+                cases.append(((a * (1 + eps), *x),
+                              _mp_margins(exact[0] * (1 + mpmath.mpf(eps)),
+                                          exact[1:])))
+    # (b) x = pi_E((1 - 10^-k) A / mu_E(A)) inside E next to dE, and
+    # |a| = s / K*(x)
+    for _ in range(30):
+        A = rand_mat(rng)
+        mu = mu_value(A, "tetra")
+        u = rand_unit(rng)
+        for k in range(2, 13):
+            x = pi_tetra(A.scaled((1.0 - 10.0 ** -k) / mu))
+            K = k_star_closed(x)
+            for s in (1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1e-5, 1 + 1e-5, 1 + 1e-4):
+                p = (u * s / K, *x)
+                cases.append((p, _mp_margins(p[0], x)))
+    decided = 0
+    for p, margins in cases:
+        v = classify_hexa(p)
+        for flag, margin in zip((v.in_h_closure, v.in_hn_closure), margins):
+            if abs(margin) >= 2 * tol:
+                assert flag == (margin > 0), (p, margins)
+                decided += 1
+    assert decided > len(cases)
 
 
 def test_mu_structures_spectral_norm(rng):

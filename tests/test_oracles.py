@@ -62,7 +62,7 @@ def test_grid_sup_finds_corner_near_unit_x1():
     # 1e-3; the scan used to miss it and read 9.31 against 11.78
     a, *x = NEAR_UNIT_X1
     sup, _ = grid_sup_kappa(x)
-    assert sup == pytest.approx(k_star_closed(x, on_dE=True), rel=1e-6)
+    assert sup == pytest.approx(k_star_closed(x), rel=1e-6)
     assert abs(a) * sup > 1.05
     # a 50-digit point of the bidisc where |psi| > 1: p lies outside the
     # closure of H

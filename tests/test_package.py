@@ -84,3 +84,26 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {p}" for p in params
                        if p not in read]
     assert unread == []
+
+
+def test_thresholds_are_named():
+    # every float below 1e-2 that the library decides by is a name in the
+    # table at the top of `numerics` (module-level assignments); only the
+    # test oracles write such literals
+    small = []
+    for path in sorted(pathlib.Path(hexablock.__file__).parent.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        tree = ast.parse(path.read_text())
+        table = set()
+        if path.name == "numerics.py":
+            table = {id(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and isinstance(node.value, ast.Constant)}
+        small += [f"{path.name}:{node.lineno} {node.value!r}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and type(node.value) is float
+                  and 0.0 < abs(node.value) < 1e-2
+                  and id(node) not in table]
+    assert small == []

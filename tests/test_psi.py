@@ -211,7 +211,7 @@ def test_k_star_closed_corner_witness():
     pts = [(0.0, 0.3, 0.7), (0.0, 0.8 * np.exp(0.7j), 0.2 * np.exp(-0.4j)),
            NEAR_UNIT_X1[1:]]
     for x in pts:
-        K = k_star_closed(x, on_dE=True)
+        K = k_star_closed(x)
         vals = []
         for delta in (1e-4, 1e-6, 1e-8):
             k, z2 = corner_witness(x, delta)
@@ -222,7 +222,7 @@ def test_k_star_closed_corner_witness():
         # measured at NEAR_UNIT_X1
         assert vals[0] < vals[1] < vals[2]
         assert vals[2] == pytest.approx(K, rel=1e-6)
-    assert k_star_closed(pts[0], on_dE=True) == pytest.approx(
+    assert k_star_closed(pts[0]) == pytest.approx(
         1.0 / math.sqrt(0.7), rel=1e-15)
 
 

@@ -176,6 +176,31 @@ def test_rho_levi_face_values():
         assert levi == pytest.approx(2 * (2 - r) ** 2, abs=1e-9)
 
 
+def test_rho_and_levi_checks_the_chart_once(monkeypatch):
+    # one `_chart_check`, so one `_tetra_terms`, gives rho, its gradient and
+    # the Levi form, with the values of the three separate functions
+    import hexablock.realslice as rs
+    calls = []
+    terms = rs._tetra_terms
+    monkeypatch.setattr(rs, "_tetra_terms",
+                        lambda *x: (calls.append(x), terms(*x))[1])
+    x, w = (0.2 + 0.1j, 0.5 - 0.3j, 0.4j), (1, 1j, -0.5)
+    got = rho_and_levi(x, w)
+    assert len(calls) == 1
+    wv = np.array(w, dtype=complex)
+    grad = rs.rho_gradient(x)
+    want = (rho_value(x), grad, sum(g * t for g, t in zip(grad, wv)),
+            complex(wv @ levi_matrix(x) @ np.conj(wv)).real)
+    assert repr(got) == repr(want)
+
+
+def test_face_classify_refuses_complex_a():
+    # as `real_h_member` does: the real slice takes real coordinates only
+    for f in (face_classify, real_h_member):
+        with pytest.raises(DomainError):
+            f((1 + 0.5j, 0, 0, 0.3))
+
+
 def test_rho_levi_fd_agreement(rng):
     done = 0
     while done < 40:
