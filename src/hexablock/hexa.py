@@ -39,27 +39,26 @@ def psi_sup(p, tol: float = TOL):
     the point (conj(x1), 0) ("b_tetra").  On dE off bE, and at interior
     points below the maximizer's refusal margin, there is none
     ("boundary_limit"): off the interior the value is a limit at a torus
-    zero of the denominator, never attained.  The supremum is
-    infinite when a != 0 and |x1| or |x2| reaches the circle; it is None
-    outside the closed tetrablock where the map itself is undefined.
+    zero of the denominator, never attained, as on the circle
+    ("circle_coordinate").  The supremum is infinite when a != 0 and K*
+    is, as |x1| or |x2| reaches the circle; it is None outside the closed
+    tetrablock where the map itself is undefined.
     """
     a, x = _point4(p)
     if abs(a) == 0.0:
         return 0.0, None, "zero"
     if tetra_interior_margin(x) > max(tol, REFUSE_MARGIN):
         r = maximizer(x)
-        witness, method = (r.z1, r.z2), "maximizer"
-    else:
-        region = tetra_classify(x, tol).region
-        if region is Region.EXTERIOR:
-            return None, None, "exterior"
-        x1, x2, _ = x
-        on_b = region is Region.DISTINGUISHED_BOUNDARY
-        if abs(x1) >= 1.0 - tol or not on_b and abs(x2) >= 1.0 - tol:
-            return _INF, None, "circle_coordinate"
-        witness, method = ((x1.conjugate(), 0.0), "b_tetra") if on_b \
-            else (None, "boundary_limit")
-    return abs(a) * _k_star(*x), witness, method
+        return abs(a) * _k_star(*x), (r.z1, r.z2), "maximizer"
+    region = tetra_classify(x, tol).region
+    if region is Region.EXTERIOR:
+        return None, None, "exterior"
+    sup = abs(a) * _k_star(*x)
+    if abs(x[0]) >= 1.0 or abs(x[1]) >= 1.0:
+        return sup, None, "circle_coordinate"
+    if region is Region.DISTINGUISHED_BOUNDARY:
+        return sup, (x[0].conjugate(), 0.0), "b_tetra"
+    return sup, None, "boundary_limit"
 
 
 def hmu_member(p, tol: float = TOL):
@@ -104,11 +103,12 @@ def hmu_closure_member(p, tol: float = TOL):
 def hn_params(x):
     """beta = 1 - |x1|^2 - |x2|^2 + |x3|^2, w^2 = x1 x2 - x3 and the interval
     (m, M) = (beta -/+ sqrt(beta^2 - 4|w|^4)) / 2 of admissible |a|^2:
-    M = K*(x)^-2 (`psi._k_star_M`) and m = |w|^4 / M, precise at m << M."""
+    M = K*(x)^-2 (`psi._k_star_M`) and m = |w|^4 / M, precise at m << M and
+    at most M (rounding can swap them at the double root m = M on bE)."""
     terms = _tetra_terms(*(cx(t) for t in x))
     beta, _, M = _k_star_M(terms)
     wsq = terms[10]  # v = x1 x2 - x3
-    m = abs(wsq) ** 2 / M if M > 0.0 else beta - M
+    m = min(abs(wsq) ** 2 / M, M) if M > 0.0 else beta - M
     return beta, wsq, m, M
 
 
@@ -331,13 +331,13 @@ def _mu_tetra(A: Mat2) -> float:
                   + math.sqrt(abs(u - v) ** 2 + off_minus))
 
 
-def _penta_member(A: Mat2, t: float, tol: float) -> bool:
+def _penta_member(A: Mat2, t: float) -> bool:
     """Strict pentablock membership of pi_P(A/t), with the arithmetic of
     `pi_penta(A.scaled(1/t))` but no intermediate `Mat2`."""
     r = 1.0 / t
     a11, a21, a22 = r * A.a11, r * A.a21, r * A.a22
     return penta_classify(a21, a11 + a22, a11 * a22 - r * A.a12 * a21,
-                          tol).in_interior
+                          TOL).in_interior
 
 
 def mu_value(A: Mat2, structure: str = "hexa") -> float:
@@ -384,19 +384,19 @@ def mu_value(A: Mat2, structure: str = "hexa") -> float:
         return 0.0
     lo = spectral_radius(A)
     lo_b = max(lo, hi * MU_LO_FLOOR)
-    if _penta_member(A, lo_b, TOL):
+    if _penta_member(A, lo_b):
         if lo <= hi * MU_NEGLIGIBLE:
             return 0.0
         # mu equals the spectral radius up to roundoff
         return lo
     hi_b = hi * (1.0 + MU_BRACKET_SLACK) + MU_ZERO_NORM
-    if not _penta_member(A, hi_b * (1.0 + MU_GUARD), TOL):
+    if not _penta_member(A, hi_b * (1.0 + MU_GUARD)):
         # numerical guard; mu_penta <= mu_hexa always holds mathematically
         return mu_hexa
     target = MU_WIDTH * hi
     while hi_b - lo_b > target:
         mid = 0.5 * (lo_b + hi_b)
-        if _penta_member(A, mid, TOL):
+        if _penta_member(A, mid):
             hi_b = mid
         else:
             lo_b = mid

@@ -231,15 +231,15 @@ def k_star_closed(x):
 
 
 def sup_on_bE(x) -> float:
-    """sup |kappa(., x)| over D^2 for x on the distinguished boundary of E
-    with |x1| < 1; equals 1/sqrt(1-|x1|^2), attained at (conj(x1), 0)."""
+    """sup |kappa(., x)| over D^2 for x in bE with |x1| < 1: `_k_star`, there
+    1/sqrt(1-|x1|^2) (M = beta/2 = 1 - |x1|^2), attained at (conj(x1), 0)."""
     x1, x2, x3 = map(cx, x)
     if abs(abs(x3) - 1.0) > TOL or abs(x1 - x2.conjugate() * x3) > TOL * 10 \
             or abs(x2) > 1.0 + TOL:
         raise DomainError("point is not on the distinguished boundary of E")
     if abs(x1) >= 1.0 - TOL:
         raise DomainError("sup_on_bE needs |x1| < 1")
-    return 1.0 / math.sqrt(1.0 - abs(x1) ** 2)
+    return _k_star(x1, x2, x3)
 
 
 def stationarity_residual(x, z1: complex, z2: complex) -> float:

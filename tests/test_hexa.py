@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -611,7 +612,7 @@ def test_penta_member_matches_scaled_matrix(monkeypatch):
         ts += [float(u) * n for u in rng.uniform(0.3, 2.0, 6)]
         for t in ts:
             seen.clear()
-            got = hexa._penta_member(A, t, 1e-9)
+            got = hexa._penta_member(A, t)
             want = pi_penta(A.scaled(1.0 / t))
             assert repr(seen) == repr([(*want, 1e-9)])
             assert got == penta_classify(*want, 1e-9).in_interior
@@ -800,6 +801,29 @@ def test_hexa_lattice_near_dE(rng):
                 assert flag == (margin > 0), (p, margins)
                 decided += 1
     assert decided > len(cases)
+    # (c) bH points with |x1| = r = 1 - 5 10^-k, within tol of the circle
+    # for k >= 9: at (a(1 + eps), x) the supremum is finite, |a| K* = 1 + eps,
+    # and closed H_N on bE is |a|^2 = M alone.  Rounding, of the inputs and
+    # of beta's sum, moves beta = 2(1 - r^2) by about 1e-16, so a verdict is
+    # decisive where |eps| exceeds 2 tol by 1e-15/beta.
+    decided = 0
+    for _ in range(20):
+        t, s, phase = rng.uniform(0.0, 2.0 * math.pi, 3)
+        for k in range(8, 16):
+            r = 1.0 - 5.0 * 10.0 ** -k
+            x1, x3 = r * cmath.exp(1j * t), cmath.exp(1j * s)
+            x = (x1, x1.conjugate() * x3, x3)
+            beta = 2.0 * (1.0 - r * r)
+            for eps in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5, 1e-4):
+                p = (cmath.exp(1j * phase) * math.sqrt(1.0 - r * r)
+                     * (1.0 + eps), *x)
+                assert psi_sup(p)[2] == "b_tetra", p
+                v = classify_hexa(p)
+                if abs(eps) >= 2 * tol + 1e-15 / beta:
+                    assert v.in_h_closure == (eps < 0), p
+                    assert not v.in_hn_closure, p
+                    decided += 1
+    assert decided > 300
 
 
 def test_mu_structures_spectral_norm(rng):
