@@ -13,11 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import (AUT_CHECK_TOL, AUT_MATCH_TOL, AUT_ROUTE_SLACK,
-                       UNIT_SLACK, _DEN_TINY, _TINY, ConsistencyError,
-                       DomainError, DiscAut, cx)
+from .numerics import (AUT_MATCH_TOL, UNIT_SLACK, _DEN_TINY, _TINY,
+                       ConsistencyError, DomainError, DiscAut, cx)
 from .domains import tau_of, diamond
 from . import hexa as _hexa
+
+#: the loose closure check of `hexa_aut_apply` on its input
+AUT_CHECK_TOL = 1e-7
+#: the two routes of `penta_aut_apply`
+AUT_ROUTE_SLACK = 1e-10
 
 
 def _params_v(v: DiscAut) -> tuple[complex, complex]:
@@ -134,7 +138,7 @@ def hexa_aut_apply(T: HexaAut, p, check: bool = True):
     a, x1, x2, x3 = (cx(s) for s in p)
     if check:
         ok, margin = _hexa.h_member((a, x1, x2, x3), True, AUT_CHECK_TOL)
-        if not ok and margin < -AUT_CHECK_TOL:
+        if not ok:
             raise DomainError(f"point outside the closed hexablock "
                               f"(margin {margin:.3e})")
     image, den = _tetra_aut(T, x1, x2, x3)

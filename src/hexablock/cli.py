@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from .numerics import (ORACLE_GAP_FLOOR, REAL_TOL, SAMPLE_FACE_EDGE, TOL,
-                       ConsistencyError, DiscAut, DomainError, Mat2)
+from .numerics import (REAL_TOL, TOL, ConsistencyError, DiscAut, DomainError,
+                       Mat2)
 from .numerics import cx_from_json as _cx
 from .domains import (Region, _region, g2_classify, penta_classify,
                       tetra_classify)
@@ -36,6 +36,11 @@ EXIT_INFEASIBLE = 3
 EXIT_UNSUPPORTED = 4
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+
+#: `mu --oracle`: a mu below this reports its gap relative to this instead
+ORACLE_GAP_FLOOR = 1e-3
+#: the real-slice sampler skips points this close to a tetrahedron face
+SAMPLE_FACE_EDGE = 1e-6
 
 
 class UsageError(Exception):

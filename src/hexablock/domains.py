@@ -14,16 +14,22 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
-from .numerics import (BETA_SINGULAR, DIAMOND_POLE, REFUSE_MARGIN, TOL,
-                       UNIT_X3_EDGE, _TINY, ConsistencyError, DomainError,
-                       DiscAut, cx, cx_arrays, cx_coords, _quadratic_roots,
-                       stable_quadratic_roots)
+from .numerics import (REFUSE_MARGIN, TOL, _TINY, ConsistencyError,
+                       DomainError, DiscAut, cx, cx_arrays, cx_coords,
+                       _quadratic_roots, stable_quadratic_roots)
 from .psi import (_betas_from, _interior_margin, _maximizer, _tetra_terms,
                   is_triangular)
+
+#: the determinant of the real system s = beta + conj(beta) p
+BETA_SINGULAR = 1e-12
+#: the denominator of the diamond law
+DIAMOND_POLE = 1e-12
+#: ||x3| - 1| that takes the tetrablock closure's |x3| = 1 branch
+UNIT_X3_EDGE = 1e-13
 
 
 class Region(enum.Enum):
@@ -52,52 +58,37 @@ class RegionVerdict:
         return self.region is Region.DISTINGUISHED_BOUNDARY
 
 
-def _vote(flags: dict, margins: dict, tol: float, what: str) -> bool:
-    """Consensus of equivalent boolean criteria.
+def _vote(first, margins: dict, tol: float, what: str, point):
+    """Consensus of equivalent criteria, each decided by its margin alone:
+    yes above tol, no below -tol, abstain in between (nan abstains).  The
+    margins are scalars, or arrays of one shape on which the vote is taken
+    point by point.  Where every criterion abstains, the first criterion's
+    flag `first` decides: the caller treats that as a boundary-zone call.
 
-    Criteria whose margin is within tol of zero abstain.  Decisive criteria
-    must agree; a split vote is an internal fault.
-    """
-    votes = {}
-    for name, flag in flags.items():
-        if abs(margins[name]) > tol:
-            votes[name] = flag
-    if not votes:
-        # everything is within tolerance of the boundary: report the flag of
-        # the first criterion; caller treats it as a boundary-zone call
-        return next(iter(flags.values()))
-    vals = set(votes.values())
-    if len(vals) > 1:
-        raise ConsistencyError(
-            f"{what}: equivalent criteria disagree beyond tolerance: {votes} "
-            f"margins={{{', '.join(f'{k}: {v:.3e}' for k, v in margins.items())}}}")
-    return vals.pop()
-
-
-def _vote_each(first, margins: dict, tol: float, what: str, point):
-    """`_vote` at every entry of margin arrays; nan margins abstain.  Each
-    criterion's flag must be its margin's sign, m > 0 or m >= -tol: a
-    decisive criterion then votes yes where m > tol and no where m < -tol.
-    Only the first criterion's flag array, `first`, is read: it decides
-    where every criterion abstains.
-
-    `point` holds the coordinate arrays, named in the `ConsistencyError`
-    of the first point with a split vote."""
-    # fmax and fmin pass over nan: a point votes yes where some margin
-    # exceeds tol, no where some margin is below -tol
-    yes = reduce(np.fmax, margins.values()) > tol
-    no = reduce(np.fmin, margins.values()) < -tol
-    split = yes & no
-    if split.any():
+    Decisive criteria must agree; a split vote is an internal fault, and
+    the `ConsistencyError` names `what`, the first point of the coordinates
+    `point` with a split vote, its decisive votes and every margin."""
+    ms = margins.values()
+    if isinstance(first, np.ndarray):
+        # fmax and fmin pass over nan
+        yes = reduce(np.fmax, ms) > tol
+        no = reduce(np.fmin, ms) < -tol
+        split = yes & no
+        if not split.any():
+            return yes | (first > no)
         i = np.unravel_index(np.argmax(split), split.shape)
-        at = tuple(complex(c[i]) for c in point)
-        votes = {k: bool(m[i] > tol) for k, m in margins.items() if abs(m[i]) > tol}
-        raise ConsistencyError(
-            f"{what} at point {at}: equivalent criteria disagree beyond "
-            f"tolerance: {votes} margins={{"
-            f"{', '.join(f'{k}: {m[i]:.3e}' for k, m in margins.items())}}}")
-    # without a split, a decisive vote is yes or no; else the first flag
-    return yes | (first > no)
+    else:
+        votes = {m > tol for m in ms if abs(m) > tol}
+        if len(votes) < 2:
+            return votes.pop() if votes else first
+        i = ()
+    at = tuple(complex(np.asarray(c)[i]) for c in point)
+    vals = {k: np.asarray(m)[i] for k, m in margins.items()}
+    votes = {k: bool(m > tol) for k, m in vals.items() if abs(m) > tol}
+    raise ConsistencyError(
+        f"{what} at point {at}: equivalent criteria disagree beyond "
+        f"tolerance: {votes} margins={{"
+        f"{', '.join(f'{k}: {m:.3e}' for k, m in vals.items())}}}")
 
 
 # the regions by their codes in `_region`: indexing a tuple is cheaper than
@@ -157,13 +148,10 @@ def _g2_verdict(s: complex, p: complex, tol: float):
     m2 = (1.0 - abs(p) ** 2) - sp
     m3 = (4.0 - abs(s) ** 2) - (2.0 * sp + abs(s * s - 4.0 * p))
     margins = {"sp_vs_p2": m2, "royal": m3}
-    flags = {"sp_vs_p2": m2 > 0.0, "royal": m3 > 0.0}
     beta = _solve_beta(s, p)
     if beta is not None and abs(p) < 1.0:
-        m4 = 1.0 - abs(beta)
-        margins["beta"] = m4
-        flags["beta"] = m4 > 0.0 and abs(p) < 1.0
-    inside = _vote(flags, margins, tol, "G2 interior")
+        margins["beta"] = 1.0 - abs(beta)
+    inside = _vote(m2 > 0.0, margins, tol, "G2 interior", (s, p))
 
     mc = min((4.0 - abs(s) ** 2) - (2.0 * sp + abs(s * s - 4.0 * p)),
              2.0 - abs(s))
@@ -222,7 +210,7 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     distinguished boundary."""
     batch = isinstance(x1, np.ndarray)
     lo, hi = (np.minimum, np.maximum) if batch else (min, max)
-    vote = partial(_vote_each, point=(x1, x2, x3)) if batch else _vote
+    point = (x1, x2, x3)
     terms = _tetra_terms(x1, x2, x3)
     a1, a2, a3, s1, s2, s3, c12, c21, d12, d21, _, w = terms
     g3 = abs(a3 - 1.0)
@@ -251,9 +239,7 @@ def _tetra_verdict(x1, x2, x3, tol: float):
         witnesses["beta2"] = b2
     else:
         m7 = math.nan
-    # an array vote reads only the first flag
-    inside = vote(m3 > 0.0 if batch else {k: v > 0.0 for k, v in margins.items()},
-                  margins, tol, "tetrablock interior")
+    inside = _vote(m3 > 0.0, margins, tol, "tetrablock interior", point)
 
     # the closure: the non-strict beta margin, extended continuously through
     # |x3| = 1, where it forces x1 = conj(x2) x3 (bE directions), and part
@@ -262,10 +248,8 @@ def _tetra_verdict(x1, x2, x3, tol: float):
                _pick(g3 < UNIT_X3_EDGE, -hi(hi(d12, a1 - 1.0), over2), m7))
     margins["closure_beta"] = mc
     margins["closure_part4"] = m4
-    in_closure = vote(
-        mc >= -tol if batch else {"closure_beta": mc >= -tol,
-                                  "closure_part4": m4 >= -tol},
-        {"closure_beta": mc, "closure_part4": m4}, tol, "tetrablock closure")
+    in_closure = _vote(mc >= -tol, {"closure_beta": mc, "closure_part4": m4},
+                       tol, "tetrablock closure", point)
 
     # boundary equalities (only meaningful inside the closure): interior
     # margins negated, as 0.0 - m so that an exact zero stays +0.0
@@ -280,11 +264,8 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     mb6 = _pick(in_closure, -g3, -1.0)
     margins["b_tetra_part1"] = mb
     margins["b_tetra_part6"] = mb6
-    on_b = vote(
-        mb >= -tol if batch else {"b_tetra_part1": mb >= -tol,
-                                  "b_tetra_part6": mb6 >= -tol},
-        {"b_tetra_part1": mb, "b_tetra_part6": mb6}, tol,
-        "tetrablock distinguished boundary")
+    on_b = _vote(mb >= -tol, {"b_tetra_part1": mb, "b_tetra_part6": mb6}, tol,
+                 "tetrablock distinguished boundary", point)
     region = _region(in_closure, on_b, inside & (mc > tol))
     return region, margins, witnesses, terms
 
@@ -352,15 +333,15 @@ def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
     a_a = abs(a)
     m_cp = cp - a_a
     margins = {"c_plus": m_cp, "g2_closure": g2_margins["closure"]}
-    flags = {"c_plus": g2_interior and m_cp > 0.0}
+    criteria = {"c_plus": m_cp}
 
     # the psi-sup route through the hexablock bridge
     h = s / 2.0
     if _interior_margin(h, h, p) > REFUSE_MARGIN:
-        m_sup = 1.0 - a_a * _maximizer(h, h, p).k_star
-        margins["psi_sup"] = m_sup
-        flags["psi_sup"] = g2_interior and m_sup > 0.0
-    inside = _vote(flags, margins, tol, "pentablock interior")
+        criteria["psi_sup"] = margins["psi_sup"] = \
+            1.0 - a_a * _maximizer(h, h, p).k_star
+    inside = g2_interior and _vote(m_cp > 0.0, criteria, tol,
+                                   "pentablock interior", (a, s, p))
 
     m_closure = min(m_cp, g2_margins["closure"])
     margins["closure"] = m_closure
@@ -369,8 +350,7 @@ def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
     mb = min(g2_margins["b_gamma"],
              -abs(a_a ** 2 + abs(s) ** 2 / 4.0 - 1.0))
     margins["b_penta"] = mb
-    region = _region(in_closure, mb >= -tol,
-                     inside and m_closure > tol and g2_interior)
+    region = _region(in_closure, mb >= -tol, inside and m_closure > tol)
     return region, margins, witnesses
 
 

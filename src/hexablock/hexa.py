@@ -12,16 +12,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (MU_BRACKET_SLACK, MU_GUARD, MU_LO_FLOOR, MU_NEGLIGIBLE,
-                       MU_WIDTH, MU_ZERO_NORM, REFUSE_MARGIN, TOL, UNIT_SLACK,
-                       ConsistencyError, DomainError, Mat2, cx, cx_arrays,
-                       op_norm, spectral_radius)
+from .numerics import (REFUSE_MARGIN, TOL, UNIT_SLACK, ConsistencyError,
+                       DomainError, Mat2, cx, cx_arrays, op_norm,
+                       spectral_radius)
 from .psi import (_k_star, _k_star_M, _k_star_of_M, _tetra_terms,
                   is_triangular, k_star, maximizer, tetra_interior_margin)
 from .domains import (_EXTERIOR_CODE, Region, _tetra_verdict, bE_margin,
                       penta_classify, tetra_classify)
 
 _INF = math.inf
+
+#: `mu_value`: a matrix norm that counts as the zero matrix
+MU_ZERO_NORM = 1e-300
+#: `mu_value`: a spectral radius negligible against the norm (mu = 0)
+MU_NEGLIGIBLE = 1e-12
+#: `mu_value`: the lowest lower end of the penta bisection, relative
+MU_LO_FLOOR = 1e-13
+#: `mu_value`: the upper end of the penta bisection widened, relative
+MU_BRACKET_SLACK = 1e-12
+#: `mu_value`: the guard that the widened upper end is in the pentablock
+MU_GUARD = 1e-6
+#: `mu_value`: the penta bisection width, relative to ||A||
+MU_WIDTH = 1e-9
 
 
 def _point4(p):

@@ -18,17 +18,48 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (
-    BRIDGE_SLACK, CIRCLE_EDGE, INNER_A_ZERO, INNER_BOUND_SLACK,
-    INNER_CLOSURE_SLACK, INNER_D_ZERO, INNER_DISC_SLACK, INNER_FR_TOL,
-    INNER_REFL_SLACK, INNER_TOL, INTERP_SLACK, PHASE_ALIGN_SLACK, PHASE_ZERO,
-    SCHWARZ_A_ZERO, SCHWARZ_EDGE, SCHWARZ_TARGET_TOL, SYMMETRY_SLACK, TOL,
-    UNIMODULAR_EDGE, BlaschkeProduct, ConsistencyError, DomainError, Poly,
-    PowerTable, _frozen, cx, cx_arrays, cx_from_json, fejer_riesz,
-    poly_abs2_trig, trig_sub)
+from .numerics import (CIRCLE_EDGE, TOL, BlaschkeProduct, ConsistencyError,
+                       DomainError, Poly, PowerTable, _frozen, cx, cx_arrays,
+                       cx_from_json, fejer_riesz, poly_abs2_trig, trig_sub)
 from .psi import k_star
 from .domains import _bE_margin, _tetra_verdict
 from .hexa import _h_closure_arrays, h_member
+
+#: the inner-function validation reports
+INNER_TOL = 1e-6
+#: the negativity `hexa_inner_construct` allows |D|^2 - |E1|^2
+INNER_FR_TOL = 1e-7
+#: `SchwarzProblem`'s open-hexablock check on its target
+SCHWARZ_TARGET_TOL = 1e-12
+#: a complex scalar with no phase to take (outer part, coefficient, target)
+PHASE_ZERO = 1e-13
+#: |D| on the closed disc (and a denominator there) that counts as a zero
+INNER_D_ZERO = 1e-9
+#: |D|^2 - |E1|^2 that is identically zero (A = 0), relative to |D|^2
+INNER_A_ZERO = 1e-12
+#: `_interp_zero_blaschke`: |ratio| = 1, a rotation
+UNIMODULAR_EDGE = 1e-10
+#: the Schwarz construction's cases |x3| = |lambda0|, x1 = x2 = 0 and
+#: x1 x2 = x3, and its reach |a| <= |lambda0| |A/D|(lambda0)
+SCHWARZ_EDGE = 1e-9
+#: the Schwarz construction's case a = 0 on triangular targets
+SCHWARZ_A_ZERO = 1e-12
+#: the reflection identity E1 = E2~n, relative
+INNER_REFL_SLACK = 1e-9
+#: disc images of a hexablock inner function outside the closure
+INNER_CLOSURE_SLACK = 1e-8
+#: rational data above modulus 1 on the closed disc
+INNER_BOUND_SLACK = 1e-7
+#: an interpolation value outside the closed disc
+INNER_DISC_SLACK = 1e-12
+#: E1 = E2 of symmetric (pentablock) inner data
+SYMMETRY_SLACK = 1e-9
+#: the phase alignment E1 = E2~n and its D~n/D spot check
+PHASE_ALIGN_SLACK = 1e-8
+#: supplied tetrablock data interpolating the Schwarz target
+INTERP_SLACK = 1e-7
+#: the pentablock Schwarz margins against their hexablock bridge, relative
+BRIDGE_SLACK = 1e-8
 
 _CIRCLE_N = 512
 
@@ -463,9 +494,8 @@ def _phase_align_tetra(parts, n: int) -> RationalTetraInner:
     else:
         ratio = r1[idx] / r2[idx]
         ratio = ratio / abs(ratio)
-    # with E = cD*E0: need cD*E10 = conj(cD)*ref, i.e. cD^2 = conj(ratio)^-1...
-    cD = complex(math.cos(-0.5 * math.atan2(ratio.imag, ratio.real)),
-                 math.sin(-0.5 * math.atan2(ratio.imag, ratio.real)))
+    # with E = cD*E0: need cD*E10 = conj(cD)*ref, i.e. cD^2 = conj(ratio)
+    cD = _unit_sqrt(ratio).conjugate()
     E1 = E10.scale(cD).with_bound(n)
     E2 = E20.scale(cD).with_bound(n)
     D = D0.scale(cD).with_bound(n)

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# Thresholds: every float below 1e-2 that the library decides by, named
-# once, by kind.  Names that share a value but not a meaning stay apart.
+# Thresholds that two or more modules read, and those of `fejer_riesz`.
+# Every other float the library decides by is named, with its meaning, at
+# the top of the one module that reads it.  Names that share a value but
+# not a meaning stay apart.
 # ---------------------------------------------------------------------------
 
 # The caller's band: the default width of the zone around a decision
@@ -25,18 +27,10 @@ import numpy as np
 TOL = 1e-9
 #: the real-slice face labels and real pentablock sets
 REAL_TOL = 1e-7
-#: the loose closure check of `hexa_aut_apply` on its input
-AUT_CHECK_TOL = 1e-7
 #: `DiscAut.approx_eq` and `HexaAut.approx_eq`
 AUT_MATCH_TOL = 1e-10
-#: the inner-function validation reports
-INNER_TOL = 1e-6
 #: `fejer_riesz`'s allowed negativity, relative to the coefficients
 FR_TOL = 1e-9
-#: the negativity `hexa_inner_construct` allows |D|^2 - |E1|^2
-INNER_FR_TOL = 1e-7
-#: `SchwarzProblem`'s open-hexablock check on its target
-SCHWARZ_TARGET_TOL = 1e-12
 
 # Structural zeros: a quantity that vanishes exactly in a degenerate case
 # counts as zero below these.
@@ -44,92 +38,28 @@ SCHWARZ_TARGET_TOL = 1e-12
 _TINY = 1e-14
 #: the denominator of a linear fractional map: a pole below this
 _DEN_TINY = 1e-14
-#: the denominator of the diamond law
-DIAMOND_POLE = 1e-12
-#: the determinant of the real system s = beta + conj(beta) p
-BETA_SINGULAR = 1e-12
-#: a complex scalar with no phase to take (outer part, coefficient, target)
-PHASE_ZERO = 1e-13
 #: `fejer_riesz`: extreme coefficients dropped, relative to the largest
 FR_TRIM = 1e-13
 #: `fejer_riesz`: circle values that count as zero, relative
 FR_ZERO = 1e-10
-#: |D| on the closed disc (and a denominator there) that counts as a zero
-INNER_D_ZERO = 1e-9
-#: |D|^2 - |E1|^2 that is identically zero (A = 0), relative to |D|^2
-INNER_A_ZERO = 1e-12
-#: `mu_value`: a matrix norm that counts as the zero matrix
-MU_ZERO_NORM = 1e-300
-#: `mu_value`: a spectral radius negligible against the norm (mu = 0)
-MU_NEGLIGIBLE = 1e-12
-#: `mu --oracle`: a mu below this reports its gap relative to this instead
-ORACLE_GAP_FLOOR = 1e-3
 
 # Knife-edges: decisions on a set of measure zero, taken within these.
-#: ||x3| - 1| that takes the tetrablock closure's |x3| = 1 branch
-UNIT_X3_EDGE = 1e-13
-#: `realslice`: the triangular and circle tests that split d3E from d2E
-D3E_EDGE = 1e-7
 #: a modulus within this of 1 is on the unit circle (the circle
 #: coordinates of `realslice.d3E_approach_sequence`, the zeros that
 #: `inner.rational_inner_outer` leaves in the outer part)
 CIRCLE_EDGE = 1e-9
-#: the real-slice sampler skips points this close to a tetrahedron face
-SAMPLE_FACE_EDGE = 1e-6
-#: `_interp_zero_blaschke`: |ratio| = 1, a rotation
-UNIMODULAR_EDGE = 1e-10
-#: the Schwarz construction's cases |x3| = |lambda0|, x1 = x2 = 0 and
-#: x1 x2 = x3, and its reach |a| <= |lambda0| |A/D|(lambda0)
-SCHWARZ_EDGE = 1e-9
-#: the Schwarz construction's case a = 0 on triangular targets
-SCHWARZ_A_ZERO = 1e-12
 
 # Rounding slack: how far a computed quantity may stray from its exact
 # value (Higham, Accuracy and Stability of Numerical Algorithms, 2002).
 #: the interior margin `psi.maximizer` and `psi.k_star` need: nearer dE
 #: the cost blows up off bE directions, and the suprema are closed forms
 REFUSE_MARGIN = 1e-9
-#: D = beta^2 - 4|v|^2 at or below this times the A + 2B of its form is
-#: rounding noise (16 ulps of 1, 2^-48): K* takes D = 0
-D_FLOOR = 3.552713678800501e-15
-#: a negative maximizer discriminant tolerated, times 1/(1 - |x3|^2)
-DISC_SLACK = 1e-12
 #: a modulus that must be 1 (a phase, |z|^2 + |w|^2 in `hp_param`)
 UNIT_SLACK = 1e-9
-#: imaginary part of a real-slice coordinate
-REAL_IMAG_SLACK = 1e-12
-#: eigenvalue of the Hessian of K that still counts as <= 0
-HESS_SLACK = 1e-4
-#: the two routes of `penta_aut_apply`
-AUT_ROUTE_SLACK = 1e-10
 #: `fejer_riesz`: a_{-k} - conj(a_k), relative to the coefficients
 FR_HERMITIAN_SLACK = 1e-8
 #: `fejer_riesz`: |D|^2 against f on the circle, relative
 FR_RECON_SLACK = 1e-7
-#: the reflection identity E1 = E2~n, relative
-INNER_REFL_SLACK = 1e-9
-#: disc images of a hexablock inner function outside the closure
-INNER_CLOSURE_SLACK = 1e-8
-#: rational data above modulus 1 on the closed disc
-INNER_BOUND_SLACK = 1e-7
-#: an interpolation value outside the closed disc
-INNER_DISC_SLACK = 1e-12
-#: E1 = E2 of symmetric (pentablock) inner data
-SYMMETRY_SLACK = 1e-9
-#: the phase alignment E1 = E2~n and its D~n/D spot check
-PHASE_ALIGN_SLACK = 1e-8
-#: supplied tetrablock data interpolating the Schwarz target
-INTERP_SLACK = 1e-7
-#: the pentablock Schwarz margins against their hexablock bridge, relative
-BRIDGE_SLACK = 1e-8
-#: `mu_value`: the lowest lower end of the penta bisection, relative
-MU_LO_FLOOR = 1e-13
-#: `mu_value`: the upper end of the penta bisection widened, relative
-MU_BRACKET_SLACK = 1e-12
-#: `mu_value`: the guard that the widened upper end is in the pentablock
-MU_GUARD = 1e-6
-#: `mu_value`: the penta bisection width, relative to ||A||
-MU_WIDTH = 1e-9
 
 
 class DomainError(ValueError):

@@ -2,8 +2,11 @@
 definitional tetrablock test, a sweep-based structured singular value, and
 the finite-difference Levi form of the defining function rho.
 
-These deliberately share no code path with the closed-form implementations
-they are used to test.  All grids are deterministic functions of a GridSpec.
+The grid and sweep oracles deliberately share no code path with the
+closed-form implementations they are used to test; all grids are
+deterministic functions of a GridSpec.  `levi_fd_matrix` differentiates
+the library's own D (`psi._k_star_M`) by finite differences, so it checks
+only the exact derivatives of `realslice`, not D itself.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ class GridSpec:
     radial_points: int = 14
     angular_points: int = 28
     refinement_levels: int = 3
-    seed: int = 0
 
 
 def disc_grid(spec: GridSpec, rmax: float = 0.995) -> np.ndarray:

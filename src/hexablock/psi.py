@@ -18,8 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (D_FLOOR, DISC_SLACK, REFUSE_MARGIN, TOL, _DEN_TINY,
-                       DomainError, cx, cx_coords)
+from .numerics import REFUSE_MARGIN, TOL, _DEN_TINY, DomainError, cx, cx_coords
+
+#: D = beta^2 - 4|v|^2 at or below this times the A + 2B of its form is
+#: rounding noise (16 ulps of 1, 2^-48): K* takes D = 0
+D_FLOOR = 3.552713678800501e-15
+#: a negative maximizer discriminant tolerated, times 1/(1 - |x3|^2)
+DISC_SLACK = 1e-12
 
 
 def is_triangular(x, tol: float = TOL) -> bool:

@@ -14,11 +14,17 @@ import math
 
 import numpy as np
 
-from .numerics import (CIRCLE_EDGE, D3E_EDGE, HESS_SLACK, REAL_IMAG_SLACK,
-                       REAL_TOL, TOL, DomainError, cx)
+from .numerics import CIRCLE_EDGE, REAL_TOL, TOL, DomainError, cx
 from .psi import (_k_star_M, _refuse_boundary, _tetra_terms, is_triangular,
                   k_star)
 from .domains import Region, g2_classify, tetra_classify
+
+#: the triangular and circle tests that split d3E from d2E
+D3E_EDGE = 1e-7
+#: imaginary part of a real-slice coordinate
+REAL_IMAG_SLACK = 1e-12
+#: eigenvalue of the Hessian of K that still counts as <= 0
+HESS_SLACK = 1e-4
 
 
 def _real3(x):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexablock.numerics import (ConsistencyError, DiscAut, DomainError,
                                 pi_penta, pi_tetra)
@@ -214,14 +215,56 @@ def test_tetra_split_vote_raises_naming_the_point(monkeypatch):
     assert tetra_classify(good).region is Region.INTERIOR
     regions, _ = tetra_classify_batch(columns([good, good]))
     assert list(regions) == [Region.INTERIOR] * 2
-    with pytest.raises(ConsistencyError, match="part7"):
-        tetra_classify(bad)
     with pytest.raises(ConsistencyError) as err:
-        tetra_classify_batch(columns([good, bad, good]))
+        tetra_classify(bad)
     msg = str(err.value)
     assert "tetrablock interior at point ((0.4+0j), (0.2+0j), (0.05+0j))" in msg
     assert "'part7': False" in msg and "'part3': True" in msg
     assert "part7: -1.429e-01" in msg
+    with pytest.raises(ConsistencyError) as err:
+        tetra_classify_batch(columns([good, bad, good]))
+    assert str(err.value) == msg
+
+
+_TOL = 1e-9
+# margins on and around 0 and +-tol, where a criterion turns from
+# abstaining to decisive, or anywhere in [-2 tol, 2 tol]
+_st_margin = st.one_of(
+    st.sampled_from([0.0, _TOL, -_TOL, np.nextafter(_TOL, 1.0),
+                     -np.nextafter(_TOL, 1.0), 2 * _TOL, -2 * _TOL, np.nan]),
+    st.floats(-2 * _TOL, 2 * _TOL))
+
+
+@given(st.integers(2, 6).flatmap(lambda k: st.lists(
+           st.lists(_st_margin, min_size=k, max_size=k), min_size=1, max_size=8)),
+       st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_vote_is_the_same_on_scalars_and_arrays(columns_, data):
+    # each column is one point's margins; the array vote takes the columns
+    # stacked and must give every column's scalar vote, raising on the
+    # first column whose scalar vote raises
+    from hexablock.domains import _vote
+    firsts = data.draw(st.lists(st.booleans(), min_size=len(columns_),
+                                max_size=len(columns_)))
+    names = [f"c{k}" for k in range(len(columns_[0]))]
+    scalar = []
+    for j, (col, first) in enumerate(zip(columns_, firsts)):
+        try:
+            scalar.append(_vote(first, dict(zip(names, col)), _TOL, "v", (j,)))
+        except ConsistencyError as exc:
+            scalar.append(exc)
+    rows = np.array(columns_).T
+    index = np.arange(len(columns_))
+    split = [j for j, r in enumerate(scalar) if isinstance(r, Exception)]
+    if split:
+        with pytest.raises(ConsistencyError) as err:
+            _vote(np.array(firsts), dict(zip(names, rows)), _TOL, "v", (index,))
+        assert str(err.value) == str(scalar[split[0]])
+    keep = [j for j in index if j not in split]
+    if keep:
+        got = _vote(np.array(firsts)[keep], dict(zip(names, rows[:, keep])),
+                    _TOL, "v", (index[keep],))
+        assert got.tolist() == [scalar[j] for j in keep]
 
 
 def test_tetra_from_contractions(rng):

@@ -87,23 +87,32 @@ def test_every_parameter_is_read():
 
 
 def test_thresholds_are_named():
-    # every float below 1e-2 that the library decides by is a name in the
-    # table at the top of `numerics` (module-level assignments); only the
-    # test oracles write such literals
-    small = []
-    for path in sorted(pathlib.Path(hexablock.__file__).parent.glob("*.py")):
-        if path.name == "oracles.py":
-            continue
-        tree = ast.parse(path.read_text())
-        table = set()
-        if path.name == "numerics.py":
-            table = {id(node.value) for node in tree.body
-                     if isinstance(node, ast.Assign)
-                     and isinstance(node.value, ast.Constant)}
-        small += [f"{path.name}:{node.lineno} {node.value!r}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Constant)
-                  and type(node.value) is float
-                  and 0.0 < abs(node.value) < 1e-2
-                  and id(node) not in table]
+    # every float below 1e-2 that the library decides by is a module-level
+    # name; only the test oracles write such literals.  A float name lives
+    # in the one module that reads it, or in `numerics` when two or more
+    # modules read it, so the shared table cannot regrow
+    trees = {path.stem: ast.parse(path.read_text()) for path in
+             sorted(pathlib.Path(hexablock.__file__).parent.glob("*.py"))}
+    small, misplaced = [], []
+    for mod, tree in trees.items():
+        named = {node.targets[0].id: node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Constant)
+                 and type(node.value.value) is float}
+        if mod != "oracles":
+            table = set(map(id, named.values()))
+            small += [f"{mod}.py:{node.lineno} {node.value!r}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant)
+                      and type(node.value) is float
+                      and 0.0 < abs(node.value) < 1e-2
+                      and id(node) not in table]
+        for name in named:
+            readers = {m for m, t in trees.items() for n in ast.walk(t)
+                       if isinstance(n, ast.Name) and n.id == name
+                       and isinstance(n.ctx, ast.Load)}
+            home = "numerics" if len(readers) > 1 else next(iter(readers), None)
+            if mod != home:
+                misplaced.append(f"{mod}.{name} read by {sorted(readers)}")
     assert small == []
+    assert misplaced == []
