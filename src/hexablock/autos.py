@@ -6,6 +6,10 @@ pentablock automorphisms f_{omega,v}.
 Conventions.  A `DiscAut` stores the plain form xi*B_z.  The hexablock
 normal form uses v = -xi1 B_{z1} and chi = -xi2 B_{-conj(z2)}; the helpers
 below convert between the two.
+
+The flip.  T_{v,chi,F,omega} = T_{v,chi,omega} o F-hat, F-hat swapping x1
+and x2, and F-hat T_{v,chi,omega} F-hat = T_{chi*, v*, omega conj(xi1) xi2}
+(`_flip_conjugate`), so one flip-free law composes and inverts them all.
 """
 
 from __future__ import annotations
@@ -40,6 +44,14 @@ def _v_from_params(xi1: complex, z1: complex) -> DiscAut:
 
 def _chi_from_params(xi2: complex, z2: complex) -> DiscAut:
     return DiscAut(-cx(xi2), -cx(z2).conjugate())
+
+
+def _flip_conjugate(v: DiscAut, chi: DiscAut, omega: complex):
+    """The flip-free parts (chi*, v*, omega conj(xi1) xi2) of
+    F-hat T_{v,chi,omega} F-hat, where F-hat swaps x1 and x2."""
+    xi1, _ = _params_v(v)
+    xi2, _ = _params_chi(chi)
+    return chi.star(), v.star(), omega * xi1.conjugate() * xi2
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +102,12 @@ def tetra_aut_apply_diamond(t: TetraAut, x):
 
 
 def tetra_aut_invert(t: TetraAut) -> TetraAut:
-    """tau_{v,chi}^{-1} = tau_{v^-1,chi^-1}; with flip the slots star-swap."""
-    if not t.flip:
-        return TetraAut(t.v.invert(), t.chi.invert(), False)
-    return TetraAut(t.chi.star().invert(), t.v.star().invert(), True)
+    """tau_{v,chi}^{-1} = tau_{v^-1,chi^-1}; with the flip, the inverse
+    F-hat tau_{v^-1,chi^-1} is carried past F-hat by `_flip_conjugate`."""
+    v, chi = t.v.invert(), t.chi.invert()
+    if t.flip:
+        v, chi, _ = _flip_conjugate(v, chi, 1.0)
+    return TetraAut(v, chi, t.flip)
 
 
 # ---------------------------------------------------------------------------
@@ -149,71 +163,46 @@ def hexa_aut_apply(T: HexaAut, p, check: bool = True):
 
 
 def hexa_aut_invert(T: HexaAut) -> HexaAut:
-    """Closed-form inverse: T_{v,chi,w}^-1 = T_{v^-1,chi^-1,conj(w)} and
-    T_{v,chi,F,w}^-1 = T_{chi*^-1, v*^-1, F, conj(w) xi1 conj(xi2)}."""
-    if not T.flip:
-        return HexaAut(T.v.invert(), T.chi.invert(), T.omega.conjugate(), False)
-    xi1, _ = _params_v(T.v)
-    xi2, _ = _params_chi(T.chi)
-    omega = T.omega.conjugate() * xi1 * xi2.conjugate()
-    return HexaAut(T.chi.star().invert(), T.v.star().invert(), omega, True)
+    """Closed-form inverse: T_{v,chi,w}^-1 = T_{v^-1,chi^-1,conj(w)}, and
+    T_{v,chi,F,w}^-1 = F-hat T_{v^-1,chi^-1,conj(w)}, carried past F-hat by
+    F-hat T_{v,chi,w} F-hat = T_{chi*, v*, w conj(xi1) xi2}."""
+    parts = (T.v.invert(), T.chi.invert(), T.omega.conjugate())
+    if T.flip:
+        parts = _flip_conjugate(*parts)
+    return HexaAut(*parts, T.flip)
 
 
-def _compose_noflip(T1: HexaAut, T2: HexaAut) -> tuple[DiscAut, DiscAut, complex]:
-    """Normal form of T_{v1,chi1,w1} o T_{v2,chi2,w2} (both without flip):
-    v-part v1 o v2, chi-part chi2 o chi1, phase w1 w2 conj(gamma)."""
-    xi1, z1 = _params_v(T1.v)
+def _compose_noflip(T1: HexaAut, v2: DiscAut, chi2: DiscAut,
+                    w2: complex) -> tuple[DiscAut, DiscAut, complex]:
+    """Normal form of T_{v1,chi1,w1} o T_{v2,chi2,w2}, the flip of T1 not
+    read: v-part v1 o v2, chi-part chi2 o chi1, phase w1 w2 conj(gamma)."""
+    _, z1 = _params_v(T1.v)
     xi2c1, z2c1 = _params_chi(T1.chi)
-    xi1b, z1b = _params_v(T2.v)
+    xi1b, z1b = _params_v(v2)
     # pattern parameters: chi = chi1^-1, zeta = v2^-1, Y = chi2
     z2 = -xi2c1.conjugate() * z2c1          # chi slot of the pattern
     alpha1 = -xi1b * z1b                    # zeta = -eta1 B_{alpha1}
-    _, alpha2 = _params_chi(T2.chi)
+    _, alpha2 = _params_chi(chi2)
     u1 = 1.0 - z1.conjugate() * alpha1
     u2 = 1.0 - z2 * alpha2.conjugate()
     if abs(u1) < _TINY or abs(u2) < _TINY:
         raise ConsistencyError("degenerate phase factor in composition")
     gamma = (u1 / abs(u1)) * (u2 / abs(u2))
-    v = T1.v.compose(T2.v)
-    chi = T2.chi.compose(T1.chi)
-    return v, chi, T1.omega * T2.omega * gamma.conjugate()
-
-
-def _compose_flipflip(T1: HexaAut, T2: HexaAut) -> tuple[DiscAut, DiscAut, complex]:
-    """Normal form of T_{v1,chi1,F,w1} o T_{v2,chi2,F,w2}: the flips cancel,
-    v-part v1 o chi2*, chi-part v2* o chi1, phase w1 w2 conj(beta)."""
-    xi1, z1 = _params_v(T1.v)
-    xi2c1, z2c1 = _params_chi(T1.chi)
-    z2 = -xi2c1.conjugate() * z2c1
-    # zeta = v2 = -eta1 B_{alpha1}; Y = chi2^-1 = -eta2 B_{-conj(alpha2)}
-    eta1, alpha1 = _params_v(T2.v)
-    xi2b, z2b = _params_chi(T2.chi)
-    eta2 = xi2b.conjugate()
-    alpha2 = -xi2b.conjugate() * z2b
-    u1 = 1.0 - z1.conjugate() * eta2.conjugate() * alpha2
-    u2 = 1.0 - z2 * eta1.conjugate() * alpha1.conjugate()
-    if abs(u1) < _TINY or abs(u2) < _TINY:
-        raise ConsistencyError("degenerate phase factor in composition")
-    beta = eta1 * eta2 * (u1 / abs(u1)) * (u2 / abs(u2))
-    v = T1.v.compose(T2.chi.star())
-    chi = T2.v.star().compose(T1.chi)
-    return v, chi, T1.omega * T2.omega * beta.conjugate()
+    return T1.v.compose(v2), chi2.compose(T1.chi), \
+        T1.omega * w2 * gamma.conjugate()
 
 
 def hexa_aut_compose(T1: HexaAut, T2: HexaAut) -> HexaAut:
     """Exact normal form of T1 o T2; flip parity is the XOR of the inputs.
 
-    Mixed parities reduce to the two closed-form cases through F-hat^2 = id:
-    a trailing flip on T2 commutes out unchanged, a flip on T1 routes the
-    composition through the flip-flip phase law.
+    A flip on T2 acts first and stays there.  A flip on T1 is moved past
+    the flip-free part of T2 by F-hat T_{v,chi,w} F-hat =
+    T_{chi*, v*, w conj(xi1) xi2}; what is left is the flip-free law.
     """
+    parts = (T2.v, T2.chi, T2.omega)
     if T1.flip:
-        v, chi, omega = _compose_flipflip(
-            T1, HexaAut(T2.v, T2.chi, T2.omega, True))
-    else:
-        v, chi, omega = _compose_noflip(
-            T1, HexaAut(T2.v, T2.chi, T2.omega, False))
-    return HexaAut(v, chi, omega, T1.flip != T2.flip)
+        parts = _flip_conjugate(*parts)
+    return HexaAut(*_compose_noflip(T1, *parts), T1.flip != T2.flip)
 
 
 def hexa_aut_from_be_point(x) -> tuple[HexaAut, tuple]:

@@ -153,8 +153,7 @@ def _g2_verdict(s: complex, p: complex, tol: float):
         margins["beta"] = 1.0 - abs(beta)
     inside = _vote(m2 > 0.0, margins, tol, "G2 interior", (s, p))
 
-    mc = min((4.0 - abs(s) ** 2) - (2.0 * sp + abs(s * s - 4.0 * p)),
-             2.0 - abs(s))
+    mc = min(m3, 2.0 - abs(s))
     margins["closure"] = mc
     in_closure = mc >= -tol
 
@@ -268,6 +267,14 @@ def _tetra_verdict(x1, x2, x3, tol: float):
                  "tetrablock distinguished boundary", point)
     region = _region(in_closure, on_b, inside & (mc > tol))
     return region, margins, witnesses, terms
+
+
+def _closure_margin(margins: dict):
+    """The tetrablock closure margin, the lesser of the closure_beta and
+    closure_part4 margins of a tetrablock verdict: a float on scalar
+    margins, an array on arrays."""
+    mc, m4 = margins["closure_beta"], margins["closure_part4"]
+    return np.minimum(mc, m4) if isinstance(mc, np.ndarray) else min(mc, m4)
 
 
 def tetra_classify(x, tol: float = TOL) -> RegionVerdict:

@@ -17,8 +17,9 @@ from .numerics import (REFUSE_MARGIN, TOL, UNIT_SLACK, ConsistencyError,
                        spectral_radius)
 from .psi import (_k_star, _k_star_M, _k_star_of_M, _tetra_terms,
                   is_triangular, k_star, maximizer, tetra_interior_margin)
-from .domains import (_EXTERIOR_CODE, Region, _tetra_verdict, bE_margin,
-                      penta_classify, tetra_classify)
+from .domains import (_EXTERIOR_CODE, Region, _closure_margin,
+                      _tetra_verdict, bE_margin, penta_classify,
+                      tetra_classify)
 
 _INF = math.inf
 
@@ -94,8 +95,7 @@ def _closure_test(p, tol: float):
     _, x = _point4(p)
     v = tetra_classify(x, tol)
     if v.region is Region.EXTERIOR:
-        margin = min(v.margins["closure_beta"], v.margins["closure_part4"])
-        return (False, margin), v, (None, None, "exterior")
+        return (False, _closure_margin(v.margins)), v, (None, None, "exterior")
     sup_res = psi_sup(p, tol)
     sup = sup_res[0]
     if sup is None or math.isinf(sup):
@@ -136,8 +136,7 @@ def hn_member(p, closed: bool = False, tol: float = TOL):
     if closed:
         v = tetra_classify(x, tol)
         if v.region is Region.EXTERIOR:
-            return False, min(v.margins["closure_beta"],
-                              v.margins["closure_part4"])
+            return False, _closure_margin(v.margins)
     else:
         m_int = tetra_interior_margin(x)
         if not m_int > tol:
@@ -219,12 +218,15 @@ def classify_boundary(p, tol: float = TOL):
     (in_hbar, mbar), v, sup_res = _closure_test(p, tol)
     if in_h or (not in_hbar and mbar < -10 * tol):
         raise DomainError("point is not on the boundary of H")
-    return _boundary_parts(p, v, sup_res, tol)
+    parts, witness = _boundary_parts(p, v, sup_res, tol)
+    if not parts:
+        raise DomainError("boundary point received no part label")
+    return parts, witness
 
 
 def _boundary_parts(p, v, sup_res, tol: float):
-    """`classify_boundary` for a point known to be on the boundary of H,
-    given the tetra verdict of x and psi_sup(p)."""
+    """(parts, witness) of `classify_boundary`, given the tetra verdict of
+    x and psi_sup(p); the part set may be empty."""
     a, _ = _point4(p)
     parts: set[str] = set()
     witness = None
@@ -238,8 +240,6 @@ def _boundary_parts(p, v, sup_res, tol: float):
         if arg is not None and abs(sup - 1.0) <= 10 * tol:
             parts.add("d1")
             witness = arg
-    if not parts:
-        raise DomainError("boundary point received no part label")
     return parts, witness
 
 
@@ -297,11 +297,7 @@ def classify_hexa(p, tol: float = TOL) -> HexaVerdict:
     f_bh = f_bh and f_hc
     parts: frozenset = frozenset()
     if f_hc and not f_h:
-        try:
-            got, _ = _boundary_parts(p, v, sup_res, tol)
-            parts = frozenset(got)
-        except DomainError:
-            parts = frozenset()
+        parts = frozenset(_boundary_parts(p, v, sup_res, tol)[0])
 
     checks = [(f_hn, f_mu, "H_N <= H_mu"), (f_mu, f_h, "H_mu <= H"),
               (f_h, f_hc, "H <= closure"), (f_ihn, f_imu, "int lattice"),

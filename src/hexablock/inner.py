@@ -22,7 +22,7 @@ from .numerics import (CIRCLE_EDGE, TOL, BlaschkeProduct, ConsistencyError,
                        DomainError, Poly, PowerTable, _frozen, cx, cx_arrays,
                        cx_from_json, fejer_riesz, poly_abs2_trig, trig_sub)
 from .psi import k_star
-from .domains import _bE_margin, _tetra_verdict
+from .domains import _bE_margin, _closure_margin, _tetra_verdict
 from .hexa import _h_closure_arrays, h_member
 
 #: the inner-function validation reports
@@ -160,9 +160,9 @@ def tetra_inner_validate(t: RationalTetraInner) -> dict:
     # the images of the circle and of the tetra disc grid, coerced once
     x = cx_arrays(_ratios(vals[:, k: k + nc + nt]))
     _, margins, _, _ = _tetra_verdict(*(v[nc:] for v in x), TOL)
-    closure = np.minimum(margins["closure_beta"], margins["closure_part4"])
     return _tetra_report(t._rows[:2], vals,
-                         _bE_margin(*(v[:nc:_CIRCLE_STEP] for v in x)), closure)
+                         _bE_margin(*(v[:nc:_CIRCLE_STEP] for v in x)),
+                         _closure_margin(margins))
 
 
 def _tetra_report(e: np.ndarray, vals: np.ndarray, circle_bE: np.ndarray,
@@ -321,8 +321,7 @@ def hexa_inner_validate(f: RationalHexaInner) -> dict:
     circle_bE = _bE_margin(*circle[1:])
 
     sub = _tetra_report(f._rows[:2, : f.tetra.n + 1], vals,
-                        circle_bE[::_CIRCLE_STEP], np.minimum(
-                            tm["closure_beta"][:nt], tm["closure_part4"][:nt]))
+                        circle_bE[::_CIRCLE_STEP], _closure_margin(tm)[:nt])
     worst_norm = float(np.abs(np.abs(circle[0]) ** 2 + np.abs(circle[1]) ** 2
                               - 1.0).max())
     worst_b = max(0.0, -float(circle_bE.min()))

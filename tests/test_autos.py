@@ -9,8 +9,9 @@ from hexablock.psi import k_star
 from hexablock.domains import Region, penta_classify, tetra_classify
 from hexablock.hexa import (bh_member, classify_hexa, hn_params, hp_param,
                             mu_value)
-from hexablock.autos import (HexaAut, TetraAut, hexa_aut_apply,
-                             hexa_aut_compose, hexa_aut_from_be_point,
+from hexablock.autos import (HexaAut, TetraAut, _flip_conjugate,
+                             hexa_aut_apply, hexa_aut_compose,
+                             hexa_aut_from_be_point,
                              hexa_aut_invert, penta_aut_apply,
                              penta_aut_compose_params, tetra_aut_apply,
                              tetra_aut_apply_diamond, tetra_aut_invert)
@@ -294,6 +295,26 @@ def test_hexa_aut_invert_compose_round_trip(T, U, p):
     assert _close4(apply(Ti, apply(T, p)), p, 1e-9)
     assert _close4(apply(C, p), apply(T, apply(U, p)), 1e-9)
     assert _close4(apply(hexa_aut_compose(Ti, C), p), apply(U, p), 1e-9)
+
+
+def _swap12(q):
+    """F-hat: (a, x1, x2, x3) -> (a, x2, x1, x3)."""
+    return (q[0], q[2], q[1], q[3])
+
+
+_st_discaut95 = st.builds(DiscAut, st_unit, st_disc(0.95))
+
+
+@given(st.one_of(st.just(HexaAut.identity()),
+                 st.builds(HexaAut, _st_discaut95, _st_discaut95, st_unit)),
+       st_hexa_point())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_flip_conjugate_matches_pointwise(T, p):
+    # F-hat T_{v,chi,w} F-hat = T_{chi*, v*, w conj(xi1) xi2}, pointwise
+    C = HexaAut(*_flip_conjugate(T.v, T.chi, T.omega))
+    assert not C.flip
+    lhs = _swap12(hexa_aut_apply(T, _swap12(p), check=False))
+    assert _close4(lhs, hexa_aut_apply(C, p, check=False), 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -85,18 +85,25 @@ def test_mu_with_oracle():
 
 
 def test_aut_compose_and_invert_round_trip():
-    T = {"v": {"xi": [0.6, 0.8], "z": [0.2, 0.1]},
-         "chi": {"xi": [1, 0], "z": [-0.1, 0.3]},
-         "omega": [0, 1], "flip": False}
-    code, out = run_cli(["aut", "invert", "--aut", json.dumps(T), "--json"])
-    assert code == 0
-    Ti = json.loads(out)
-    code, out2 = run_cli(["aut", "compose", "--aut", json.dumps(T),
-                          "--second", json.dumps(Ti), "--json"])
-    assert code == 0
-    C = json.loads(out2)
-    assert abs(complex(*C["v"]["z"])) < 1e-10
-    assert abs(complex(*C["omega"]) - 1) < 1e-10
+    for flip in (False, True):
+        T = {"v": {"xi": [0.6, 0.8], "z": [0.2, 0.1]},
+             "chi": {"xi": [1, 0], "z": [-0.1, 0.3]},
+             "omega": [0, 1], "flip": flip}
+        code, out = run_cli(["aut", "invert", "--aut", json.dumps(T),
+                             "--json"])
+        assert code == 0
+        Ti = json.loads(out)
+        assert Ti["flip"] is flip
+        code, out2 = run_cli(["aut", "compose", "--aut", json.dumps(T),
+                              "--second", json.dumps(Ti), "--json"])
+        assert code == 0
+        C = json.loads(out2)
+        # T o T^-1 is the identity normal form (-1) B_0, (-1) B_0, 1
+        assert C["flip"] is False
+        for part in ("v", "chi"):
+            assert abs(complex(*C[part]["xi"]) + 1) < 1e-10
+            assert abs(complex(*C[part]["z"])) < 1e-10
+        assert abs(complex(*C["omega"]) - 1) < 1e-10
 
 
 def test_aut_apply():
