@@ -21,8 +21,8 @@ import numpy as np
 from .numerics import (REFUSE_MARGIN, TOL, _TINY, ConsistencyError,
                        DomainError, DiscAut, cx, cx_arrays, cx_coords,
                        _quadratic_roots, stable_quadratic_roots)
-from .psi import (_betas_from, _interior_margin, _maximizer, _tetra_terms,
-                  is_triangular)
+from .psi import (_betas_from, _k_star_M, _k_star_of_M, _tetra_terms,
+                  _terms_margin, is_triangular)
 
 #: the determinant of the real system s = beta + conj(beta) p
 BETA_SINGULAR = 1e-12
@@ -222,7 +222,7 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     m8 = lo(q8, below3)
     m8 = _pick(w <= tol * (1.0 + a3), lo(m8, 2.0 - a1 - a2), m8)
     m4 = lo(1.0 + s1 - s2 - s3 - 2.0 * d12, 1.0 - a1)
-    m3, m3_flip = 1.0 - (s1 + d21 + w), 1.0 - (s2 + d12 + w)
+    m3, m3_flip = _terms_margin(terms), 1.0 - (s2 + d12 + w)
     m5 = den - (d12 + d21)
     margins = {"part3": m3, "part3_flip": m3_flip, "part4": m4, "part5": m5,
                "part8": m8}
@@ -331,9 +331,11 @@ def penta_classify(a: complex, s: complex, p: complex,
 def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
     """(region, margins, witnesses) of `penta_classify` for coerced
     a, s, p.  c_plus comes from the roots in the G2 verdict's witnesses.
-    The interior margin of the symmetric point (s/2, s/2, p) is taken
-    once; where it exceeds the maximizer's `REFUSE_MARGIN`, K* comes from
-    the maximizer's core."""
+    The symmetric point (s/2, s/2, p) is read once, as `psi._tetra_terms`:
+    where its interior margin (`psi._terms_margin`) exceeds
+    `REFUSE_MARGIN`, the psi_sup criterion is 1 - |a| K* with K* the one
+    closed form of `psi._k_star_M`, the hexablock's K* there (c_plus =
+    1/K*(s/2, s/2, p), the bridge that the vote checks)."""
     g2_region, g2_margins, witnesses = _g2_verdict(s, p, tol)
     g2_interior = g2_region is Region.INTERIOR
     _, cp = _penta_radii(*witnesses["eigenvalues"])
@@ -344,9 +346,10 @@ def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
 
     # the psi-sup route through the hexablock bridge
     h = s / 2.0
-    if _interior_margin(h, h, p) > REFUSE_MARGIN:
+    terms = _tetra_terms(h, h, p)
+    if _terms_margin(terms) > REFUSE_MARGIN:
         criteria["psi_sup"] = margins["psi_sup"] = \
-            1.0 - a_a * _maximizer(h, h, p).k_star
+            1.0 - a_a * _k_star_of_M(_k_star_M(terms)[2])
     inside = g2_interior and _vote(m_cp > 0.0, criteria, tol,
                                    "pentablock interior", (a, s, p))
 

@@ -167,7 +167,7 @@ def h_member(p, closed: bool = False, tol: float = TOL):
     m_int = tetra_interior_margin(x)
     if not m_int > tol:
         return False, min(m_int, 0.0)
-    margin = 1.0 - abs(a) * k_star(x)
+    margin = 1.0 - abs(a) * _k_star(*x)
     return margin > tol, margin
 
 

@@ -89,6 +89,10 @@ _DISC_HEXA = _disc_samples(100)
 _CIRCLE_STEP = max(1, len(_CIRCLE) // 64)
 _VALIDATION_TABLE = PowerTable(np.concatenate([_CLOSED_DISC, _CIRCLE,
                                                _DISC_TETRA, _DISC_HEXA]))
+# the columns of `_VALIDATION_TABLE` whose images `tetra_inner_validate`
+# reads: every `_CIRCLE_STEP`-th circle point, then the tetra disc grid
+_TETRA_IMAGES = len(_CLOSED_DISC) + np.r_[0: len(_CIRCLE): _CIRCLE_STEP,
+                                          len(_CIRCLE): len(_CIRCLE) + len(_DISC_TETRA)]
 
 
 def _stack(polys) -> np.ndarray:
@@ -156,12 +160,11 @@ def tetra_inner_validate(t: RationalTetraInner) -> dict:
     distinguished boundary and disc images in the closed tetrablock.
     """
     vals = _VALIDATION_TABLE.eval(t._rows)
-    k, nc, nt = len(_CLOSED_DISC), len(_CIRCLE), len(_DISC_TETRA)
-    # the images of the circle and of the tetra disc grid, coerced once
-    x = cx_arrays(_ratios(vals[:, k: k + nc + nt]))
-    _, margins, _, _ = _tetra_verdict(*(v[nc:] for v in x), TOL)
-    return _tetra_report(t._rows[:2], vals,
-                         _bE_margin(*(v[:nc:_CIRCLE_STEP] for v in x)),
+    nt = len(_DISC_TETRA)
+    # only the images the checks read are divided and coerced, once
+    x = cx_arrays(_ratios(vals[:, _TETRA_IMAGES]))
+    _, margins, _, _ = _tetra_verdict(*(v[-nt:] for v in x), TOL)
+    return _tetra_report(t._rows[:2], vals, _bE_margin(*(v[:-nt] for v in x)),
                          _closure_margin(margins))
 
 

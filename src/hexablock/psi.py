@@ -1,8 +1,12 @@
 """The linear fractional families psi_{z1,z2}, Psi, Phi_z and kappa, the
 closed-form unique maximizer of |kappa| over the bidisc, and the cost
-K* = sup |kappa| that drives every hexablock membership test, written
-once, in closed form, by `_k_star_M` on the terms that `_tetra_terms`
-shares with the tetrablock verdict.
+K* = sup |kappa| that drives every hexablock and pentablock membership
+test, written once, in closed form, by `_k_star_M` on the terms that
+`_tetra_terms` shares with the tetrablock verdict.  One terms tuple answers
+every K* question: the interior margin that `k_star` and `maximizer`
+refuse on (`_terms_margin`), K* itself, and the maximizer's witness
+(`_witness`); |kappa| is evaluated at the witness only for
+`MaximizerResult.k_star`.
 
 The array entry points of the library are `k_star`, `k_star_closed`,
 `domains.bE_margin`, `domains.tetra_classify_batch` and
@@ -78,10 +82,7 @@ def Phi_eval(z: complex, s: complex, p: complex) -> complex:
 
 def betas(x) -> tuple[complex, complex]:
     """beta_1 = (x1 - conj(x2) x3)/(1-|x3|^2) and the symmetric beta_2."""
-    return _betas(*map(cx, x))
-
-
-def _betas(x1, x2, x3):
+    x1, x2, x3 = map(cx, x)
     den = 1.0 - abs(x3) ** 2
     if den <= 0.0:
         raise DomainError("betas need |x3| < 1")
@@ -96,7 +97,8 @@ def _betas_from(c12, c21, den):
 @dataclass(frozen=True)
 class MaximizerResult:
     """Closed-form argmax of |kappa(., x)| over the bidisc, its betas and
-    `k_star`, the value |kappa| takes there."""
+    `k_star`, the value |kappa| takes there: the closed form `k_star` up
+    to rounding, evaluated at the witness; no library K* reads it."""
 
     z1: complex
     z2: complex
@@ -105,13 +107,13 @@ class MaximizerResult:
     k_star: float
 
 
-def _half_maximizer(b_this: complex, b_other: complex, x3: complex) -> complex:
+def _half_maximizer(b_this: complex, b_other: complex, den: float) -> complex:
     t = 1.0 + abs(b_this) ** 2 - abs(b_other) ** 2
     d = t * t - 4.0 * abs(b_this) ** 2
     if d < 0.0:
-        # the betas divide by 1 - |x3|^2: their rounding error, and that
-        # of d, grows like its reciprocal
-        if d < -DISC_SLACK / (1.0 - abs(x3) ** 2):
+        # the betas divide by den = 1 - |x3|^2: their rounding error, and
+        # that of d, grows like its reciprocal
+        if d < -DISC_SLACK / den:
             raise DomainError(f"negative maximizer discriminant {d:.3e}")
         d = 0.0
     return 2.0 * b_this.conjugate() / (t + math.sqrt(d))
@@ -121,18 +123,23 @@ def tetra_interior_margin(x) -> float:
     """Signed interior margin 1 - (|x1|^2 + |x2 - conj(x1) x3| + |x1 x2 - x3|).
 
     Positive exactly on the open tetrablock; used as the canonical margin.
+    It is `_terms_margin` of `_tetra_terms`, read off the coordinates.
     """
-    return _interior_margin(*map(cx, x))
-
-
-def _interior_margin(x1, x2, x3):
+    x1, x2, x3 = map(cx, x)
     return 1.0 - (abs(x1) ** 2 + abs(x2 - x1.conjugate() * x3) + abs(x1 * x2 - x3))
 
 
-def _refuse_boundary(x1, x2, x3) -> None:
-    """Refuse x, or coordinate arrays with any point, whose interior margin
-    does not exceed `REFUSE_MARGIN`."""
-    m = _interior_margin(x1, x2, x3)
+def _terms_margin(terms):
+    """The tetrablock interior margin 1 - (|x1|^2 + |c21| + |v|) from
+    `_tetra_terms`, scalars or arrays: part 3 of the tetrablock verdict."""
+    _, _, _, s1, _, _, _, _, _, d21, _, w = terms
+    return 1.0 - (s1 + d21 + w)
+
+
+def _refuse_boundary(terms) -> None:
+    """Refuse the point of `_tetra_terms`, or coordinate arrays with any
+    point, whose interior margin does not exceed `REFUSE_MARGIN`."""
+    m = _terms_margin(terms)
     near = m <= REFUSE_MARGIN
     if near.any() if isinstance(near, np.ndarray) else near:
         raise DomainError(f"K* and its maximizer need interior margin > "
@@ -145,17 +152,20 @@ def maximizer(x) -> MaximizerResult:
     Refuses points whose interior margin does not exceed `REFUSE_MARGIN`.
     """
     x1, x2, x3 = map(cx, x)
-    _refuse_boundary(x1, x2, x3)
-    return _maximizer(x1, x2, x3)
-
-
-def _maximizer(x1, x2, x3) -> MaximizerResult:
-    """`maximizer` for coerced coordinates whose interior margin the
-    caller has already checked."""
-    b1, b2 = _betas(x1, x2, x3)
-    z1 = _half_maximizer(b1, b2, x3)
-    z2 = _half_maximizer(b2, b1, x3)
+    terms = _tetra_terms(x1, x2, x3)
+    _refuse_boundary(terms)
+    z1, z2, b1, b2 = _witness(terms)
     return MaximizerResult(z1, z2, b1, b2, abs(_kappa(z1, z2, x1, x2, x3)))
+
+
+def _witness(terms):
+    """(z1, z2, beta1, beta2): the maximizer and its betas from the
+    `_tetra_terms` of a point whose interior margin the caller has checked,
+    so that den = 1 - |x3|^2 > 0."""
+    _, _, _, _, _, s3, c12, c21, _, _, _, _ = terms
+    den = 1.0 - s3
+    b1, b2 = _betas_from(c12, c21, den)
+    return _half_maximizer(b1, b2, den), _half_maximizer(b2, b1, den), b1, b2
 
 
 def _tetra_terms(x1, x2, x3):
@@ -223,9 +233,9 @@ def k_star(x):
     """K*(x) = sup over the bidisc of |kappa(., x)|, always >= 1, for x in
     the open tetrablock; refuses, as `maximizer` does, points whose
     interior margin does not exceed `REFUSE_MARGIN`."""
-    x1, x2, x3 = cx_coords(x)
-    _refuse_boundary(x1, x2, x3)
-    return _k_star(x1, x2, x3)
+    terms = _tetra_terms(*cx_coords(x))
+    _refuse_boundary(terms)
+    return _k_star_of_M(_k_star_M(terms)[2])
 
 
 def k_star_closed(x):

@@ -92,8 +92,8 @@ def hessian_probe_K(x):
     callers should report its outcome as conjecture-consistent at best.
     """
     x1, x2, x3 = _real3(x)
-    _refuse_boundary(x1, x2, x3)
     terms = _tetra_terms(x1, x2, x3)
+    _refuse_boundary(terms)
     beta, D, M = _k_star_M(terms)
     v = terms[10]
     db = np.array([-2.0 * x1, -2.0 * x2, 2.0 * x3])

@@ -49,6 +49,17 @@ def test_classify_exit_codes():
     assert code == 1
 
 
+def test_classify_hexa_below_the_refusal_margin():
+    # interior margin 2e-10, under psi.REFUSE_MARGIN, decided at --tol 1e-11
+    code, out = run_cli(["classify", "--domain", "hexa", "--point",
+                         "[[5e-11,0],[0.9999999999,0],[0,0],[0,0]]",
+                         "--tol", "1e-11", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["region"] == "interior"
+    assert payload["flags"]["h"] is True
+
+
 def test_classify_malformed_json():
     code, _ = run_cli(["classify", "--domain", "tetra", "--point", "[[0,0"])
     assert code == 64

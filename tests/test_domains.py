@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hexablock.numerics import (ConsistencyError, DiscAut, DomainError,
-                                pi_penta, pi_tetra)
-from hexablock.psi import Psi_eval
+from hexablock.numerics import (REFUSE_MARGIN, ConsistencyError, DiscAut,
+                                DomainError, pi_penta, pi_tetra)
+from hexablock.psi import Psi_eval, k_star, tetra_interior_margin
 from hexablock.domains import (Region, bE_generator_params, bE_margin,
                                diamond, embed_biball, embed_g2, embed_penta,
                                embed_tetra, g2_classify, penta_classify,
@@ -340,6 +340,25 @@ def test_penta_hexa_bridge(rng):
         if abs(margin) < 1e-5:
             continue
         assert inside == v.in_interior
+
+
+def test_penta_psi_sup_margin_is_the_hexablock_k_star(rng):
+    # c_plus = 1/K*(s/2, s/2, p): the vote's psi_sup criterion is the
+    # hexablock's one K* at the symmetric point, to the last bit
+    points = [pi_penta(rand_contraction(rng, cap))
+              for cap in (0.5, 0.95, 0.999, 0.999999) for _ in range(100)]
+    points += [tuple(complex(*rng.uniform(-1.1, 1.1, 2)) for _ in range(3))
+               for _ in range(400)]
+    routes = 0
+    for a, s, p in points:
+        v = penta_classify(a, s, p)
+        x = (s / 2, s / 2, p)
+        if tetra_interior_margin(x) > REFUSE_MARGIN:
+            routes += 1
+            assert v.margins["psi_sup"] == 1 - abs(a) * k_star(x)
+        else:
+            assert "psi_sup" not in v.margins
+    assert routes >= 400
 
 
 def _counted(monkeypatch, name, modules):

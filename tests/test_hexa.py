@@ -179,6 +179,16 @@ def test_h_member_consistency_with_hmu(rng):
         assert ok_h == (ok_mu or (abs(p[0]) < 1e-12))
 
 
+def test_h_member_below_the_refusal_margin():
+    # the open test thresholds the interior margin (2e-10 here) at the
+    # caller's tol and reads K* in closed form, with no refusal of its own
+    p = (5e-11, 0.9999999999, 0, 0)
+    ok, margin = h_member(p, tol=1e-11)
+    assert ok and margin == pytest.approx(1 - 5e-11 / math.sqrt(1 - 0.9999999999 ** 2))
+    v = classify_hexa(p, tol=1e-11)
+    assert v.in_h and v.in_h_closure and v.margins["h"] == margin
+
+
 def test_quasi_balanced_scaling(rng):
     for _ in range(100):
         p = rand_hexa_point(rng, slack=1.0)
@@ -647,13 +657,17 @@ def test_mu_hexa_evaluates_no_membership(monkeypatch):
 
 def test_k_star_users_take_no_maximizer(monkeypatch, rng):
     # K* is one closed form; the maximizer runs only for psi_sup's witness,
-    # once per interior classify_hexa
+    # once per interior classify_hexa, and never for the pentablock vote
+    import hexablock.domains as domains
     import hexablock.psi as psi
+    import hexablock.realslice as realslice
     from hexablock.realslice import K_real
     calls = []
-    core = psi._maximizer
-    monkeypatch.setattr(psi, "_maximizer",
-                        lambda *x: (calls.append(x), core(*x))[1])
+    core = psi._witness
+    for mod in (psi, domains, hexa, realslice):
+        if getattr(mod, "_witness", None) is core:
+            monkeypatch.setattr(mod, "_witness",
+                                lambda *x: (calls.append(x), core(*x))[1])
     for _ in range(30):
         p = rand_hexa_point(rng)
         x = p[1:]
@@ -665,6 +679,12 @@ def test_k_star_users_take_no_maximizer(monkeypatch, rng):
         assert calls == []
     x = (0.3, -0.2, 0.1)
     assert K_real(x) == pytest.approx(1.0 / k_star(x), rel=1e-15)
+    routes = 0
+    for _ in range(40):
+        routes += "psi_sup" in penta_classify(
+            *pi_penta(rand_contraction(rng, 0.95))).margins
+        mu_value(rand_mat(rng), "penta")
+    assert routes == 40
     assert calls == []
 
 
