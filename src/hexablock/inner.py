@@ -18,10 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (CIRCLE_EDGE, TOL, BlaschkeProduct, ConsistencyError,
-                       DomainError, Poly, PowerTable, _frozen, cx, cx_arrays,
-                       cx_from_json, fejer_riesz, poly_abs2_trig, trig_sub)
-from .psi import k_star
+from .numerics import (CIRCLE_EDGE, TOL, _FR_CIRCLE, BlaschkeProduct,
+                       ConsistencyError, DomainError, Poly, PowerTable, _frozen,
+                       cx, cx_arrays, cx_from_json, fejer_riesz, poly_abs2_trig,
+                       trig_sub)
+from .psi import _tetra_terms, k_star
 from .domains import _bE_margin, _closure_margin, _tetra_verdict
 from .hexa import _h_closure_arrays, h_member
 
@@ -31,7 +32,7 @@ INNER_TOL = 1e-6
 INNER_FR_TOL = 1e-7
 #: `SchwarzProblem`'s open-hexablock check on its target
 SCHWARZ_TARGET_TOL = 1e-12
-#: a complex scalar with no phase to take (outer part, coefficient, target)
+#: a complex scalar with no phase to take (outer part, target)
 PHASE_ZERO = 1e-13
 #: |D| on the closed disc (and a denominator there) that counts as a zero
 INNER_D_ZERO = 1e-9
@@ -64,10 +65,6 @@ BRIDGE_SLACK = 1e-8
 _CIRCLE_N = 512
 
 
-def _circle(n: int) -> np.ndarray:
-    return _frozen(np.exp(2j * np.pi * np.arange(n) / n))
-
-
 def _disc_samples(n: int, rmax: float = 0.93) -> np.ndarray:
     k = np.arange(n)
     r = rmax * np.sqrt((k + 0.5) / n)
@@ -75,23 +72,25 @@ def _disc_samples(n: int, rmax: float = 0.93) -> np.ndarray:
     return _frozen(r * np.exp(1j * th))
 
 
-# Sample grids shared by every validation.  A validation evaluates all the
+# Sample grids shared by every validation; each circle grid is a stride of
+# the one circle `numerics._FR_CIRCLE`.  A validation evaluates all the
 # polynomials of its function in one product with `_VALIDATION_TABLE`, the
-# power table of the closed-disc grid, the circle, the tetra disc grid and
-# the hexa disc grid, concatenated in that order.
-_CIRCLE = _circle(_CIRCLE_N)
-_CIRCLE_K0 = _circle(128)
-_CIRCLE_SPOT = _circle(16)
-_CLOSED_DISC = _frozen(np.concatenate([_disc_samples(200, 0.999), _circle(256)]))
+# power table of `_DISC_CLOSED`, the circle, the tetra disc grid and the
+# hexa disc grid, in that order: its first two blocks are the closed-disc
+# grid, 200 disc points and their rim `_CIRCLE`.
+_CIRCLE = _FR_CIRCLE[:: len(_FR_CIRCLE) // _CIRCLE_N]
+_CIRCLE_K0 = _FR_CIRCLE[::16]      # 128 points
+_CIRCLE_SPOT = _FR_CIRCLE[::128]   # 16 points
+_DISC_CLOSED = _disc_samples(200, 0.999)
 _DISC_TETRA = _disc_samples(60)
 _DISC_HEXA = _disc_samples(100)
 # the stride of the circle samples that the tetra report's bE check reads
 _CIRCLE_STEP = max(1, len(_CIRCLE) // 64)
-_VALIDATION_TABLE = PowerTable(np.concatenate([_CLOSED_DISC, _CIRCLE,
+_VALIDATION_TABLE = PowerTable(np.concatenate([_DISC_CLOSED, _CIRCLE,
                                                _DISC_TETRA, _DISC_HEXA]))
 # the columns of `_VALIDATION_TABLE` whose images `tetra_inner_validate`
 # reads: every `_CIRCLE_STEP`-th circle point, then the tetra disc grid
-_TETRA_IMAGES = len(_CLOSED_DISC) + np.r_[0: len(_CIRCLE): _CIRCLE_STEP,
+_TETRA_IMAGES = len(_DISC_CLOSED) + np.r_[0: len(_CIRCLE): _CIRCLE_STEP,
                                           len(_CIRCLE): len(_CIRCLE) + len(_DISC_TETRA)]
 
 
@@ -175,10 +174,11 @@ def _tetra_report(e: np.ndarray, vals: np.ndarray, circle_bE: np.ndarray,
     on the `_VALIDATION_TABLE` grid, the bE margin `circle_bE` of the
     images of every `_CIRCLE_STEP`-th point of `_CIRCLE` and the smaller
     closure margin of the tetrablock, `disc_closure`, at the images of
-    `_DISC_TETRA`."""
-    k, nc = len(_CLOSED_DISC), len(_CIRCLE)
+    `_DISC_TETRA`.  D is zero-free on the closed-disc grid, whose rim is
+    every circle point that a circle check divides by."""
+    k, nc = len(_DISC_CLOSED), len(_CIRCLE)
     E1, E2 = e
-    dmin = float(np.abs(vals[2, :k]).min())
+    dmin = float(np.abs(vals[2, : k + nc]).min())
     refl = float(np.abs(E1 - np.conj(E2[::-1])).max())
     circ = np.abs(vals[:3, k: k + nc])
     excess = float((circ[:2] - circ[2]).max())
@@ -315,7 +315,7 @@ def hexa_inner_validate(f: RationalHexaInner) -> dict:
     samples: its disc check reads the tetrablock margins of the closure
     verdict, which covers both disc grids."""
     vals = _VALIDATION_TABLE.eval(f._rows)
-    k, nc, nt = len(_CLOSED_DISC), len(_CIRCLE), len(_DISC_TETRA)
+    k, nc, nt = len(_DISC_CLOSED), len(_CIRCLE), len(_DISC_TETRA)
     # f on the circle and on both disc grids, coerced once
     f_all = cx_arrays((f.c * f.B(_VALIDATION_TABLE.points[k:]) * vals[4, k:]
                        / vals[2, k:], *_ratios(vals[:, k:])))
@@ -347,10 +347,11 @@ def rational_inner_outer(num: Poly, den: Poly):
     over the zeros of `num` in the open disc (with multiplicity) and the
     outer part is zero-free on the disc with a_in * out = num/den exactly.
     """
-    dv = den(_CLOSED_DISC)
+    grid = _VALIDATION_TABLE.points[: len(_DISC_CLOSED) + len(_CIRCLE)]
+    dv = den(grid)
     if float(np.min(np.abs(dv))) <= INNER_D_ZERO:
         raise DomainError("denominator vanishes on the closed disc")
-    if float(np.max(np.abs(num(_CLOSED_DISC) / dv))) > 1.0 + INNER_BOUND_SLACK:
+    if float(np.max(np.abs(num(grid) / dv))) > 1.0 + INNER_BOUND_SLACK:
         raise DomainError("rational data exceeds modulus 1 on the disc")
     zero_list = [] if num.degree <= 0 else list(num.roots())
     inner_zeros = [z for z in zero_list if abs(z) < 1.0 - CIRCLE_EDGE]
@@ -408,12 +409,10 @@ class SchwarzProblem:
 
 
 def tetra_ratio(x) -> float:
-    """max of the two Schwarz ratios of the tetrablock target."""
-    x1, x2, x3 = (cx(t) for t in x)
-    w = abs(x1 * x2 - x3)
-    r1 = (abs(x1 - x2.conjugate() * x3) + w) / (1.0 - abs(x2) ** 2)
-    r2 = (abs(x2 - x1.conjugate() * x3) + w) / (1.0 - abs(x1) ** 2)
-    return max(r1, r2)
+    """max of the two Schwarz ratios of the tetrablock target,
+    (|x1 - conj(x2) x3| + |x1 x2 - x3|)/(1 - |x2|^2) and its x1 <-> x2 flip."""
+    _, _, _, s1, s2, _, _, _, d12, d21, _, w = _tetra_terms(*(cx(t) for t in x))
+    return max((d12 + w) / (1.0 - s2), (d21 + w) / (1.0 - s1))
 
 
 @dataclass
@@ -479,36 +478,26 @@ def _interp_zero_blaschke(lambda0: complex, ratio: complex) -> BlaschkeProduct:
     return BlaschkeProduct(u, (0.0, zeta))
 
 
-def _phase_align_tetra(parts, n: int) -> RationalTetraInner:
-    """Assemble (E1, E2, D) from per-component Blaschke data with the global
-    phase fixed so E1 = E2~n (equivalently D~n/D equals the product map)."""
-    (n1, m1), (n2, m2) = parts
-    D0 = m1.mul(m2)
-    E10 = n1.mul(m2)
-    E20 = n2.mul(m1)
-    ref = E20.with_bound(n).reflect()
-    # unimodular ratio E10 / ref fixes the needed square root of phase
-    r1 = E10.padded()
-    r2 = ref.padded()
-    idx = int(np.argmax(np.abs(r2)))
-    if abs(r2[idx]) < PHASE_ZERO:
-        ratio = 1.0 + 0.0j
-    else:
-        ratio = r1[idx] / r2[idx]
-        ratio = ratio / abs(ratio)
-    # with E = cD*E0: need cD*E10 = conj(cD)*ref, i.e. cD^2 = conj(ratio)
-    cD = _unit_sqrt(ratio).conjugate()
-    E1 = E10.scale(cD).with_bound(n)
-    E2 = E20.scale(cD).with_bound(n)
-    D = D0.scale(cD).with_bound(n)
+def _phase_align_tetra(b1: BlaschkeProduct,
+                       b2: BlaschkeProduct) -> RationalTetraInner:
+    """(E1, E2, D) = cD (n1 m2, n2 m1, m1 m2) for b_i = n_i/m_i, at the
+    bound n = deg b1 + deg b2, so that x1 = b1, x2 = b2 and x3 = b1 b2.
+    n_i = phi_i prod (t - z) is (-1)^{d_i} phi_i m_i~, so (n2 m1)~n =
+    (-1)^n conj(phi1 phi2) n1 m2, and E1 = E2~n for cD^2 = (-1)^n
+    conj(phi1 phi2)."""
+    n = b1.degree + b2.degree
+    (n1, m1), (n2, m2) = b1.as_rational(), b2.as_rational()
+    cD = _unit_sqrt((-1) ** n * b1.phase * b2.phase).conjugate()
+    E1 = n1.mul(m2).scale(cD)
+    E2 = n2.mul(m1).scale(cD)
+    D = m1.mul(m2).scale(cD)
     resid = float(np.max(np.abs(E1.padded() - E2.reflect().padded())))
     if resid > PHASE_ALIGN_SLACK:
         raise ConsistencyError(f"phase alignment failed, residual {resid:.3e}")
     # spot-check D~n/D against the product of the component maps
     lam = _CIRCLE_SPOT
     lhs = D.reflect()(lam) / D(lam)
-    rhs = (n1(lam) / m1(lam)) * (n2(lam) / m2(lam))
-    if np.any(np.abs(lhs - rhs) > PHASE_ALIGN_SLACK):
+    if np.any(np.abs(lhs - b1(lam) * b2(lam)) > PHASE_ALIGN_SLACK):
         raise ConsistencyError("x3 does not match the product map")
     return RationalTetraInner(E1, E2, D, n)
 
@@ -599,8 +588,7 @@ def _schwarz_construct(prob: SchwarzProblem, rep: FeasibilityReport,
                 "tetrablock inner interpolation data (pass supplied_tetra)")
         b1 = _interp_zero_blaschke(lam, x1 / lam)
         b2 = _interp_zero_blaschke(lam, x2 / lam)
-        t = _phase_align_tetra([b1.as_rational(), b2.as_rational()],
-                               b1.degree + b2.degree)
+        t = _phase_align_tetra(b1, b2)
         return construct_from_tetra(t, lam, a)
 
     raise DomainError("general synthesis requires external tetrablock inner "

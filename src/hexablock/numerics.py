@@ -478,12 +478,10 @@ class BlaschkeProduct:
 
     def as_rational(self) -> tuple[Poly, Poly]:
         """(numerator, denominator) polynomials of the product."""
-        num = Poly.const(self.phase)
         den = Poly.const(1.0)
         for z in self.zeros:
-            num = num.mul(Poly(np.array([-z, 1.0]), 1))
             den = den.mul(Poly(np.array([-1.0, z.conjugate()]), 1))
-        return num, den
+        return Poly.from_roots(self.zeros, lead=self.phase), den
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +514,18 @@ def trig_sub(f, g) -> np.ndarray:
     return out
 
 
-# the 2048th roots of unity, on which `fejer_riesz` checks its input and
-# its factor (by Horner's rule: one row over 2048 points is no faster as a
-# matrix product, and OpenBLAS runs that product on threads whose wake-up
-# took milliseconds on a 2-vCPU host)
-_FR_CIRCLE = np.exp(2j * np.pi * np.arange(2048) / 2048)
-_FR_CIRCLE.setflags(write=False)
+def _circle(n: int) -> np.ndarray:
+    """The n-th roots of unity, read-only.  For m a power of two, every
+    m-th point is `_circle(n // m)` bit for bit: scaling by m is exact."""
+    return _frozen(np.exp(2j * np.pi * np.arange(n) / n))
+
+
+# the one circle, whose strides are every circle grid: the 2048th roots of
+# unity, on which `fejer_riesz` checks its input and its factor (by
+# Horner's rule: one row over 2048 points is no faster as a matrix product,
+# and OpenBLAS runs that product on threads whose wake-up took milliseconds
+# on a 2-vCPU host)
+_FR_CIRCLE = _circle(2048)
 
 
 def fejer_riesz(coeffs, strict: bool = False, tol: float = FR_TOL) -> Poly:

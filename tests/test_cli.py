@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +155,17 @@ def test_inner_construct_and_validate():
                            "--json"])
     assert code2 == 0
     assert json.loads(out2)["ok"] is True
+
+
+def test_inner_construct_rejects_d_zero_on_the_circle():
+    # D = t - w for w = inner._CIRCLE[1] vanishes at a circle point
+    from hexablock.inner import _CIRCLE
+    w = complex(_CIRCLE[1])
+    data = {"n": 1, "E1": [[0, 0]], "E2": [[0, 0]],
+            "D": [[-w.real, -w.imag], [1, 0]]}
+    code, _ = run_cli(["inner", "construct", "--data", json.dumps(data),
+                       "--json"])
+    assert code == 64
 
 
 def test_inner_validate_reads_real_number_scalars():
@@ -444,6 +458,35 @@ def test_sample_boundary(tmp_path):
     assert code == 0
     rows = out.read_text().splitlines()
     assert len(rows) == 26
+
+
+def _readme_cli_lines():
+    """The `hexablock ...` lines of README's shell blocks, continuation
+    lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines, in_sh = [], False
+    for line in text.replace("\\\n", " ").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("hexablock "):
+            lines.append(line)
+    return lines
+
+
+def test_readme_cli_block_runs(tmp_path):
+    # every quick-start line exits as its "# exit N" comment says (0 when
+    # it has none), with --out files written under tmp_path
+    lines = _readme_cli_lines()
+    assert {shlex.split(line)[1] for line in lines} >= {
+        "classify", "mu", "aut", "inner", "schwarz", "sample"}
+    for line in lines:
+        args = shlex.split(line, comments=True)[1:]
+        for i, arg in enumerate(args[:-1]):
+            if arg == "--out":
+                args[i + 1] = str(tmp_path / args[i + 1])
+        exit_note = re.search(r"#\s*exit (\d+)", line)
+        code, _ = run_cli(args)
+        assert code == (int(exit_note.group(1)) if exit_note else 0), line
 
 
 def test_console_entry_point():

@@ -211,6 +211,38 @@ def test_tetra_inner_validate_rejects_circle_off_bE(rng):
         0.1 * float(np.max(np.abs(t.E1(circ) / t.D(circ)))), rel=1e-9)
 
 
+def _vanishing_on_circle():
+    """E1 = E2 = 0 and D = t - w, n = 1, with w = `_CIRCLE[1]`: a circle
+    point outside the 256-point subgrid the zero check once read."""
+    from hexablock.inner import _CIRCLE
+    w = complex(_CIRCLE[1])
+    return {"n": 1, "E1": [[0, 0]], "E2": [[0, 0]],
+            "D": [[-w.real, -w.imag], [1, 0]]}
+
+
+def test_tetra_inner_validate_rejects_d_zero_on_the_circle():
+    t = RationalTetraInner.from_dict(_vanishing_on_circle())
+    rep = tetra_inner_validate(t)
+    assert not rep["ok"]
+    assert "D vanishes on the closed disc" in rep["issues"]
+    with pytest.raises(DomainError, match="D vanishes on the closed disc"):
+        hexa_inner_construct(t, BlaschkeProduct(), 1.0)
+
+
+def test_every_circle_grid_is_one_circle():
+    # each circle grid is the roots of unity of its size, bit for bit, and
+    # the closed-disc block of the validation table ends in the circle
+    from hexablock import inner
+    from hexablock.numerics import _FR_CIRCLE, _circle
+    for grid in (_FR_CIRCLE, inner._CIRCLE, inner._CIRCLE_K0,
+                 inner._CIRCLE_SPOT):
+        assert grid.tobytes() == _circle(len(grid)).tobytes()
+    k, nc = len(inner._DISC_CLOSED), len(inner._CIRCLE)
+    closed = inner._VALIDATION_TABLE.points[: k + nc]
+    assert closed[:k].tobytes() == inner._DISC_CLOSED.tobytes()
+    assert closed[k:].tobytes() == inner._CIRCLE.tobytes()
+
+
 def test_penta_inner_validate_rejects_non_inner_s():
     # s = 1/2 is not inner: s != conj(s) p and |a|^2 + |s|^2/4 = 17/16 on
     # the circle
@@ -244,6 +276,7 @@ def test_hexa_inner_validate_work_is_independent_of_circle_size(rng,
     # every polynomial is evaluated in one power-table product over a grid
     # that holds the whole circle
     import hexablock.inner as inner
+    from hexablock.numerics import _circle
     f = hexa_inner_construct(_random_tetra_inner(rng),
                              BlaschkeProduct(1.0, (0.2,)), 1.0)
     counts = {"poly": 0, "product": 0, "bE": 0}
@@ -270,15 +303,15 @@ def test_hexa_inner_validate_work_is_independent_of_circle_size(rng,
     monkeypatch.setattr(inner, "_bE_margin", counted_margin)
     seen = []
     for n in (inner._CIRCLE_N, 8 * inner._CIRCLE_N):
-        monkeypatch.setattr(inner, "_CIRCLE", inner._circle(n))
+        monkeypatch.setattr(inner, "_CIRCLE", _circle(n))
         monkeypatch.setattr(inner, "_VALIDATION_TABLE", PowerTable(
-            np.concatenate([inner._CLOSED_DISC, inner._CIRCLE,
+            np.concatenate([inner._DISC_CLOSED, inner._CIRCLE,
                             inner._DISC_TETRA, inner._DISC_HEXA])))
         counts.update(poly=0, product=0, bE=0)
         assert hexa_inner_validate(f)["ok"]
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    others = len(inner._CLOSED_DISC) + len(inner._DISC_TETRA) \
+    others = len(inner._DISC_CLOSED) + len(inner._DISC_TETRA) \
         + len(inner._DISC_HEXA)
     assert grids == [others + inner._CIRCLE_N, others + 8 * inner._CIRCLE_N]
     # one stacked product for the tetra and hexa checks; one bE margin on
@@ -455,6 +488,13 @@ def test_inner_outer_no_zeros():
     assert a_in.degree == 0
 
 
+def test_inner_outer_rejects_den_zero_on_the_circle():
+    from hexablock.inner import _CIRCLE
+    den = Poly(np.array([-complex(_CIRCLE[1]), 1.0]), 1)
+    with pytest.raises(DomainError, match="denominator vanishes"):
+        rational_inner_outer(Poly.const(0.0, 0), den)
+
+
 def test_inner_outer_blaschke_times_third():
     num = Poly(np.array([-1 / 6, 1 / 3]), 1)
     den = Poly(np.array([1.0, -0.5]), 1)
@@ -539,6 +579,42 @@ def test_schwarz_construct_triangular_case(rng):
         assert interpolation_residuals(f, prob) <= 1e-7
         rep = hexa_inner_validate(f)
         assert rep["ok"], rep["issues"]
+
+
+def test_schwarz_triangular_phase_is_closed_form():
+    # triangular targets (a, x1, x2, x1 x2) with a = 0, each x_i generic,
+    # on the circle |x_i| = |lambda0| (the rotation branch of
+    # `_interp_zero_blaschke`) or 0: the global phase cD of the data is the
+    # square root of (-1)^n conj(phi1 phi2), phi_i the Blaschke phases
+    from hexablock.inner import _interp_zero_blaschke
+    rng = np.random.default_rng(23)
+    kinds = [(k1, k2) for k1 in ("disc", "rotation", "zero")
+             for k2 in ("disc", "rotation", "zero")]
+    for k1, k2 in kinds * 3:
+        lam = rng.uniform(0.25, 0.9) * rand_unit(rng)
+        x1, x2 = ({"disc": rng.uniform(0.05, 0.95) * lam * rand_unit(rng),
+                   "rotation": lam * rand_unit(rng), "zero": 0j}[k]
+                  for k in (k1, k2))
+        prob = SchwarzProblem(lam, (0.0, x1, x2, x1 * x2))
+        f = schwarz_construct(prob)
+        b1 = _interp_zero_blaschke(lam, x1 / lam)
+        b2 = _interp_zero_blaschke(lam, x2 / lam)
+        assert (b1.degree == 1) == (k1 == "rotation")
+        assert (b2.degree == 1) == (k2 == "rotation")
+        t = f.tetra
+        n = b1.degree + b2.degree
+        assert t.n == n
+        # D = cD m1 m2 with m1 m2 (0) = (-1)^n
+        cD = complex(t.D.coeffs[0]) * (-1) ** n
+        want = (-1) ** n * (b1.phase * b2.phase).conjugate()
+        assert abs(cD ** 2 - want) <= 1e-15, (k1, k2)
+        E1, E2 = t.components[:2]
+        scale = max(np.abs(E1.padded()).max(), np.abs(E2.padded()).max())
+        assert np.abs(E1.padded() - E2.reflect().padded()).max() \
+            <= 1e-14 * scale, (k1, k2)
+        assert interpolation_residuals(f, prob) <= 1e-12
+        rep = hexa_inner_validate(f)
+        assert rep["ok"], (k1, k2, rep["issues"])
 
 
 def test_schwarz_triangular_nonzero_a_rejected():
