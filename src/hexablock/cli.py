@@ -104,8 +104,12 @@ def _discaut_out(v: DiscAut):
 
 
 def _hexaaut_arg(data) -> HexaAut:
-    return HexaAut(_discaut_arg(data["v"]), _discaut_arg(data["chi"]),
-                   _cx(data["omega"]), bool(data.get("flip", False)))
+    v, chi, omega = (_discaut_arg(data["v"]), _discaut_arg(data["chi"]),
+                     _cx(data["omega"]))
+    flip = data.get("flip", False)
+    if not isinstance(flip, bool):
+        raise UsageError(f"flip must be true or false, got {flip!r}")
+    return HexaAut(v, chi, omega, flip)
 
 
 def _hexaaut_out(T: HexaAut):
@@ -119,6 +123,8 @@ def _hexaaut_out(T: HexaAut):
 
 def cmd_classify(args) -> int:
     tol = args.tol
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"--tol must be finite and >= 0, got {tol!r}")
     if args.domain == "g2":
         s, p = _point(args.point, 2)
         verdict = g2_classify(s, p, tol)
@@ -283,7 +289,10 @@ def cmd_sample(args) -> int:
             p = hp_param(theta, z, w)
             rows.append([theta, z.real, z.imag, w.real, w.imag]
                         + [c for t in p for c in (t.real, t.imag)])
-    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    try:
+        out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)

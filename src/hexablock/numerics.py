@@ -97,10 +97,12 @@ def cx_coords(values) -> tuple:
 
 
 def cx_from_json(value) -> complex:
-    """A complex scalar from its JSON form: [re, im] or a real number."""
-    if isinstance(value, (int, float)):
+    """A complex scalar from its JSON form: [re, im] or a real number.  A
+    JSON boolean is not a number, alone or as a part."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2:
+    if (isinstance(value, list) and len(value) == 2
+            and not any(isinstance(t, bool) for t in value)):
         return complex(float(value[0]), float(value[1]))
     raise ValueError(f"expected [re, im] or a real number, got {value!r}")
 

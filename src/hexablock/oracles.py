@@ -4,7 +4,12 @@ the finite-difference Levi form of the defining function rho.
 
 The grid and sweep oracles deliberately share no code path with the
 closed-form implementations they are used to test; all grids are
-deterministic functions of a GridSpec.  `levi_fd_matrix` differentiates
+deterministic functions of a GridSpec.  They share their grid mechanics:
+`_polar` grids, `_box` refinement boxes, `_at` to read an extremum and its
+point, `_lower` to keep the lower of two, and `_on_curve` for the
+determinant curve.  Each oracle keeps its own refinement policy (box size,
+shrink factor, projection, when the centre moves), since changing any of
+them changes that oracle's output.  `levi_fd_matrix` differentiates
 the library's own D (`psi._k_star_M`) by finite differences, so it checks
 only the exact derivatives of `realslice`, not D itself.
 """
@@ -30,12 +35,51 @@ class GridSpec:
     refinement_levels: int = 3
 
 
+def _polar(radii: np.ndarray, n_angles: int) -> np.ndarray:
+    """Every radius times every one of n_angles equally spaced unit points,
+    radius-major."""
+    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+
+
+def _box(b1: complex, b2: complex, window: float, n: int):
+    """The n^4 refinement grid around (b1, b2): n-point real and imaginary
+    offsets in [-window, window] for each coordinate."""
+    off = np.linspace(-window, window, n)
+    g1 = b1 + off[:, None, None, None] + 1j * off[None, :, None, None]
+    g2 = b2 + off[None, None, :, None] + 1j * off[None, None, None, :]
+    return g1, g2
+
+
+def _at(vals: np.ndarray, g1, g2, flat: int):
+    """(value, z1, z2) at flat index `flat` of vals, evaluated on the grids
+    g1, g2 broadcast to its shape."""
+    idx = np.unravel_index(flat, vals.shape)
+    return (float(vals.ravel()[flat]),
+            complex(np.broadcast_to(g1, vals.shape)[idx]),
+            complex(np.broadcast_to(g2, vals.shape)[idx]))
+
+
+def _lower(best, cand):
+    """The (value, z1, z2) with the lower value; the incumbent on ties."""
+    return cand if cand[0] < best[0] else best
+
+
+def _on_curve(ring: np.ndarray, first: bool, a11, a22, dA):
+    """(z1, z2) on the curve 1 - a11 z1 - a22 z2 + dA z1 z2 = 0: z2 on ring
+    and z1 solved linearly if `first`, else the other way round; ring
+    points where the solve degenerates are dropped."""
+    num = 1.0 - (a22 if first else a11) * ring
+    den = (a11 - dA * ring) if first else (a22 - dA * ring)
+    ok = np.abs(den) > 1e-13
+    other = num[ok] / den[ok]
+    return (other, ring[ok]) if first else (ring[ok], other)
+
+
 def disc_grid(spec: GridSpec, rmax: float = 0.995) -> np.ndarray:
     """Deterministic polar grid of the disc of radius rmax, centre included."""
     radii = np.linspace(0.0, rmax, spec.radial_points + 1)[1:]
-    angles = np.linspace(0.0, 2.0 * math.pi, spec.angular_points, endpoint=False)
-    pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    return np.concatenate([[0.0 + 0.0j], pts])
+    return np.concatenate([[0.0 + 0.0j], _polar(radii, spec.angular_points)])
 
 
 def _kappa_abs(z1: np.ndarray, z2: np.ndarray, x) -> np.ndarray:
@@ -127,13 +171,10 @@ def _corner_fan(x):
             z1 = c1 * (1.0 - d1[:, None, None]
                        * np.exp(1j * phases)[None, :, None])
             z2 = c2 * (1.0 - d2 * np.exp(1j * phases)[None, None, :])
-            Z1, Z2 = np.broadcast_arrays(z1, z2)
-            vals = _kappa_abs(Z1, Z2, x)
-            flat = int(np.argmax(vals))
-            if float(vals.ravel()[flat]) > best:
-                best = float(vals.ravel()[flat])
-                idx = np.unravel_index(flat, vals.shape)
-                arg = (complex(Z1[idx]), complex(Z2[idx]))
+            vals = _kappa_abs(z1, z2, x)
+            cand, f1, f2 = _at(vals, z1, z2, int(np.argmax(vals)))
+            if cand > best:
+                best, arg = cand, (f1, f2)
         # golden-section polish of the depth ratio d1/d2 = exp(lt); their
         # geometric mean balances O(d) truncation against O(eps/d)
         # cancellation noise
@@ -171,29 +212,20 @@ def grid_sup_kappa(x, spec: GridSpec = GridSpec()):
     Z1 = pts[:, None]
     Z2 = pts[None, :]
     vals = _kappa_abs(Z1, Z2, x)
-    flat = int(np.argmax(vals))
-    best = float(vals.ravel()[flat])
-    i, j = np.unravel_index(flat, vals.shape)
-    b1, b2 = complex(pts[i]), complex(pts[j])
+    best, b1, b2 = _at(vals, Z1, Z2, int(np.argmax(vals)))
 
     spacing = 1.0 / max(spec.radial_points, 1)
     window = 2.5 * spacing
     for _ in range(spec.refinement_levels):
-        off = np.linspace(-window, window, 11)
-        g1 = (b1 + off[:, None, None, None] + 1j * off[None, :, None, None])
-        g2 = (b2 + off[None, None, :, None] + 1j * off[None, None, None, :])
+        g1, g2 = _box(b1, b2, window, 11)
         r1 = np.maximum(np.abs(g1), 1e-300)
         r2 = np.maximum(np.abs(g2), 1e-300)
         g1 = np.where(r1 >= 1.0, g1 / r1 * 0.999999, g1)
         g2 = np.where(r2 >= 1.0, g2 / r2 * 0.999999, g2)
         vals = _kappa_abs(g1, g2, x)
-        flat = int(np.argmax(vals))
-        cand = float(vals.ravel()[flat])
-        idx = np.unravel_index(flat, vals.shape)
         # the sup estimate is monotone; the centre always follows the
         # finer grid's argmax, which tracks the flat top better
-        b1 = complex(np.broadcast_to(g1, vals.shape)[idx])
-        b2 = complex(np.broadcast_to(g2, vals.shape)[idx])
+        cand, b1, b2 = _at(vals, g1, g2, int(np.argmax(vals)))
         best = max(best, cand)
         window *= 0.20
     corner, corner_arg = _corner_fan(x)
@@ -223,31 +255,20 @@ def tetra_definitional(x, spec: GridSpec = GridSpec(), tol: float = 1e-9):
     Z1 = pts[:, None]
     Z2 = pts[None, :]
     den = np.abs(1.0 - x1 * Z1 - x2 * Z2 + x3 * Z1 * Z2)
-    flat = int(np.argmin(den))
-    best = float(den.ravel()[flat])
-    i, j = np.unravel_index(flat, den.shape)
-    b1, b2 = complex(pts[i]), complex(pts[j])
+    best = _at(den, Z1, Z2, int(np.argmin(den)))
 
     spacing = 1.0 / max(spec.radial_points, 1)
     window = 2.5 * spacing
     for _ in range(spec.refinement_levels):
-        off = np.linspace(-window, window, 9)
-        g1 = (b1 + off[:, None, None, None] + 1j * off[None, :, None, None])
-        g2 = (b2 + off[None, None, :, None] + 1j * off[None, None, None, :])
+        g1, g2 = _box(best[1], best[2], window, 9)
         r1 = np.maximum(np.abs(g1), 1e-300)
         r2 = np.maximum(np.abs(g2), 1e-300)
         g1 = np.where(r1 > 1.0, g1 / r1, g1)
         g2 = np.where(r2 > 1.0, g2 / r2, g2)
         den = np.abs(1.0 - x1 * g1 - x2 * g2 + x3 * g1 * g2)
-        flat = int(np.argmin(den))
-        cand = float(den.ravel()[flat])
-        if cand < best:
-            best = cand
-            idx = np.unravel_index(flat, den.shape)
-            b1 = complex(np.broadcast_to(g1, den.shape)[idx])
-            b2 = complex(np.broadcast_to(g2, den.shape)[idx])
+        best = _lower(best, _at(den, g1, g2, int(np.argmin(den))))
         window *= 0.28
-    return best > tol, best
+    return best[0] > tol, best[0]
 
 
 def _tri_norms(z1: np.ndarray, z2: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -286,14 +307,10 @@ def mu_bruteforce(A: Mat2, spec: GridSpec = GridSpec()) -> float:
             lin = np.linspace(0.0, R, mult * spec.radial_points + 1)[1:]
             logr = np.geomspace(R * 1e-3, R, spec.radial_points // 2)
             radii = np.unique(np.concatenate([lin, logr]))
-            angles = np.linspace(0.0, 2.0 * math.pi,
-                                 mult * spec.angular_points, endpoint=False)
-            pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-            pts = np.concatenate([[0.0 + 0.0j], pts])
+            pts = np.concatenate([[0.0 + 0.0j],
+                                  _polar(radii, mult * spec.angular_points)])
             vals = cost(pts[:, None], pts[None, :])
-            flat = int(np.argmin(vals))
-            i, j = np.unravel_index(flat, vals.shape)
-            return float(vals.ravel()[flat]), complex(pts[i]), complex(pts[j])
+            return _at(vals, pts[:, None], pts[None, :], int(np.argmin(vals)))
 
         def curve_candidates(R):
             # the determinant curve w = 0 is a thin valley of the sweep cost
@@ -302,99 +319,62 @@ def mu_bruteforce(A: Mat2, spec: GridSpec = GridSpec()) -> float:
             floor = 0.5 / max(op_norm(A), 1e-13)
             radii = np.geomspace(min(floor, R), R,
                                  8 * spec.radial_points)
-            angles = np.linspace(0.0, 2.0 * math.pi, 4 * spec.angular_points,
-                                 endpoint=False)
-            ring = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-            best_c = math.inf
-            arg = (0.0 + 0.0j, 0.0 + 0.0j)
+            ring = _polar(radii, 4 * spec.angular_points)
+            best_c = (math.inf, 0.0 + 0.0j, 0.0 + 0.0j)
             for first in (True, False):
-                num = 1.0 - (a22 if first else a11) * ring
-                den = (a11 - dA * ring) if first else (a22 - dA * ring)
-                ok = np.abs(den) > 1e-13
-                if not np.any(ok):
-                    continue
-                other = num[ok] / den[ok]
-                z1 = other if first else ring[ok]
-                z2 = ring[ok] if first else other
-                vals = cost(z1, z2)
-                k = int(np.argmin(vals))
-                if float(vals[k]) < best_c:
-                    best_c = float(vals[k])
-                    arg = (complex(z1[k]), complex(z2[k]))
-            return best_c, arg[0], arg[1]
+                z1, z2 = _on_curve(ring, first, a11, a22, dA)
+                if z1.size:
+                    vals = cost(z1, z2)
+                    best_c = _lower(best_c,
+                                    _at(vals, z1, z2, int(np.argmin(vals))))
+            return best_c
 
         # X(0, 0) is feasible with norm 1/|a21|, so the minimizer satisfies
         # max(|z1|, |z2|) <= ||X|| <= incumbent; shrinking the sweep radius
-        # to the running best concentrates resolution where it matters
+        # to the running best concentrates resolution where it matters.
+        # best is (min ||X||, z1, z2).
         R = 1.0001 / abs(a21)
-        best, b1, b2 = sweep(R)
-        cand, c1, c2 = curve_candidates(R)
-        if cand < best:
-            best, b1, b2 = cand, c1, c2
+        best = _lower(sweep(R), curve_candidates(R))
         for _ in range(10):
-            R_new = min(R, 1.02 * best)
+            R_new = min(R, 1.02 * best[0])
             if R_new > 0.9 * R:
                 break
             R = R_new
-            cand, c1, c2 = sweep(R)
-            if cand < best:
-                best, b1, b2 = cand, c1, c2
-        cand, c1, c2 = sweep(min(R, 1.02 * best), fine=True)
-        if cand < best:
-            best, b1, b2 = cand, c1, c2
-        cand, c1, c2 = curve_candidates(min(R, 1.02 * best))
-        if cand < best:
-            best, b1, b2 = cand, c1, c2
+            best = _lower(best, sweep(R))
+        best = _lower(best, sweep(min(R, 1.02 * best[0]), fine=True))
+        best = _lower(best, curve_candidates(min(R, 1.02 * best[0])))
 
-        window = max(2.5 * best / max(2 * spec.radial_points, 1), 1e-9)
+        window = max(2.5 * best[0] / max(2 * spec.radial_points, 1), 1e-9)
         for _ in range(max(spec.refinement_levels, 3) + 5):
-            off = np.linspace(-window, window, 9)
-            g1 = b1 + off[:, None, None, None] + 1j * off[None, :, None, None]
-            g2 = b2 + off[None, None, :, None] + 1j * off[None, None, None, :]
+            g1, g2 = _box(best[1], best[2], window, 9)
             vals = cost(g1, g2)
-            flat = int(np.argmin(vals))
-            cand = float(vals.ravel()[flat])
-            if cand < best:
-                best = cand
-                idx = np.unravel_index(flat, vals.shape)
-                b1 = complex(np.broadcast_to(g1, vals.shape)[idx])
-                b2 = complex(np.broadcast_to(g2, vals.shape)[idx])
+            best = _lower(best, _at(vals, g1, g2, int(np.argmin(vals))))
             window *= 0.35
-        return 1.0 / best if best > 1e-13 else 0.0
+        return 1.0 / best[0] if best[0] > 1e-13 else 0.0
 
     # a21 = 0: minimize max(|z1|, |z2|) on the determinant curve, w = 0
+
+    def curve_min(ring, first):
+        # fix one coordinate on ring, solve the other linearly
+        z1, z2 = _on_curve(ring, first, a11, a22, dA)
+        return float(np.min(np.maximum(np.abs(z1), np.abs(z2)),
+                            initial=math.inf))
+
     best = math.inf
     R = 1.0e3
     radii = np.linspace(0.0, R, 4 * spec.radial_points + 1)[1:]
-    angles = np.linspace(0.0, 2.0 * math.pi, 2 * spec.angular_points,
-                         endpoint=False)
-    pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    pts = np.concatenate([[0.0 + 0.0j], pts])
-    for solve_first in (True, False):
-        # fix one coordinate on the grid, solve the other linearly
-        num = 1.0 - (a22 if solve_first else a11) * pts
-        den = (a11 - dA * pts) if solve_first else (a22 - dA * pts)
-        ok = np.abs(den) > 1e-13
-        other = np.full(pts.shape, np.inf, dtype=complex)
-        other[ok] = num[ok] / den[ok]
-        cost = np.maximum(np.abs(pts), np.abs(other))
-        m = float(np.min(cost))
-        best = min(best, m)
+    pts = np.concatenate([[0.0 + 0.0j],
+                          _polar(radii, 2 * spec.angular_points)])
+    for first in (True, False):
+        best = min(best, curve_min(pts, first))
     if not math.isfinite(best) or best > R:
         return 0.0
     # local refinement on the better parametrization
+    circle = np.exp(1j * np.linspace(0, 2 * math.pi, 720, endpoint=False))
     for _ in range(40):
         shrunk = False
-        for solve_first in (True, False):
-            t = np.linspace(0, 2 * math.pi, 720, endpoint=False)
-            ring = best * np.exp(1j * t)
-            num = 1.0 - (a22 if solve_first else a11) * ring
-            den = (a11 - dA * ring) if solve_first else (a22 - dA * ring)
-            ok = np.abs(den) > 1e-13
-            other = np.full(ring.shape, np.inf, dtype=complex)
-            other[ok] = num[ok] / den[ok]
-            cost = np.maximum(np.abs(ring), np.abs(other))
-            m = float(np.min(cost))
+        for first in (True, False):
+            m = curve_min(best * circle, first)
             if m < best * (1.0 - 1e-6):
                 best = m
                 shrunk = True

@@ -497,3 +497,48 @@ def test_console_entry_point():
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("domain, point, tol", [
+    ("tetra", "[0.1,0.1,0.1]", "-1"),
+    ("penta", "[0.1,0.1,0.1]", "-1"),
+    ("hexa", "[0.1,0.1,0.1,0]", "nan"),
+    ("hexa", "[0.1,0.1,0.1,0]", "inf"),
+])
+def test_classify_refuses_a_negative_or_non_finite_tol(domain, point, tol):
+    code, out, err = _run_cli_all(["classify", "--domain", domain,
+                                   "--point", point, "--tol", tol])
+    assert (code, out) == (64, "")
+    assert err.startswith("error: --tol ") and err.count("\n") == 1
+
+
+def test_classify_accepts_tol_zero():
+    code, out, err = _run_cli_all(["classify", "--domain", "hexa", "--point",
+                                   "[0.1,0.1,0.1,0]", "--tol", "0", "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--domain", "hexa", "--point", "[true,0,0,0]"],
+    ["classify", "--domain", "tetra", "--point", "[[0.1,false],0,0]"],
+    ["aut", "invert", "--aut",
+     '{"v":{"xi":[1,0],"z":[0,0]},"chi":{"xi":[1,0],"z":[0,0]},'
+     '"omega":[1,0],"flip":"false"}'],
+    ["aut", "invert", "--aut",
+     '{"v":{"xi":[1,0],"z":[0,0]},"chi":{"xi":[1,0],"z":[0,0]},'
+     '"omega":[1,0],"flip":1}'],
+])
+def test_json_booleans_and_numbers_are_not_interchangeable(args):
+    # a JSON boolean is no complex scalar, and flip is nothing but a boolean
+    code, out, err = _run_cli_all(args)
+    assert (code, out) == (64, "")
+    assert err.count("\n") == 1
+
+
+def test_sample_unwritable_out_is_a_usage_error(tmp_path):
+    path = tmp_path / "missing" / "boundary.csv"
+    code, out, err = _run_cli_all(["sample", "boundary", "--count", "3",
+                                   "--out", str(path)])
+    assert (code, out) == (64, "")
+    assert str(path) in err and err.count("\n") == 1

@@ -511,3 +511,11 @@ def test_matricial_mobius_inverse(rng):
 def test_matricial_mobius_rejects_expansive():
     with pytest.raises(DomainError):
         matricial_mobius(Mat2(2, 0, 0, 0), Mat2(0, 0, 0, 0))
+
+
+def test_cx_from_json_refuses_booleans():
+    from hexablock.numerics import cx_from_json
+    assert cx_from_json(2) == 2 and cx_from_json([0.5, -1]) == 0.5 - 1j
+    for value in (True, False, [True, 0], [0.5, False]):
+        with pytest.raises(ValueError):
+            cx_from_json(value)

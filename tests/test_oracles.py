@@ -94,3 +94,20 @@ def test_mu_bruteforce_agrees_with_bisection(rng):
         mu = mu_value(A, "hexa")
         ref = mu_bruteforce(A)
         assert abs(ref - mu) / max(mu, 1e-3) <= 2e-2
+
+
+def test_oracle_outputs_are_pinned():
+    """repr of oracle outputs recorded when the oracles' grid mechanics were
+    merged into shared helpers.  perfbench builds boundary-grid's points
+    from `grid_sup_kappa` and checks mu against `mu_bruteforce`, so a
+    change here changes the benchmark's inputs; that includes a numpy
+    upgrade that moves these values."""
+    assert repr(grid_sup_kappa((0.3 + 0.1j, -0.2 + 0.25j, 0.1 - 0.05j))) == (
+        "(1.15497920834355, ((0.39705601009838876-0.13787756589513026j), "
+        "(-0.26730243693547434-0.3276809964524384j)))")
+    # the dE corner, where the corner fans decide the supremum
+    assert repr(grid_sup_kappa((0.0, 0.4, 0.6))) == (
+        "(1.290994458058372, ((-0.999999987090525-2.4835268065308073e-08j), "
+        "(0.9999999922537515-1.4901160916122912e-08j)))")
+    A = Mat2(0.5 + 0.2j, -0.3 + 0.4j, 0.6 - 0.1j, -0.2 + 0.1j)
+    assert repr(mu_bruteforce(A)) == "0.9396748552345465"

@@ -315,3 +315,34 @@ def test_s1_c5_correspondence(rng):
             assert s1_c5_match(aa, s, p)
             checked += 1
     assert checked > 200
+
+
+def test_face_classify_on_face_d2_follows_psi_sup():
+    # x on the tetrahedron face Delta_2 (x3 = x1 + x2 - 1, |x3| < 1) with
+    # a != 0: the face label is conditioned on the psi bound that psi_sup
+    # reads on dE, so a label comes back exactly where that bound holds
+    from hexablock.hexa import psi_sup
+    from hexablock.numerics import REAL_TOL
+    rng = np.random.default_rng(4557)
+    labelled = refused = 0
+    while labelled + refused < 600:
+        x1, x2 = rng.uniform(-1.0, 1.0, 2)
+        x3 = x1 + x2 - 1.0
+        if abs(x3) >= 1.0:
+            continue
+        for a in (0.2, rng.uniform(-1.0, 1.0)):
+            sup, _, _ = psi_sup((complex(a), x1, x2, x3))
+            if sup is not None and sup <= 1.0 + REAL_TOL:
+                assert "C2" in face_classify((a, x1, x2, x3))
+                labelled += 1
+            else:
+                with pytest.raises(DomainError):
+                    face_classify((a, x1, x2, x3))
+                refused += 1
+    assert labelled > 50 and refused > 50
+
+
+def test_real_h_member_outside_the_tetrahedron():
+    x = (0.9, 0.9, -0.5)    # -x1 - x2 + x3 + 1 = -1.3
+    assert real_h_member((0.1, *x)) == (False, real_tetra_margin(x))
+    assert real_tetra_margin(x) < 0.0
