@@ -39,6 +39,13 @@ class Region(enum.Enum):
     EXTERIOR = "exterior_of_closure"
 
 
+# the members bound once: reading a module-level name is about ten times
+# cheaper than reading `Region.X`, so the scalar paths compare with these
+_INTERIOR, _BOUNDARY, _DISTINGUISHED, _EXTERIOR = (
+    Region.INTERIOR, Region.BOUNDARY, Region.DISTINGUISHED_BOUNDARY,
+    Region.EXTERIOR)
+
+
 @dataclass
 class RegionVerdict:
     region: Region
@@ -47,15 +54,15 @@ class RegionVerdict:
 
     @property
     def in_closure(self) -> bool:
-        return self.region is not Region.EXTERIOR
+        return self.region is not _EXTERIOR
 
     @property
     def in_interior(self) -> bool:
-        return self.region is Region.INTERIOR
+        return self.region is _INTERIOR
 
     @property
     def distinguished(self) -> bool:
-        return self.region is Region.DISTINGUISHED_BOUNDARY
+        return self.region is _DISTINGUISHED
 
 
 def _vote(first, margins: dict, tol: float, what: str, point):
@@ -91,11 +98,9 @@ def _vote(first, margins: dict, tol: float, what: str, point):
         f"{', '.join(f'{k}: {m:.3e}' for k, m in vals.items())}}}")
 
 
-# the regions by their codes in `_region`: indexing a tuple is cheaper than
-# reading an Enum member
-_CODES = (Region.BOUNDARY, Region.INTERIOR, Region.DISTINGUISHED_BOUNDARY,
-          Region.EXTERIOR)
-_EXTERIOR_CODE = _CODES.index(Region.EXTERIOR)
+# the regions by their codes in `_region`
+_CODES = (_BOUNDARY, _INTERIOR, _DISTINGUISHED, _EXTERIOR)
+_EXTERIOR_CODE = _CODES.index(_EXTERIOR)
 _REGIONS = np.array(_CODES, dtype=object)
 
 
@@ -139,25 +144,31 @@ def g2_classify(s: complex, p: complex, tol: float = TOL) -> RegionVerdict:
     Closure uses the non-strict forms with |s| <= 2; the distinguished
     boundary needs |p| = 1, s = conj(s) p and |s| <= 2.
     """
-    return RegionVerdict(*_g2_verdict(cx(s), cx(p), tol))
+    return RegionVerdict(*_g2_verdict(cx(s), cx(p), tol)[:3])
 
 
 def _g2_verdict(s: complex, p: complex, tol: float):
-    """(region, margins, witnesses) of `g2_classify` for coerced s, p."""
-    sp = abs(s - s.conjugate() * p)
-    m2 = (1.0 - abs(p) ** 2) - sp
-    m3 = (4.0 - abs(s) ** 2) - (2.0 * sp + abs(s * s - 4.0 * p))
+    """(region, margins, witnesses, terms) of `g2_classify` for coerced
+    s, p.  Each quantity is computed once: terms = (|s|, |p|, c, |c|, q,
+    |q|) with c = s - conj(s) p and q = s^2 - 4p, from which
+    `_bridge_terms` builds the terms of the symmetric point."""
+    a_s, a_p = abs(s), abs(p)
+    c = s - s.conjugate() * p
+    q = s * s - 4.0 * p
+    d, e = abs(c), abs(q)
+    m2 = (1.0 - a_p ** 2) - d
+    m3 = (4.0 - a_s ** 2) - (2.0 * d + e)
     margins = {"sp_vs_p2": m2, "royal": m3}
     beta = _solve_beta(s, p)
-    if beta is not None and abs(p) < 1.0:
+    if beta is not None and a_p < 1.0:
         margins["beta"] = 1.0 - abs(beta)
     inside = _vote(m2 > 0.0, margins, tol, "G2 interior", (s, p))
 
-    mc = min(m3, 2.0 - abs(s))
+    mc = min(m3, 2.0 - a_s)
     margins["closure"] = mc
     in_closure = mc >= -tol
 
-    mb = -max(abs(abs(p) - 1.0), abs(s - s.conjugate() * p), abs(s) - 2.0)
+    mb = -max(abs(a_p - 1.0), d, a_s - 2.0)
     margins["b_gamma"] = mb
 
     witnesses = {}
@@ -167,7 +178,20 @@ def _g2_verdict(s: complex, p: complex, tol: float):
     witnesses["eigenvalues"] = (l1, l2)
 
     region = _region(in_closure, mb >= -tol, inside and mc > tol)
-    return region, margins, witnesses
+    return region, margins, witnesses, (a_s, a_p, c, d, q, e)
+
+
+def _bridge_terms(g2_terms):
+    """`psi._tetra_terms(s/2, s/2, p)` from the terms of `_g2_verdict`:
+    halving and quartering are exact, so away from subnormal values these
+    are the same roundings, bit for bit.  Only where s or p has a -0.0
+    part may a zero part of c12 or v carry the other sign; the readers of
+    the terms take moduli, which it cannot move."""
+    a_s, a_p, c, d, q, e = g2_terms
+    a1, c12, d12 = 0.5 * a_s, c / 2.0, 0.5 * d
+    s1 = a1 ** 2
+    return (a1, a1, a_p, s1, s1, a_p ** 2, c12, c12, d12, d12,
+            complex(0.25 * q.real, 0.25 * q.imag), 0.25 * e)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +355,14 @@ def penta_classify(a: complex, s: complex, p: complex,
 def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
     """(region, margins, witnesses) of `penta_classify` for coerced
     a, s, p.  c_plus comes from the roots in the G2 verdict's witnesses.
-    The symmetric point (s/2, s/2, p) is read once, as `psi._tetra_terms`:
-    where its interior margin (`psi._terms_margin`) exceeds
+    The symmetric point (s/2, s/2, p) is read from the G2 verdict's
+    terms, as the `psi._tetra_terms` of `_bridge_terms`: where its
+    interior margin (`psi._terms_margin`) exceeds
     `REFUSE_MARGIN`, the psi_sup criterion is 1 - |a| K* with K* the one
     closed form of `psi._k_star_M`, the hexablock's K* there (c_plus =
     1/K*(s/2, s/2, p), the bridge that the vote checks)."""
-    g2_region, g2_margins, witnesses = _g2_verdict(s, p, tol)
-    g2_interior = g2_region is Region.INTERIOR
+    g2_region, g2_margins, witnesses, g2_terms = _g2_verdict(s, p, tol)
+    g2_interior = g2_region is _INTERIOR
     _, cp = _penta_radii(*witnesses["eigenvalues"])
     a_a = abs(a)
     m_cp = cp - a_a
@@ -345,8 +370,7 @@ def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
     criteria = {"c_plus": m_cp}
 
     # the psi-sup route through the hexablock bridge
-    h = s / 2.0
-    terms = _tetra_terms(h, h, p)
+    terms = _bridge_terms(g2_terms)
     if _terms_margin(terms) > REFUSE_MARGIN:
         criteria["psi_sup"] = margins["psi_sup"] = \
             1.0 - a_a * _k_star_of_M(_k_star_M(terms)[2])
@@ -355,10 +379,10 @@ def _penta_verdict(a: complex, s: complex, p: complex, tol: float):
 
     m_closure = min(m_cp, g2_margins["closure"])
     margins["closure"] = m_closure
-    in_closure = g2_region is not Region.EXTERIOR and m_cp >= -tol
+    in_closure = g2_region is not _EXTERIOR and m_cp >= -tol
 
-    mb = min(g2_margins["b_gamma"],
-             -abs(a_a ** 2 + abs(s) ** 2 / 4.0 - 1.0))
+    # terms[3] = |s|^2/4, exactly
+    mb = min(g2_margins["b_gamma"], -abs(a_a ** 2 + terms[3] - 1.0))
     margins["b_penta"] = mb
     region = _region(in_closure, mb >= -tol, inside and m_closure > tol)
     return region, margins, witnesses
@@ -432,7 +456,7 @@ def penta_hn_witness(a: complex, s: complex, p: complex):
     """
     a, s, p = cx(a), cx(s), cx(p)
     region, _, witnesses = _penta_verdict(a, s, p, TOL)
-    if region is not Region.INTERIOR:
+    if region is not _INTERIOR:
         raise DomainError("penta_hn_witness needs a point of the open pentablock")
     l1, l2 = witnesses["eigenvalues"]
     cm, cp = _penta_radii(l1, l2)

@@ -17,9 +17,9 @@ from .numerics import (REFUSE_MARGIN, TOL, UNIT_SLACK, ConsistencyError,
                        spectral_radius)
 from .psi import (_k_star, _k_star_M, _k_star_of_M, _tetra_terms,
                   is_triangular, k_star, maximizer, tetra_interior_margin)
-from .domains import (_EXTERIOR_CODE, Region, _closure_margin,
-                      _tetra_verdict, bE_margin, penta_classify,
-                      tetra_classify)
+from .domains import (_BOUNDARY, _DISTINGUISHED, _EXTERIOR, _EXTERIOR_CODE,
+                      _closure_margin, _tetra_verdict, bE_margin,
+                      penta_classify, tetra_classify)
 
 _INF = math.inf
 
@@ -64,12 +64,12 @@ def psi_sup(p, tol: float = TOL):
         r = maximizer(x)
         return abs(a) * _k_star(*x), (r.z1, r.z2), "maximizer"
     region = tetra_classify(x, tol).region
-    if region is Region.EXTERIOR:
+    if region is _EXTERIOR:
         return None, None, "exterior"
     sup = abs(a) * _k_star(*x)
     if abs(x[0]) >= 1.0 or abs(x[1]) >= 1.0:
         return sup, None, "circle_coordinate"
-    if region is Region.DISTINGUISHED_BOUNDARY:
+    if region is _DISTINGUISHED:
         return sup, (x[0].conjugate(), 0.0), "b_tetra"
     return sup, None, "boundary_limit"
 
@@ -94,7 +94,7 @@ def _closure_test(p, tol: float):
     stands in."""
     _, x = _point4(p)
     v = tetra_classify(x, tol)
-    if v.region is Region.EXTERIOR:
+    if v.region is _EXTERIOR:
         return (False, _closure_margin(v.margins)), v, (None, None, "exterior")
     sup_res = psi_sup(p, tol)
     sup = sup_res[0]
@@ -135,7 +135,7 @@ def hn_member(p, closed: bool = False, tol: float = TOL):
     a, x = _point4(p)
     if closed:
         v = tetra_classify(x, tol)
-        if v.region is Region.EXTERIOR:
+        if v.region is _EXTERIOR:
             return False, _closure_margin(v.margins)
     else:
         m_int = tetra_interior_margin(x)
@@ -230,7 +230,7 @@ def _boundary_parts(p, v, sup_res, tol: float):
     a, _ = _point4(p)
     parts: set[str] = set()
     witness = None
-    x_in_dE = v.region in (Region.BOUNDARY, Region.DISTINGUISHED_BOUNDARY)
+    x_in_dE = v.region in (_BOUNDARY, _DISTINGUISHED)
     if abs(a) <= tol and x_in_dE:
         parts.add("d0")
     if abs(a) > tol:
@@ -369,8 +369,14 @@ def mu_value(A: Mat2, structure: str = "hexa") -> float:
     otherwise delta = 1 gives ||A|| (Packard & Doyle 1993).  penta bisects
     its strict membership criterion to the width MU_WIDTH ||A||, relative so
     that mu(cA) = |c| mu(A) at every scale, and is capped by mu_hexa, since
-    span{I, e12} lies in the upper-triangular matrices.  The three mu
-    values are not totally ordered: diagonal and span{I, e12}
+    span{I, e12} lies in the upper-triangular matrices.  The criterion
+    asks every margin of the pentablock verdict to exceed TOL, so it turns
+    above mu_penta and the result overestimates it: by a few MU_WIDTH ||A||
+    where c_plus decides, and where the G2 part decides (mu_penta = r(A),
+    |tr^2 - 4 det| >= 4|a21|^2) by TOL over the growth rate of the G2
+    closure margin, which vanishes as the eigenvalues of A meet: 5.9e-6
+    ||A|| at eigenvalues 1e-5 |a11| apart, below sqrt(TOL) ||A||.  The
+    three mu values are not totally ordered: diagonal and span{I, e12}
     perturbations are not nested.  0 is returned for a vanishing matrix and when the penta
     criterion holds at a vanishing scale.
     """

@@ -96,14 +96,19 @@ def cx_coords(values) -> tuple:
     return tuple(map(cx, values))
 
 
+def _json_number(value) -> bool:
+    """A JSON int or float; a JSON boolean or string is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def cx_from_json(value) -> complex:
-    """A complex scalar from its JSON form: [re, im] or a real number.  A
-    JSON boolean is not a number, alone or as a part."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A complex scalar from its JSON form: [re, im] or a real number, each
+    part a JSON int or float."""
+    if isinstance(value, list):
+        if len(value) == 2 and _json_number(value[0]) and _json_number(value[1]):
+            return complex(value[0], value[1])
+    elif _json_number(value):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and not any(isinstance(t, bool) for t in value)):
-        return complex(float(value[0]), float(value[1]))
     raise ValueError(f"expected [re, im] or a real number, got {value!r}")
 
 

@@ -528,9 +528,12 @@ def test_classify_accepts_tol_zero():
     ["aut", "invert", "--aut",
      '{"v":{"xi":[1,0],"z":[0,0]},"chi":{"xi":[1,0],"z":[0,0]},'
      '"omega":[1,0],"flip":1}'],
+    ["classify", "--domain", "hexa", "--point", '[["0.1",0],0,0,0]'],
+    ["classify", "--domain", "hexa", "--point", '[["nan",0],0,0,0]'],
 ])
 def test_json_booleans_and_numbers_are_not_interchangeable(args):
-    # a JSON boolean is no complex scalar, and flip is nothing but a boolean
+    # a JSON boolean or string is no complex scalar, and flip is nothing
+    # but a boolean
     code, out, err = _run_cli_all(args)
     assert (code, out) == (64, "")
     assert err.count("\n") == 1

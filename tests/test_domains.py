@@ -18,7 +18,7 @@ from hexablock.oracles import GridSpec, tetra_definitional
 from hexablock.autos import TetraAut, tetra_aut_apply
 
 from conftest import (columns, rand_be_point, rand_contraction, rand_disc,
-                      rand_discaut, rand_tetra_point, rand_unit,
+                      rand_discaut, rand_mat, rand_tetra_point, rand_unit,
                       tetra_region_points)
 
 
@@ -361,6 +361,39 @@ def test_penta_psi_sup_margin_is_the_hexablock_k_star(rng):
     assert routes >= 400
 
 
+def test_bridge_terms_are_the_tetra_terms_of_the_symmetric_point():
+    # the G2 verdict's terms give psi._tetra_terms(s/2, s/2, p) bit for
+    # bit, from 1e-150 to 1e150, at |s| -> 2, |p| -> 1, s = 0 and p = 0
+    import struct
+    from hexablock.domains import _bridge_terms, _g2_verdict
+    from hexablock.psi import _tetra_terms
+
+    def bits(terms):
+        return [struct.pack("<dd", t.real, t.imag) if isinstance(t, complex)
+                else struct.pack("<d", t) for t in terms]
+
+    rng = np.random.default_rng(4242)
+    unit = [rand_unit(rng) for _ in range(40)]
+    points = [(0j, 0j), (0j, 0.3 + 0j), (1.2 + 0j, 0j)]
+    for scale in 10.0 ** np.arange(-150, 151, 25):
+        points += [(complex(*rng.normal(0, scale, 2)),
+                    complex(*rng.normal(0, scale, 2))) for _ in range(20)]
+    for k in range(1, 16):
+        edge = 1.0 - 10.0 ** -k
+        points += [(2.0 * edge * u, edge * v) for u, v in zip(unit, unit[1:])]
+        points += [(2.0 * edge * u, 0j) for u in unit[:5]]
+        points += [(0j, edge * v) for v in unit[:5]]
+    # on the axes, where a part of c12 or v is zero
+    for x in (0.0, 0.7, -0.7, -1.3):
+        for y in (0.0, 0.4, -0.9):
+            points += [(complex(x), complex(y)), (complex(0.0, x), complex(y)),
+                       (complex(x), complex(0.0, y)),
+                       (complex(0.0, x), complex(0.0, y))]
+    for s, p in points:
+        bridge = _bridge_terms(_g2_verdict(s, p, 1e-9)[3])
+        assert bits(bridge) == bits(_tetra_terms(s / 2, s / 2, p)), (s, p)
+
+
 def _counted(monkeypatch, name, modules):
     """Count the calls of the function `name` of the first module, rebound
     in every module of `modules` that binds it."""
@@ -380,7 +413,9 @@ def _counted(monkeypatch, name, modules):
 def test_penta_classify_work_per_call(monkeypatch, rng):
     # one root solve, read by the G2 verdict and c_plus; the symmetric
     # point's interior margin and K* come from psi's private cores; a, s
-    # and p are coerced once each, the root solve takes them as they are
+    # and p are coerced once each, the root solve takes them as they are;
+    # the symmetric point's terms come from the G2 verdict, in a pentablock
+    # verdict and in each membership of the mu bisection
     import hexablock.domains as domains
     import hexablock.hexa as hexa
     import hexablock.numerics as numerics
@@ -389,6 +424,7 @@ def test_penta_classify_work_per_call(monkeypatch, rng):
     roots = _counted(monkeypatch, "_quadratic_roots", mods)
     ks = _counted(monkeypatch, "k_star", mods[1:])
     margin = _counted(monkeypatch, "tetra_interior_margin", mods[1:])
+    terms = _counted(monkeypatch, "_tetra_terms", mods[1:])
     coerce = _counted(monkeypatch, "cx", mods)
     points = [(0, 0, 0), (1, 0, -1), (1, 0, 0.5), (0.1, 2, 1)]
     points += [pi_penta(rand_contraction(rng, 0.95)) for _ in range(40)]
@@ -397,8 +433,11 @@ def test_penta_classify_work_per_call(monkeypatch, rng):
         coerce[0] = 0
         v = penta_classify(*q)
         routes += "psi_sup" in v.margins
-        assert (roots[0], ks[0], margin[0], coerce[0]) == (k, 0, 0, 3)
+        assert (roots[0], ks[0], margin[0], terms[0], coerce[0]) == (k, 0, 0, 0, 3)
     assert routes >= 40
+    for _ in range(20):
+        hexa.mu_value(rand_mat(rng), "penta")
+    assert roots[0] > len(points) + 20 and terms[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from hexablock.hexa import (bh_member, classify_boundary, classify_hexa,
 from hexablock.domains import Region, penta_classify, tetra_classify
 from hexablock.oracles import mu_bruteforce
 
-from conftest import (columns, de_points, rand_be_point, rand_contraction,
-                      rand_disc, rand_hexa_point, rand_mat, rand_tetra_point,
-                      rand_unit, st_entry, st_tetra_point, st_unit,
-                      tetra_region_points)
+from conftest import (columns, de_points, rand_be_point, rand_complex,
+                      rand_contraction, rand_disc, rand_hexa_point, rand_mat,
+                      rand_tetra_point, rand_unit, st_entry, st_tetra_point,
+                      st_unit, tetra_region_points)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +600,63 @@ def test_mu_penta_straddles_p_membership():
         for t, inside in ((mp * (1 - 1e-6), False), (mp * (1 + 1e-6), True)):
             v = penta_classify(*pi_penta(A.scaled(1.0 / t)))
             assert v.in_interior == inside, (A, t)
+
+
+def _mu_penta_reference(A):
+    """(mu_penta, g2_decides) from the closed form at 50 digits:
+    max(|a11|, |a22|) at a21 = 0; r(A) where |tr^2 - 4 det| >= 4|a21|^2
+    (g2_decides: the pentablock's G2 part bounds the scaling there);
+    otherwise mu^2 = (b + sqrt(b^2 - 4|det|^2))/2 with b = |tr|^2/2 +
+    |a21|^2 + |tr^2 - 4 det|^2/(16|a21|^2)."""
+    import mpmath
+    with mpmath.workdps(50):
+        a11, a12, a21, a22 = (mpmath.mpc(complex(t))
+                              for t in (A.a11, A.a12, A.a21, A.a22))
+        if a21 == 0:
+            return float(max(abs(a11), abs(a22))), False
+        tr, det = a11 + a22, a11 * a22 - a12 * a21
+        disc, r2 = tr * tr - 4 * det, abs(a21) ** 2
+        if abs(disc) >= 4 * r2:
+            root = mpmath.sqrt(disc)
+            return float(max(abs(tr + root), abs(tr - root)) / 2), True
+        b = abs(tr) ** 2 / 2 + r2 + abs(disc) ** 2 / (16 * r2)
+        return float(mpmath.sqrt((b + mpmath.sqrt(b * b - 4 * abs(det) ** 2))
+                                 / 2)), False
+
+
+def test_mu_penta_matches_the_closed_form_at_50_digits():
+    # the bisection brackets the scale where its strict criterion (every
+    # margin above TOL = 1e-9) turns: never below mu_penta by more than its
+    # width 1e-9 ||A||; above it by a few widths where c_plus decides, and
+    # where the G2 part decides (mu = r(A)) by TOL over the growth of the G2
+    # closure margin, which vanishes as the eigenvalues of A meet: below
+    # sqrt(TOL) ||A||
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2025)
+    mats = []
+    for _ in range(200):
+        A = rand_mat(rng)
+        mats.append(A)
+        mats.append(A.scaled(10.0 ** rng.choice([-3, 3])))
+        a11, a12, a21, a22 = (rand_complex(rng) for _ in range(4))
+        mats.append(Mat2(a11, a12, 10.0 ** rng.uniform(-7, -2) * rand_unit(rng),
+                         a22))
+        # on the branch switch |tr^2 - 4 det| = 4|a21|^2
+        a12 = (4 * abs(a21) ** 2 * rand_unit(rng) - (a11 - a22) ** 2) / (4 * a21)
+        mats.append(Mat2(a11, a12, a21, a22))
+        # eigenvalues near each other, where the G2 margin grows slowest
+        gap = 10.0 ** rng.uniform(-5, 0) * abs(a11) * rand_unit(rng)
+        mats.append(Mat2(a11, rand_complex(rng),
+                         10.0 ** rng.uniform(-9, 0) * rand_unit(rng), a11 + gap))
+    branches = {True: 0, False: 0}
+    for A in mats:
+        ref, g2_decides = _mu_penta_reference(A)
+        branches[g2_decides] += 1
+        n = op_norm(A)
+        err = mu_value(A, "penta") - ref
+        assert err >= -1e-9 * n, A
+        assert err <= (3.2e-5 if g2_decides else 5e-9) * n, A
+    assert min(branches.values()) >= 200
 
 
 def test_penta_member_matches_scaled_matrix(monkeypatch):

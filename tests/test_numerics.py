@@ -519,3 +519,14 @@ def test_cx_from_json_refuses_booleans():
     for value in (True, False, [True, 0], [0.5, False]):
         with pytest.raises(ValueError):
             cx_from_json(value)
+
+
+def test_cx_from_json_takes_only_json_numbers():
+    # a JSON string is no number, alone or as a part, whatever it spells
+    from hexablock.numerics import cx_from_json
+    assert cx_from_json([1, -2]) == 1 - 2j and cx_from_json(3) == 3
+    assert math.isnan(cx_from_json([float("nan"), 0]).real)
+    for value in ("0.1", ["0.1", 0], ["nan", 0], [0, "1e3"], [0.1, None],
+                  None, [0.1], [0.1, 0, 0], {"re": 0.1, "im": 0}, [[0.1, 0], 0]):
+        with pytest.raises(ValueError):
+            cx_from_json(value)

@@ -116,3 +116,25 @@ def test_thresholds_are_named():
                 misplaced.append(f"{mod}.{name} read by {sorted(readers)}")
     assert small == []
     assert misplaced == []
+
+
+def test_scalar_paths_read_no_region_member():
+    # reading `Region.X` is an Enum lookup, about ten times a module-level
+    # name; every function of `domains` and `hexa` compares regions with
+    # the members `domains` binds once
+    root = pathlib.Path(hexablock.__file__).parent
+    hot = {"_g2_verdict", "_penta_verdict", "psi_sup", "_closure_test",
+           "hn_member", "_boundary_parts"}
+    seen, reads = set(), []
+    for mod in ("domains", "hexa"):
+        tree = ast.parse((root / f"{mod}.py").read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            seen.add(fn.name)
+            reads += [f"{mod}.{fn.name}:{n.lineno} Region.{n.attr}"
+                      for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+                      and isinstance(n.value, ast.Name) and n.value.id == "Region"
+                      and isinstance(n.ctx, ast.Load)]
+    assert hot <= seen
+    assert reads == []
