@@ -147,11 +147,13 @@ def hexa_aut_apply(T: HexaAut, p, check: bool = True):
     """Apply T to a point of the closed hexablock.
 
     With check=True the input must pass the closure criterion at the loose
-    `AUT_CHECK_TOL`; the image region always equals the input region.
+    `AUT_CHECK_TOL`, decided on the coordinates coerced here by one
+    tetrablock verdict and K* from its terms, as `h_member(p, closed=True)`
+    decides it; the image region always equals the input region.
     """
     a, x1, x2, x3 = (cx(s) for s in p)
     if check:
-        ok, margin = _hexa.h_member((a, x1, x2, x3), True, AUT_CHECK_TOL)
+        ok, margin = _hexa._closed_member(a, (x1, x2, x3), AUT_CHECK_TOL)
         if not ok:
             raise DomainError(f"point outside the closed hexablock "
                               f"(margin {margin:.3e})")

@@ -255,6 +255,8 @@ def cmd_schwarz(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise UsageError(f"--count must be >= 0, got {args.count}")
     from .realslice import K_real, face_classify, real_h_member, real_tetra_margin
     rng = np.random.default_rng(args.seed)
     rows = []

@@ -104,12 +104,32 @@ def _closure_test(p, tol: float):
     return (margin >= -tol, margin), v, sup_res
 
 
+def _closed_member(a, x, tol: float):
+    """(flag, margin) of closed-H membership for coerced a and x = (x1, x2,
+    x3), from one tetrablock verdict: outside closed E its closure margin;
+    at a = 0 the margin 1; else 1 - |a| K*, with K* from the verdict's own
+    terms, and -1 where |a| K* is infinite.  These are the floats of
+    `_closure_test`, which reads |a| K* through `psi_sup`."""
+    region, margins, _, terms = _tetra_verdict(*x, tol)
+    if region is _EXTERIOR:
+        return False, _closure_margin(margins)
+    if abs(a) == 0.0:
+        return True, 1.0
+    sup = abs(a) * _k_star_of_M(_k_star_M(terms)[2])
+    if sup == _INF:
+        return False, -1.0
+    margin = 1.0 - sup
+    return margin >= -tol, margin
+
+
 def hmu_closure_member(p, tol: float = TOL):
     """Membership of the closed mu-hexablock (equivalently the closed
     hexablock): (x1,x2,x3) in closed E and sup |psi| <= 1.
 
+    One pass: a single tetrablock verdict decides closed E and gives the
+    terms of K*, so no maximizer witness is evaluated (`_closed_member`).
     Returns (flag, margin)."""
-    return _closure_test(p, tol)[0]
+    return _closed_member(*_point4(p), tol)
 
 
 def hn_params(x):
@@ -159,11 +179,13 @@ def hn_member(p, closed: bool = False, tol: float = TOL):
 def h_member(p, closed: bool = False, tol: float = TOL):
     """Membership of the hexablock H (open) or its closure.
 
-    Open: (x1,x2,x3) in E and |a| K* < 1.  Closed: delegates to the closed
-    mu-hexablock, the two closures coincide.  Returns (flag, margin)."""
-    if closed:
-        return hmu_closure_member(p, tol)
+    Open: (x1,x2,x3) in E and |a| K* < 1.  Closed: the closed
+    mu-hexablock, the two closures coincide; the point is coerced once and
+    decided by one tetrablock verdict, with K* read from its terms
+    (`_closed_member`).  Returns (flag, margin)."""
     a, x = _point4(p)
+    if closed:
+        return _closed_member(a, x, tol)
     m_int = tetra_interior_margin(x)
     if not m_int > tol:
         return False, min(m_int, 0.0)
@@ -180,7 +202,7 @@ def h_closure_batch(p, tol: float = TOL):
     tetrablock interior margin exceeds max(tol, REFUSE_MARGIN), with K*
     evaluated on those points at once in closed form; every other point
     (outside the closed tetrablock, near its boundary) goes through the
-    scalar `h_member`."""
+    scalar closed-H core of `h_member`, `_closed_member`."""
     return _h_closure_arrays(*cx_arrays(p), tol)[:2]
 
 
@@ -200,9 +222,10 @@ def _h_closure_arrays(a, x1, x2, x3, tol: float):
         k = _k_star_of_M(_k_star_M(terms)[2])
         margins = np.where(route, 1.0 - abs(a) * k, 1.0)
     flags = margins >= -tol
+    # as Python complex, whose modulus rounds apart from numpy's
     for i in zip(*np.nonzero(~(zero | route))):
-        flags[i], margins[i] = h_member(tuple(t[i] for t in (a, *x)),
-                                        closed=True, tol=tol)
+        flags[i], margins[i] = _closed_member(
+            complex(a[i]), tuple(complex(t[i]) for t in x), tol)
     return flags, margins, tm
 
 

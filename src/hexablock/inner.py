@@ -24,7 +24,7 @@ from .numerics import (CIRCLE_EDGE, TOL, _FR_CIRCLE, BlaschkeProduct,
                        trig_sub)
 from .psi import _tetra_terms, k_star
 from .domains import _bE_margin, _closure_margin, _tetra_verdict
-from .hexa import _h_closure_arrays, h_member
+from .hexa import _closed_member, _h_closure_arrays, h_member
 
 #: the inner-function validation reports
 INNER_TOL = 1e-6
@@ -104,9 +104,11 @@ def _stack(polys) -> np.ndarray:
 
 
 def _ratios(vals):
-    """(E1/D, E2/D, D~n/D) from the values of the rows E1, E2, D, D~n."""
+    """(E1/D, E2/D, D~n/D) from the values of the rows E1, E2, D, D~n; not
+    finite, with no warning, where D vanishes: `cx_arrays` refuses them."""
     E1, E2, D, Dr = vals[:4]
-    return E1 / D, E2 / D, Dr / D
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return E1 / D, E2 / D, Dr / D
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +318,11 @@ def hexa_inner_validate(f: RationalHexaInner) -> dict:
     verdict, which covers both disc grids."""
     vals = _VALIDATION_TABLE.eval(f._rows)
     k, nc, nt = len(_DISC_CLOSED), len(_CIRCLE), len(_DISC_TETRA)
-    # f on the circle and on both disc grids, coerced once
-    f_all = cx_arrays((f.c * f.B(_VALIDATION_TABLE.points[k:]) * vals[4, k:]
-                       / vals[2, k:], *_ratios(vals[:, k:])))
+    # f on the circle and on both disc grids, coerced once; a zero of D
+    # leaves a non-finite value that `cx_arrays` refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = f.c * f.B(_VALIDATION_TABLE.points[k:]) * vals[4, k:] / vals[2, k:]
+    f_all = cx_arrays((a, *_ratios(vals[:, k:])))
     circle = [v[:nc] for v in f_all]
     _, margins, tm = _h_closure_arrays(*(v[nc:] for v in f_all), TOL)
     circle_bE = _bE_margin(*circle[1:])
@@ -440,7 +444,7 @@ def schwarz_feasible(prob: SchwarzProblem) -> FeasibilityReport:
     m_ratio = lam - tetra_ratio(x)
     m_sup = lam - abs(a) * k_star(x)
     m_coord = lam * math.sqrt(1.0 - abs(x1) ** 2) - abs(a)
-    ok_resc, m_resc = h_member((a / prob.lambda0,) + tuple(x), closed=True)
+    ok_resc, m_resc = _closed_member(cx(a / prob.lambda0), x, TOL)
     margins = {"tetra_ratio": m_ratio, "psi_sup": m_sup,
                "a_bound": m_coord, "rescaled_closure": m_resc}
     # (3) <-> (4): the supremum bound and the rescaled closure must agree

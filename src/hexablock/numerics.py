@@ -495,13 +495,6 @@ class BlaschkeProduct:
 # Trigonometric polynomials and Fejer-Riesz factorization
 # ---------------------------------------------------------------------------
 
-def trig_eval(coeffs, lam):
-    """Evaluate sum a_k lam^k, k = -n..n, for |lam| = 1; coeffs ascending."""
-    c = np.asarray(coeffs, dtype=complex)
-    lam = np.asarray(lam, dtype=complex)
-    return _horner(c, lam) / lam ** ((len(c) - 1) // 2)
-
-
 def poly_abs2_trig(p: Poly) -> np.ndarray:
     """Laurent coefficients of |p|^2 on the circle, ordered a_{-m}..a_m."""
     # a_k = sum_j c_{j+k} conj(c_j): the autocorrelation of c

@@ -12,6 +12,8 @@ shrink factor, projection, when the centre moves), since changing any of
 them changes that oracle's output.  `levi_fd_matrix` differentiates
 the library's own D (`psi._k_star_M`) by finite differences, so it checks
 only the exact derivatives of `realslice`, not D itself.
+`stationarity_residual` checks the maximizer against its critical-point
+equations.
 """
 
 from __future__ import annotations
@@ -403,3 +405,15 @@ def levi_fd_matrix(x) -> np.ndarray:
                                    / LEVI_FD_STEP ** 2)
     return 0.25 * (Hr[0::2, 0::2] + Hr[1::2, 1::2]
                    + 1j * (Hr[0::2, 1::2] - Hr[1::2, 0::2]))
+
+
+def stationarity_residual(x, z1: complex, z2: complex) -> float:
+    """Residual of the critical-point equations of |kappa(., x)| at (z1, z2):
+    conj(z1) = (x1 - x3 z2)/(1 - x2 z2), conj(z2) = (x2 - x3 z1)/(1 - x1 z1);
+    a check of `psi.maximizer` that shares none of its arithmetic.
+    """
+    x1, x2, x3 = map(cx, x)
+    z1, z2 = cx(z1), cx(z2)
+    r1 = z1.conjugate() - (x1 - x3 * z2) / (1.0 - x2 * z2)
+    r2 = z2.conjugate() - (x2 - x3 * z1) / (1.0 - x1 * z1)
+    return max(abs(r1), abs(r2))

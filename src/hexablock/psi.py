@@ -255,14 +255,3 @@ def sup_on_bE(x) -> float:
     if abs(x1) >= 1.0 - TOL:
         raise DomainError("sup_on_bE needs |x1| < 1")
     return _k_star(x1, x2, x3)
-
-
-def stationarity_residual(x, z1: complex, z2: complex) -> float:
-    """Residual of the critical-point equations at (z1, z2):
-    conj(z1) = (x1 - x3 z2)/(1 - x2 z2), conj(z2) = (x2 - x3 z1)/(1 - x1 z1).
-    """
-    x1, x2, x3 = map(cx, x)
-    z1, z2 = cx(z1), cx(z2)
-    r1 = z1.conjugate() - (x1 - x3 * z2) / (1.0 - x2 * z2)
-    r2 = z2.conjugate() - (x2 - x3 * z1) / (1.0 - x1 * z1)
-    return max(abs(r1), abs(r2))

@@ -128,6 +128,22 @@ def tetra_region_points(rng, count=20):
     return pts
 
 
+def counted(monkeypatch, name, modules):
+    """Count the calls of the function `name` of the first module, rebound
+    in every module of `modules` that binds it."""
+    fn = getattr(modules[0], name)
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for mod in modules:
+        if getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 def columns(pts):
     """The coordinate arrays of a list of points."""
     return tuple(np.array(c, dtype=complex) for c in zip(*pts))

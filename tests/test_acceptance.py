@@ -20,12 +20,12 @@ import pytest
 from hexablock.numerics import (BlaschkeProduct, ConsistencyError, Mat2, Poly,
                                 fejer_riesz, op_norm, pi_hexa, poly_abs2_trig,
                                 spectral_radius)
-from hexablock.psi import k_star, maximizer, stationarity_residual
+from hexablock.psi import k_star, maximizer
 from hexablock.domains import g2_classify, penta_classify, tetra_classify
 from hexablock.hexa import (bh_member, classify_hexa, h_member, hn_member,
                             hmu_member, hp_param, mu_value)
 from hexablock.oracles import (GridSpec, grid_sup_kappa, levi_fd_matrix,
-                               mu_bruteforce)
+                               mu_bruteforce, stationarity_residual)
 from hexablock.autos import hexa_aut_apply, hexa_aut_compose, hexa_aut_invert
 from hexablock.inner import (RationalTetraInner, SchwarzProblem,
                              hexa_inner_construct, hexa_inner_validate,

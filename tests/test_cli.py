@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,20 @@ def test_inner_construct_rejects_d_zero_on_the_circle():
     code, _ = run_cli(["inner", "construct", "--data", json.dumps(data),
                        "--json"])
     assert code == 64
+
+
+@pytest.mark.parametrize("action, data", [
+    ("construct", {"n": 1, "E1": [0, 0], "E2": [0, 0], "D": [0, 0]}),
+    ("validate", {"n": 1, "E1": [0, 0], "E2": [0, 0], "D": [0, 0],
+                  "A": [0, 0]}),
+])
+def test_inner_with_d_identically_zero_is_one_stderr_line(action, data):
+    # the images divide by D = 0: one domain error line, no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _run_cli_all(["inner", action, "--data", json.dumps(data)])
+    assert [str(w.message) for w in caught] == []
+    assert got == (64, "", "domain error: non-finite complex value in array\n")
 
 
 def test_inner_validate_reads_real_number_scalars():
@@ -537,6 +552,18 @@ def test_json_booleans_and_numbers_are_not_interchangeable(args):
     code, out, err = _run_cli_all(args)
     assert (code, out) == (64, "")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("what, header", [
+    ("boundary", "theta,z_re,z_im,w_re,w_im,a_re,a_im,x1_re,x1_im,x2_re,"
+                 "x2_im,x3_re,x3_im"),
+    ("real-slice", "a,x1,x2,x3,region,margin,faces"),
+], ids=["boundary", "real-slice"])
+def test_sample_negative_count_is_a_usage_error(what, header):
+    assert _run_cli_all(["sample", what, "--count", "-5"]) == \
+        (64, "", "error: --count must be >= 0, got -5\n")
+    assert _run_cli_all(["sample", what, "--count", "0"]) == \
+        (0, header + "\n", "")
 
 
 def test_sample_unwritable_out_is_a_usage_error(tmp_path):

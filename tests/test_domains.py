@@ -17,9 +17,9 @@ from hexablock.hexa import h_member, hn_member
 from hexablock.oracles import GridSpec, tetra_definitional
 from hexablock.autos import TetraAut, tetra_aut_apply
 
-from conftest import (columns, rand_be_point, rand_contraction, rand_disc,
-                      rand_discaut, rand_mat, rand_tetra_point, rand_unit,
-                      tetra_region_points)
+from conftest import (columns, counted, rand_be_point, rand_contraction,
+                      rand_disc, rand_discaut, rand_mat, rand_tetra_point,
+                      rand_unit, tetra_region_points)
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +394,6 @@ def test_bridge_terms_are_the_tetra_terms_of_the_symmetric_point():
         assert bits(bridge) == bits(_tetra_terms(s / 2, s / 2, p)), (s, p)
 
 
-def _counted(monkeypatch, name, modules):
-    """Count the calls of the function `name` of the first module, rebound
-    in every module of `modules` that binds it."""
-    fn = getattr(modules[0], name)
-    calls = [0]
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return fn(*args, **kwargs)
-
-    for mod in modules:
-        if getattr(mod, name, None) is fn:
-            monkeypatch.setattr(mod, name, counting)
-    return calls
-
-
 def test_penta_classify_work_per_call(monkeypatch, rng):
     # one root solve, read by the G2 verdict and c_plus; the symmetric
     # point's interior margin and K* come from psi's private cores; a, s
@@ -421,11 +405,11 @@ def test_penta_classify_work_per_call(monkeypatch, rng):
     import hexablock.numerics as numerics
     import hexablock.psi as psi
     mods = (numerics, psi, domains, hexa)
-    roots = _counted(monkeypatch, "_quadratic_roots", mods)
-    ks = _counted(monkeypatch, "k_star", mods[1:])
-    margin = _counted(monkeypatch, "tetra_interior_margin", mods[1:])
-    terms = _counted(monkeypatch, "_tetra_terms", mods[1:])
-    coerce = _counted(monkeypatch, "cx", mods)
+    roots = counted(monkeypatch, "_quadratic_roots", mods)
+    ks = counted(monkeypatch, "k_star", mods[1:])
+    margin = counted(monkeypatch, "tetra_interior_margin", mods[1:])
+    terms = counted(monkeypatch, "_tetra_terms", mods[1:])
+    coerce = counted(monkeypatch, "cx", mods)
     points = [(0, 0, 0), (1, 0, -1), (1, 0, 0.5), (0.1, 2, 1)]
     points += [pi_penta(rand_contraction(rng, 0.95)) for _ in range(40)]
     routes = 0

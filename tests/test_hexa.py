@@ -6,18 +6,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hexablock import hexa
-from hexablock.numerics import DomainError, Mat2, op_norm, pi_hexa, \
+from hexablock.numerics import TOL, DomainError, Mat2, op_norm, pi_hexa, \
     pi_penta, pi_tetra, spectral_radius
 from hexablock.psi import k_star, k_star_closed, tetra_interior_margin
 from hexablock.hexa import (bh_member, classify_boundary, classify_hexa,
                             h_closure_batch, h_member, hartogs_u,
                             hmu_closure_member, hmu_member, hn_member,
                             hn_params, hp_param, mu_value, psi_sup)
+from hexablock.autos import AUT_CHECK_TOL, hexa_aut_apply
 from hexablock.domains import Region, penta_classify, tetra_classify
 from hexablock.oracles import mu_bruteforce
 
-from conftest import (columns, de_points, rand_be_point, rand_complex,
-                      rand_contraction, rand_disc, rand_hexa_point, rand_mat,
+from conftest import (columns, counted, de_points, rand_be_point,
+                      rand_complex, rand_contraction, rand_disc,
+                      rand_hexa_point, rand_hexaaut, rand_mat,
                       rand_tetra_point, rand_unit, st_entry, st_tetra_point,
                       st_unit, tetra_region_points)
 
@@ -282,8 +284,9 @@ def test_h_closure_batch_matches_scalar(rng, monkeypatch):
             limit_points += 1
     scalar = [h_member(p, closed=True) for p in pts]
     calls = []
-    monkeypatch.setattr(hexa, "h_member", lambda p, closed, tol: (
-        calls.append(p), h_member(p, closed=closed, tol=tol))[1])
+    core = hexa._closed_member
+    monkeypatch.setattr(hexa, "_closed_member", lambda a, x, tol: (
+        calls.append((a, *x)), core(a, x, tol))[1])
     flags, margins = h_closure_batch(columns(pts))
     assert flags.shape == margins.shape == (len(pts),)
     for i, (f, m) in enumerate(scalar):
@@ -291,7 +294,7 @@ def test_h_closure_batch_matches_scalar(rng, monkeypatch):
         assert abs(margins[i] - m) <= 1e-14 * max(1.0, abs(m)), pts[i]
     assert {True, False} <= set(f for f, _ in scalar)
     # the points outside the closed tetrablock, and those with a != 0 off
-    # the maximizer route, go through the scalar h_member
+    # the maximizer route, go through the scalar core of h_member
     expect = [p for p in pts if tetra_classify(p[1:]).region is Region.EXTERIOR
               or (p[0] != 0 and not tetra_interior_margin(p[1:]) > 1e-9)]
     assert len(calls) == len(expect) < len(pts) / 2
@@ -715,6 +718,7 @@ def test_mu_hexa_evaluates_no_membership(monkeypatch):
 def test_k_star_users_take_no_maximizer(monkeypatch, rng):
     # K* is one closed form; the maximizer runs only for psi_sup's witness,
     # once per interior classify_hexa, and never for the pentablock vote
+    # nor for closed-H membership, also as the automorphisms' input check
     import hexablock.domains as domains
     import hexablock.psi as psi
     import hexablock.realslice as realslice
@@ -725,6 +729,7 @@ def test_k_star_users_take_no_maximizer(monkeypatch, rng):
         if getattr(mod, "_witness", None) is core:
             monkeypatch.setattr(mod, "_witness",
                                 lambda *x: (calls.append(x), core(*x))[1])
+    T = rand_hexaaut(rng)
     for _ in range(30):
         p = rand_hexa_point(rng)
         x = p[1:]
@@ -733,6 +738,8 @@ def test_k_star_users_take_no_maximizer(monkeypatch, rng):
         assert len(calls) == 1
         calls.clear()
         k_star(x), h_member(p), hartogs_u(x), k_star(columns([x, x]))
+        h_member(p, closed=True), hmu_closure_member(p)
+        hexa_aut_apply(T, p, check=True)
         assert calls == []
     x = (0.3, -0.2, 0.1)
     assert K_real(x) == pytest.approx(1.0 / k_star(x), rel=1e-15)
@@ -743,6 +750,83 @@ def test_k_star_users_take_no_maximizer(monkeypatch, rng):
         mu_value(rand_mat(rng), "penta")
     assert routes == 40
     assert calls == []
+
+
+def _closed_h_fixtures(rng):
+    """Points of every closed-H route, as (a, x1, x2, x3): inside H,
+    outside closed E, a = 0, |x1| = 1 (K* infinite), dE off bE, bE, the
+    near-circle family (sqrt(1 - r^2) u, x1, conj(x1) x3, x3), r = |x1| =
+    1 - 5 10^-k, and a just inside, on and just outside |a| K* = 1."""
+    pts = [rand_hexa_point(rng) for _ in range(40)]
+    for x in tetra_region_points(rng, 10):
+        pts += [(0.0, *x), (0.3 * rand_unit(rng), *x)]
+    pts += [(0.3, 1.0, 0.0, 0.0), (0.2j, 1.0, 1.0, 1.0),
+            (0.1, 1j, 0.2, 0.2j), (1e300, 0.1, 0.2, 0.0)]
+    for x in de_points(rng)[::10]:
+        pts += [(rand_unit(rng) * s / k_star_closed(x), *x)
+                for s in (0.5, 1.0, 1.5)]
+    for _ in range(20):
+        x = rand_be_point(rng)
+        pts += [(rand_unit(rng) * s * math.sqrt(1.0 - abs(x[0]) ** 2), *x)
+                for s in (0.5, 1.0, 1.1)]
+    for k in range(8, 16):
+        for _ in range(6):
+            r = 1.0 - 5.0 * 10.0 ** -k
+            x1, x3 = r * rand_unit(rng), rand_unit(rng)
+            pts.append((math.sqrt(1.0 - r * r) * rand_unit(rng), x1,
+                        x1.conjugate() * x3, x3))
+    for _ in range(20):
+        x = rand_tetra_point(rng, min_margin=1e-3)
+        pts += [(rand_unit(rng) * (1.0 + e) / k_star(x), *x)
+                for e in (-1e-9, 0.0, 1e-9)]
+    return pts
+
+
+def test_closed_member_matches_the_closure_test(rng):
+    # h_member(p, closed=True) takes K* from the terms of its one tetrablock
+    # verdict; classify_hexa's _closure_test reads |a| K* through psi_sup.
+    # The two routes give the same floats on every route of the test
+    routes = set()
+    for p in _closed_h_fixtures(rng):
+        for tol in (TOL, AUT_CHECK_TOL):
+            got = h_member(p, closed=True, tol=tol)
+            assert repr(got) == repr(hexa._closure_test(p, tol)[0]), p
+            assert repr(hmu_closure_member(p, tol)) == repr(got)
+            routes.add(got if got in ((True, 1.0), (False, -1.0)) else
+                       ("exterior" if tetra_classify(p[1:], tol).region
+                        is Region.EXTERIOR else got[0]))
+    assert routes == {(True, 1.0), (False, -1.0), "exterior", True, False}
+
+
+def test_closed_membership_is_one_tetrablock_pass(monkeypatch, rng):
+    # closed-H membership, also as the input check of hexa_aut_apply, is
+    # one tetrablock verdict on the point coerced once, with no maximizer
+    import hexablock.autos as autos
+    import hexablock.domains as domains
+    import hexablock.numerics as numerics
+    import hexablock.psi as psi
+    mods = (numerics, psi, domains, hexa, autos)
+    pts = _closed_h_fixtures(rng)
+    T = rand_hexaaut(rng)
+    terms = counted(monkeypatch, "_tetra_terms", mods[1:])
+    verdicts = counted(monkeypatch, "_tetra_verdict", mods[2:])
+    witness = counted(monkeypatch, "_witness", mods[1:])
+    coerce = counted(monkeypatch, "cx", mods)
+    calls = {"h_member": lambda p: h_member(p, closed=True),
+             "hmu_closure_member": hmu_closure_member,
+             "hexa_aut_apply": lambda p: hexa_aut_apply(T, p, check=True)}
+    refused = 0
+    for p in pts:
+        for name, call in calls.items():
+            for c in (terms, verdicts, witness, coerce):
+                c[0] = 0
+            try:
+                call(p)
+            except DomainError:
+                refused += 1
+            assert (terms[0], verdicts[0], witness[0]) == (1, 1, 0), (name, p)
+            assert coerce[0] <= 4, (name, p)
+    assert 0 < refused < len(pts) / 2
 
 
 def test_mu_homogeneous_at_small_scales():

@@ -11,8 +11,8 @@ from hexablock.numerics import (BlaschkeProduct, ConsistencyError, DiscAut,
                                 matricial_mobius, op_norm, pi_gamma, pi_hexa,
                                 pi_penta, pi_tetra, poly_abs2_trig,
                                 poly_reflect, singular_values, spectral_radius,
-                                stable_quadratic_roots, trig_eval,
-                                upper_tri_contraction)
+                                stable_quadratic_roots, upper_tri_contraction,
+                                _horner)
 
 from conftest import rand_contraction, rand_disc, rand_discaut, rand_mat, \
     rand_unit
@@ -472,6 +472,13 @@ def test_power_table_matches_mpmath(rng):
             for z, g, sc in zip(points.tolist(), got.tolist(), scale.tolist()):
                 err = abs(mpmath.polyval(cm, mpmath.mpc(z)) - mpmath.mpc(g))
                 assert err <= 1e-13 * sc, (z, float(err), sc)
+
+
+def trig_eval(coeffs, lam):
+    """Evaluate sum a_k lam^k, k = -n..n, for |lam| = 1; coeffs ascending."""
+    c = np.asarray(coeffs, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    return _horner(c, lam) / lam ** ((len(c) - 1) // 2)
 
 
 def test_trig_eval_hermitian_real(rng):

@@ -5,10 +5,9 @@ import pytest
 
 from hexablock.numerics import DomainError, Mat2, pi_tetra
 from hexablock.psi import (Phi_eval, Psi_eval, betas, k_star, k_star_closed,
-                           kappa_eval, maximizer, psi_eval,
-                           stationarity_residual, sup_on_bE,
+                           kappa_eval, maximizer, psi_eval, sup_on_bE,
                            tetra_interior_margin)
-from hexablock.oracles import GridSpec, grid_sup_kappa
+from hexablock.oracles import GridSpec, grid_sup_kappa, stationarity_residual
 
 from conftest import (NEAR_UNIT_X1, columns, corner_witness, rand_disc,
                       rand_tetra_point, rand_unit)
