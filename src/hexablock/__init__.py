@@ -16,13 +16,15 @@ from .numerics import (TOL, BlaschkeProduct, ConsistencyError, DiscAut,
 from .psi import (MaximizerResult, Phi_eval, Psi_eval, betas, k_star,
                   k_star_closed, kappa_eval, maximizer, psi_eval, sup_on_bE,
                   tetra_interior_margin)
-from .domains import (Region, RegionVerdict, diamond, embed_biball, embed_g2,
-                      embed_penta, embed_tetra, g2_classify, penta_classify,
-                      penta_hn_witness, retract_g2, retract_penta,
-                      retract_tetra, tau_of, tetra_classify)
+from .domains import (Region, RegionVerdict, bE_margin, diamond, embed_biball,
+                      embed_g2, embed_penta, embed_tetra, g2_classify,
+                      penta_classify, penta_hn_witness, penta_radii,
+                      retract_g2, retract_penta, retract_tetra, tau_of,
+                      tetra_classify, tetra_classify_batch)
 from .hexa import (HexaVerdict, bh_member, classify_boundary, classify_hexa,
-                   h_member, hartogs_u, hmu_closure_member, hmu_member,
-                   hn_member, hn_params, hp_param, mu_value, psi_sup)
+                   h_closure_batch, h_member, hartogs_u, hmu_closure_member,
+                   hmu_member, hn_member, hn_params, hp_param, mu_value,
+                   psi_sup)
 from .autos import (HexaAut, TetraAut, hexa_aut_apply, hexa_aut_compose,
                     hexa_aut_from_be_point, hexa_aut_invert, penta_aut_apply,
                     tetra_aut_apply, tetra_aut_invert)
@@ -34,12 +36,14 @@ _LAZY = {
     "inner": ("RationalHexaInner", "RationalPentaInner", "RationalTetraInner",
               "SchwarzProblem", "hexa_inner_construct", "hexa_inner_to_penta",
               "hexa_inner_validate", "interpolation_residuals",
-              "penta_inner_to_hexa", "penta_schwarz_feasible",
+              "penta_inner_to_hexa", "penta_inner_validate",
+              "penta_schwarz_feasible",
               "rational_inner_outer", "schwarz_construct", "schwarz_feasible",
               "tetra_inner_validate"),
-    "realslice": ("K_real", "dE_part_classify", "face_classify",
-                  "hessian_probe_K", "penta_real_sets", "real_h_member",
-                  "rho_and_levi"),
+    "realslice": ("K_real", "d2E_normal_form", "d3E_approach_sequence",
+                  "dE_part_classify", "face_classify", "hessian_probe_K",
+                  "levi_matrix", "penta_real_sets", "real_h_member",
+                  "rho_and_levi", "rho_value"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -66,14 +70,14 @@ __all__ = [
     "k_star_closed", "kappa_eval", "maximizer", "psi_eval", "sup_on_bE",
     "tetra_interior_margin",
     # domains
-    "Region", "RegionVerdict", "diamond", "embed_biball", "embed_g2",
-    "embed_penta", "embed_tetra", "g2_classify", "penta_classify",
-    "penta_hn_witness", "retract_g2", "retract_penta", "retract_tetra",
-    "tau_of", "tetra_classify",
+    "Region", "RegionVerdict", "bE_margin", "diamond", "embed_biball",
+    "embed_g2", "embed_penta", "embed_tetra", "g2_classify", "penta_classify",
+    "penta_hn_witness", "penta_radii", "retract_g2", "retract_penta",
+    "retract_tetra", "tau_of", "tetra_classify", "tetra_classify_batch",
     # hexa
     "HexaVerdict", "bh_member", "classify_boundary", "classify_hexa",
-    "h_member", "hartogs_u", "hmu_closure_member", "hmu_member", "hn_member",
-    "hn_params", "hp_param", "mu_value", "psi_sup",
+    "h_closure_batch", "h_member", "hartogs_u", "hmu_closure_member",
+    "hmu_member", "hn_member", "hn_params", "hp_param", "mu_value", "psi_sup",
     # autos
     "HexaAut", "TetraAut", "hexa_aut_apply", "hexa_aut_compose",
     "hexa_aut_from_be_point", "hexa_aut_invert", "penta_aut_apply",

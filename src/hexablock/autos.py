@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .numerics import (AUT_MATCH_TOL, UNIT_SLACK, _DEN_TINY, _TINY,
                        ConsistencyError, DomainError, DiscAut, cx)
-from .domains import tau_of, diamond
 from . import hexa as _hexa
 
 #: the loose closure check of `hexa_aut_apply` on its input
@@ -66,9 +65,6 @@ class TetraAut:
     chi: DiscAut
     flip: bool = False
 
-    def __call__(self, x):
-        return tetra_aut_apply(self, x)
-
 
 def tetra_aut_apply(t: TetraAut, x):
     """Apply the closed-form tetrablock automorphism; the flip acts first."""
@@ -91,14 +87,6 @@ def _tetra_aut(t, x1, x2, x3):
     t2 = (z2 * (z1.conjugate() * x1 - 1.0) + xi2 * (x2 - z1.conjugate() * x3)) / den
     t3 = xi1 * (z2 * (z1 - x1) - xi2 * (z1 * x2 - x3)) / den
     return (t1, t2, t3), den
-
-
-def tetra_aut_apply_diamond(t: TetraAut, x):
-    """Same map through the diamond action (independent route for tests)."""
-    x1, x2, x3 = (cx(s) for s in x)
-    if t.flip:
-        x1, x2 = x2, x1
-    return diamond(diamond(tau_of(t.v), (x1, x2, x3)), tau_of(t.chi))
 
 
 def tetra_aut_invert(t: TetraAut) -> TetraAut:
@@ -132,9 +120,6 @@ class HexaAut:
     @classmethod
     def identity(cls) -> "HexaAut":
         return cls(DiscAut.identity(), DiscAut.identity(), 1.0, False)
-
-    def __call__(self, p, check: bool = True):
-        return hexa_aut_apply(self, p, check=check)
 
     def approx_eq(self, other: "HexaAut", tol: float = AUT_MATCH_TOL) -> bool:
         return (self.flip == other.flip
@@ -222,7 +207,7 @@ def hexa_aut_from_be_point(x) -> tuple[HexaAut, tuple]:
 # Pentablock automorphisms
 # ---------------------------------------------------------------------------
 
-def penta_aut_apply(omega: complex, v: DiscAut, q, check: bool = True):
+def penta_aut_apply(omega: complex, v: DiscAut, q):
     """f_{omega,v} on the closed pentablock, computed by the closed form and
     cross-checked against the factored route e_* o T_{v,v*,omega} o e_0."""
     omega = cx(omega)
@@ -237,17 +222,11 @@ def penta_aut_apply(omega: complex, v: DiscAut, q, check: bool = True):
            xi / den * (-2.0 * z + (1.0 + abs(z) ** 2) * s - 2.0 * z.conjugate() * p),
            xi * xi / den * (z * z - z * s + p))
 
-    if check:
-        T = HexaAut(v, v.star(), omega, False)
-        b, y1, y2, y3 = hexa_aut_apply(T, (a, s / 2.0, s / 2.0, p), check=False)
-        alt = (b, y1 + y2, y3)
-        err = max(abs(o - t) for o, t in zip(out, alt))
-        if err > AUT_ROUTE_SLACK:
-            raise ConsistencyError(
-                f"pentablock automorphism routes disagree by {err:.3e}")
+    T = HexaAut(v, v.star(), omega, False)
+    b, y1, y2, y3 = hexa_aut_apply(T, (a, s / 2.0, s / 2.0, p), check=False)
+    alt = (b, y1 + y2, y3)
+    err = max(abs(o - t) for o, t in zip(out, alt))
+    if err > AUT_ROUTE_SLACK:
+        raise ConsistencyError(
+            f"pentablock automorphism routes disagree by {err:.3e}")
     return out
-
-
-def penta_aut_compose_params(omega1, v1: DiscAut, omega2, v2: DiscAut):
-    """Group law f_{w1,v1} o f_{w2,v2} = f_{w1 w2, v1 o v2}."""
-    return cx(omega1) * cx(omega2), v1.compose(v2)

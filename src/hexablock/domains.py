@@ -28,8 +28,12 @@ from .psi import (_betas_from, _k_star_M, _k_star_of_M, _tetra_terms,
 BETA_SINGULAR = 1e-12
 #: the denominator of the diamond law
 DIAMOND_POLE = 1e-12
-#: ||x3| - 1| that takes the tetrablock closure's |x3| = 1 branch
+#: ||x3| - 1| that takes the tetrablock closure's |x3| = 1 branch; part 7
+#: of the interior vote abstains nearer the circle
 UNIT_X3_EDGE = 1e-13
+#: a margin at or below this is rounding noise and abstains in `_vote` at
+#: any tol (16 ulps of 1, 2^-48)
+VOTE_FLOOR = 3.552713678800501e-15
 
 
 class Region(enum.Enum):
@@ -53,21 +57,14 @@ class RegionVerdict:
     witnesses: dict = field(default_factory=dict)
 
     @property
-    def in_closure(self) -> bool:
-        return self.region is not _EXTERIOR
-
-    @property
     def in_interior(self) -> bool:
         return self.region is _INTERIOR
-
-    @property
-    def distinguished(self) -> bool:
-        return self.region is _DISTINGUISHED
 
 
 def _vote(first, margins: dict, tol: float, what: str, point):
     """Consensus of equivalent criteria, each decided by its margin alone:
-    yes above tol, no below -tol, abstain in between (nan abstains).  The
+    yes above tol, no below -tol, abstain in between (nan abstains), and
+    abstain within `VOTE_FLOOR` of zero even when tol is below it.  The
     margins are scalars, or arrays of one shape on which the vote is taken
     point by point.  Where every criterion abstains, the first criterion's
     flag `first` decides: the caller treats that as a boundary-zone call.
@@ -76,6 +73,8 @@ def _vote(first, margins: dict, tol: float, what: str, point):
     the `ConsistencyError` names `what`, the first point of the coordinates
     `point` with a split vote, its decisive votes and every margin."""
     ms = margins.values()
+    if tol < VOTE_FLOOR:
+        tol = VOTE_FLOOR
     if isinstance(first, np.ndarray):
         # fmax and fmin pass over nan
         yes = reduce(np.fmax, ms) > tol
@@ -119,12 +118,9 @@ def _region(in_closure, on_b, interior):
 # Symmetrized bidisc
 # ---------------------------------------------------------------------------
 
-def solve_beta(s: complex, p: complex):
-    """beta with s = beta + conj(beta) p, or None when the map is singular."""
-    return _solve_beta(cx(s), cx(p))
-
-
 def _solve_beta(s: complex, p: complex):
+    """beta with s = beta + conj(beta) p, or None when the map is singular;
+    `g2_classify`'s "beta" witness."""
     # write beta = u + iv; s = beta + conj(beta)p is the real 2x2 system
     # [[a.re, b.re], [a.im, b.im]] (u, v) = (s.re, s.im), solved by Cramer's rule
     a = 1.0 + p
@@ -224,8 +220,11 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     """(region, margins, witnesses, terms) of `tetra_classify` for coerced
     coordinates, with the `psi._tetra_terms` it read: scalars, or arrays
     of one shape, on which every margin, vote and region is elementwise
-    and the region is a region code (`_region`).  On arrays part 7 is nan
-    (abstaining) where |x3| >= 1 and the beta witnesses are not kept.
+    and the region is a region code (`_region`).  Part 7 (the beta
+    criterion) votes only where 1 - |x3| >= `UNIT_X3_EDGE`, the edge past
+    which the closure stops reading it: elsewhere it is left out of the
+    margins and witnesses, on arrays it is nan (abstaining), and the beta
+    witnesses are not kept on arrays.
 
     Each quantity shared by several criteria is computed once: c12 =
     x1 - conj(x2) x3 and c21 give d12, d21 and the betas, w = |x1 x2 - x3|
@@ -251,7 +250,7 @@ def _tetra_verdict(x1, x2, x3, tol: float):
     margins = {"part3": m3, "part3_flip": m3_flip, "part4": m4, "part5": m5,
                "part8": m8}
     witnesses = {}
-    below = a3 < 1.0
+    below = below3 >= UNIT_X3_EDGE
     if batch:
         b1, b2 = _betas_from(c12, c21, np.where(below, den, 1.0))
         m7 = margins["part7"] = np.where(below, 1.0 - (abs(b1) + abs(b2)), np.nan)
@@ -316,9 +315,9 @@ def tetra_classify(x, tol: float = TOL) -> RegionVerdict:
 def tetra_classify_batch(x, tol: float = TOL):
     """`tetra_classify` at every point of coordinate arrays that broadcast
     together: (regions, margins), an object array of `Region` members and a
-    dict of margin arrays under the scalar keys (part 7 is nan where
-    |x3| >= 1).  The votes are taken point by point; a split vote raises
-    `ConsistencyError` naming the point."""
+    dict of margin arrays under the scalar keys (part 7 is nan where it
+    abstains, 1 - |x3| < `UNIT_X3_EDGE`).  The votes are taken point by
+    point; a split vote raises `ConsistencyError` naming the point."""
     region, margins, _, _ = _tetra_verdict(*cx_arrays(x), tol)
     return _REGIONS[region], margins
 

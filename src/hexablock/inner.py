@@ -11,7 +11,6 @@ and a unimodular constant c, with first component c*B*A/D.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -266,13 +265,6 @@ class RationalHexaInner:
         tetra = RationalTetraInner.from_dict(d)
         A = Poly(np.array([cx_from_json(v) for v in d["A"]]), tetra.n)
         return cls(tetra, A, *_completion_from_dict(d))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RationalHexaInner":
-        return cls.from_dict(json.loads(text))
 
 
 def _completion_from_dict(d: dict) -> tuple[BlaschkeProduct, complex]:

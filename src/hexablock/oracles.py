@@ -13,7 +13,8 @@ them changes that oracle's output.  `levi_fd_matrix` differentiates
 the library's own D (`psi._k_star_M`) by finite differences, so it checks
 only the exact derivatives of `realslice`, not D itself.
 `stationarity_residual` checks the maximizer against its critical-point
-equations.
+equations, and `tetra_aut_apply_diamond` the closed-form tetrablock
+automorphisms through the diamond action.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .numerics import Mat2, cx, op_norm
 from .psi import _k_star_M, _tetra_terms
+from .domains import diamond, tau_of
 
 #: Step of the central differences in `levi_fd_matrix`.
 LEVI_FD_STEP = 1e-4
@@ -417,3 +419,12 @@ def stationarity_residual(x, z1: complex, z2: complex) -> float:
     r1 = z1.conjugate() - (x1 - x3 * z2) / (1.0 - x2 * z2)
     r2 = z2.conjugate() - (x2 - x3 * z1) / (1.0 - x1 * z1)
     return max(abs(r1), abs(r2))
+
+
+def tetra_aut_apply_diamond(t, x):
+    """`autos.tetra_aut_apply(t, x)` through the diamond action,
+    tau_{v,chi}(x) = tau(v) <> x <> tau(chi), the flip acting first."""
+    x1, x2, x3 = (cx(s) for s in x)
+    if t.flip:
+        x1, x2 = x2, x1
+    return diamond(diamond(tau_of(t.v), (x1, x2, x3)), tau_of(t.chi))

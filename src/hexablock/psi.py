@@ -8,9 +8,9 @@ refuse on (`_terms_margin`), K* itself, and the maximizer's witness
 (`_witness`); |kappa| is evaluated at the witness only for
 `MaximizerResult.k_star`.
 
-The array entry points of the library are `k_star`, `k_star_closed`,
-`domains.bE_margin`, `domains.tetra_classify_batch` and
-`hexa.h_closure_batch`: given numpy arrays of coordinates they work
+The array entry points of the library, as `hexablock` exports them, are
+`k_star`, `k_star_closed`, `bE_margin`, `tetra_classify_batch` and
+`h_closure_batch`: given numpy arrays of coordinates they work
 elementwise, with the same arithmetic as on scalars.  Every other function
 takes scalars.
 """

@@ -168,12 +168,9 @@ def rho_value(x) -> float:
     return -_chart_check(x)[3]
 
 
-def rho_gradient(x):
-    """Holomorphic gradient (d rho/d x1, d rho/d x2, d rho/d x3)."""
-    return _rho_gradient(_chart_check(x))
-
-
 def _rho_gradient(chart):
+    """Holomorphic gradient (d rho/d x1, d rho/d x2, d rho/d x3) at the
+    `_chart_check` of x."""
     (x1, x2, x3), terms, beta, _ = chart
     b = terms[10].conjugate()
     g1 = 2.0 * x1.conjugate() * beta + 4.0 * x2 * b
@@ -315,16 +312,3 @@ def penta_real_sets(a: float, s: float, p: float):
         if -1.0 - REAL_TOL <= a <= REAL_TOL and abs(a + g) <= REAL_TOL:
             labels.append("S2")
     return labels
-
-
-def s1_c5_match(a: float, s: float, p: float) -> bool:
-    """Check the correspondence S1 <-> C5 (and S2 <-> C6) under the
-    symmetric embedding (a, s, p) -> (a, s/2, s/2, p)."""
-    labels = penta_real_sets(a, s, p)
-    q = (a, s / 2.0, s / 2.0, p)
-    try:
-        faces = face_classify(q)
-    except DomainError:
-        faces = []
-    return (("S1" in labels) == ("C5" in faces)) and \
-        (("S2" in labels) == ("C6" in faces))

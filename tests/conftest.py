@@ -200,3 +200,18 @@ def corner_witness(x, delta):
         den = 1 - x1 * z1 - x2 * z2 + x3 * z1 * z2
         k = mpmath.sqrt((1 - abs(z1) ** 2) * (1 - abs(z2) ** 2)) / abs(den)
         return float(k), float(abs(z2))
+
+
+def s1_c5_match(a, s, p):
+    """Whether the real pentablock's S1 <-> C5 (and S2 <-> C6)
+    correspondence holds at (a, s, p) under the symmetric embedding
+    (a, s, p) -> (a, s/2, s/2, p)."""
+    from hexablock.numerics import DomainError
+    from hexablock.realslice import face_classify, penta_real_sets
+    labels = penta_real_sets(a, s, p)
+    try:
+        faces = face_classify((a, s / 2.0, s / 2.0, p))
+    except DomainError:
+        faces = []
+    return (("S1" in labels) == ("C5" in faces)) and \
+        (("S2" in labels) == ("C6" in faces))

@@ -34,7 +34,8 @@ from hexablock.inner import (RationalTetraInner, SchwarzProblem,
 from hexablock import realslice as rs
 
 from conftest import (rand_contraction, rand_disc, rand_hexa_point,
-                      rand_hexaaut, rand_mat, rand_tetra_point, rand_unit)
+                      rand_hexaaut, rand_mat, rand_tetra_point, rand_unit,
+                      s1_c5_match)
 
 rng_global = np.random.default_rng  # seeded per criterion for independence
 
@@ -477,7 +478,7 @@ def test_criterion_12_penta_bridge():
         aa = rng.choice([g, -g, 0.8 * g, 1.1 * g])
         if abs(aa) > 1.0:
             continue
-        if not rs.s1_c5_match(float(aa), s, p):
+        if not s1_c5_match(float(aa), s, p):
             corr_bad += 1
         corr += 1
     ok = mismatches == 0 and compared > n // 2 and s1_ok and corr_bad == 0

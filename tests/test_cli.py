@@ -261,7 +261,7 @@ def test_schwarz_solve_checks_feasibility_once(monkeypatch):
 
 def test_inner_json_is_one_dict_form():
     # construct emits the dict form; validate reads it back without a
-    # second JSON round trip, and both agree with to_json/from_json
+    # second JSON round trip, and the dict form survives JSON text
     from hexablock.inner import RationalHexaInner
     data = {"n": 2, "E1": [[0.1, 0.2]], "E2": [[0, 0], [0, 0], [0.1, -0.2]],
             "D": [[2, 0], [0.5, 0.5]], "B_zeros": [[0.3, 0]],
@@ -271,8 +271,8 @@ def test_inner_json_is_one_dict_form():
     assert code == 0
     f = RationalHexaInner.from_dict(json.loads(out))
     assert f.to_dict() == json.loads(out)
-    assert f.to_json() == json.dumps(f.to_dict())
-    assert RationalHexaInner.from_json(f.to_json()).to_dict() == f.to_dict()
+    text = json.dumps(f.to_dict())
+    assert RationalHexaInner.from_dict(json.loads(text)).to_dict() == f.to_dict()
     assert all(type(v) is float for row in f.to_dict()["A"] for v in row)
     code, text = run_cli(["inner", "construct", "--data", json.dumps(data)])
     assert code == 0 and "np.float64" not in text
@@ -525,6 +525,32 @@ def test_classify_refuses_a_negative_or_non_finite_tol(domain, point, tol):
                                    "--point", point, "--tol", tol])
     assert (code, out) == (64, "")
     assert err.startswith("error: --tol ") and err.count("\n") == 1
+
+
+def test_classify_tetra_next_to_the_unit_circle():
+    # |x3| is one ulp below 1 and x1 = conj(x2) x3 with |x2| > 1: outside
+    # the closure, where part 7 (the beta criterion) is rounding noise and
+    # abstains
+    code, out = run_cli(["classify", "--domain", "tetra", "--point",
+                         "[[-1.3840966069577616,-0.4438378231069485],"
+                         "[1.2785980663467693,0.69130486425788],"
+                         "[-0.6924150683246008,-0.721499392346964]]",
+                         "--json"])
+    assert code == 2
+    assert json.loads(out)["region"] == "exterior_of_closure"
+
+
+def test_classify_tol_zero_on_the_distinguished_boundary():
+    # a bE point: at tol 0 the margins that are rounding noise (part4
+    # 2.2e-16, part5 -2.8e-17) abstain, as at the default tol
+    point = ("[[-0.5596551116904928,0.3468412972600431],"
+             "[0.08687894212082595,0.6526597727317761],"
+             "[-0.6343334060810235,-0.7730595901543731]]")
+    for extra in ([], ["--tol", "0"]):
+        code, out, err = _run_cli_all(["classify", "--domain", "tetra",
+                                       "--point", point, "--json", *extra])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["region"] == "distinguished_boundary"
 
 
 def test_classify_accepts_tol_zero():

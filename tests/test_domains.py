@@ -11,8 +11,7 @@ from hexablock.domains import (Region, bE_generator_params, bE_margin,
                                diamond, embed_biball, embed_g2, embed_penta,
                                embed_tetra, g2_classify, penta_classify,
                                penta_hn_witness, penta_radii, retract_g2,
-                               retract_penta, retract_tetra, solve_beta,
-                               tau_of, tetra_classify, tetra_classify_batch)
+                               retract_penta, retract_tetra, tau_of, tetra_classify, tetra_classify_batch)
 from hexablock.hexa import h_member, hn_member
 from hexablock.oracles import GridSpec, tetra_definitional
 from hexablock.autos import TetraAut, tetra_aut_apply
@@ -51,8 +50,14 @@ def test_g2_matches_definitional(rng):
         assert v.region is Region.INTERIOR
 
 
+def _beta_witness(s, p):
+    """beta with s = beta + conj(beta) p as `g2_classify` reports it, or
+    None when the map is singular."""
+    return g2_classify(s, p).witnesses.get("beta")
+
+
 def _solve_beta_lu(s, p):
-    """solve_beta through numpy's LU solver, with the same singularity test."""
+    """beta through numpy's LU solver, with the same singularity test."""
     a, b = 1.0 + p, 1j * (1.0 - p)
     M = np.array([[a.real, b.real], [a.imag, b.imag]])
     if abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]) < 1e-12:
@@ -72,7 +77,7 @@ def test_solve_beta_matches_lu_solver(rng):
             continue
         n += 1
         want = _solve_beta_lu(s, p)
-        got = solve_beta(s, p)
+        got = _beta_witness(s, p)
         assert abs(got - want) <= 1e-12 * abs(want)
     # just above and below the singularity threshold |det| = 1e-12
     for det in (1.5e-12, 1.01e-12, 0.99e-12, 0.5e-12, 0.0):
@@ -80,13 +85,13 @@ def test_solve_beta_matches_lu_solver(rng):
             p = math.sqrt(1.0 - det) * phase
             s = complex(*rng.uniform(-2.0, 2.0, 2))
             want = _solve_beta_lu(s, p)
-            got = solve_beta(s, p)
+            got = _beta_witness(s, p)
             assert (got is None) == (want is None)
             if want is not None:
                 # conditioned like 1/det: compare through the equation
                 assert abs(got + got.conjugate() * p - s) <= 1e-3 * abs(got)
-    assert solve_beta(0.3, math.sqrt(1.0 - 1.5e-12)) is not None
-    assert solve_beta(0.3, math.sqrt(1.0 - 0.5e-12)) is None
+    assert _beta_witness(0.3, math.sqrt(1.0 - 1.5e-12)) is not None
+    assert _beta_witness(0.3, math.sqrt(1.0 - 0.5e-12)) is None
 
 
 def test_g2_beta_witness(rng):
@@ -94,7 +99,7 @@ def test_g2_beta_witness(rng):
         z1 = rand_disc(rng, 0.9)
         z2 = rand_disc(rng, 0.9)
         s, p = z1 + z2, z1 * z2
-        beta = solve_beta(s, p)
+        beta = _beta_witness(s, p)
         assert beta is not None
         assert beta + beta.conjugate() * p == pytest.approx(s, abs=1e-10)
 
@@ -158,11 +163,9 @@ def test_tetra_classify_batch_matches_scalar(rng):
         assert regions[i] is v.region, x
         seen.add(v.region)
         keys |= set(v.margins)
-        # part 7 abstains where |x3| >= 1: absent on scalars, nan on arrays;
-        # numpy's modulus may round |x3| = 1 to the other side
-        if np.isnan(margins["part7"][i]) != ("part7" not in v.margins):
-            assert abs(abs(x[2]) - 1.0) <= 1e-15, x
-            v.margins.pop("part7", None)
+        # part 7 abstains where 1 - |x3| < UNIT_X3_EDGE: absent on scalars,
+        # nan on arrays
+        assert np.isnan(margins["part7"][i]) == ("part7" not in v.margins), x
         for k, m in v.margins.items():
             assert abs(margins[k][i] - m) <= 1e-14 * max(1.0, abs(m)), (k, x)
     assert seen == set(Region)
@@ -171,6 +174,58 @@ def test_tetra_classify_batch_matches_scalar(rng):
     x1 = columns(pts)[0][:5]
     r, m = tetra_classify_batch((x1, 0.1, 0.0))
     assert list(r) == [tetra_classify((z, 0.1, 0.0)).region for z in x1]
+
+
+def test_part7_abstains_next_to_the_unit_circle(rng):
+    # part 7 divides by 1 - |x3|^2, rounding noise next to |x3| = 1, where
+    # Python's and numpy's moduli may round |x3| to either side of 1; it
+    # abstains within UNIT_X3_EDGE, as the closure stops reading it there.
+    # x1 = conj(x2) x3 with x3 = (cos t, sin t) is bE for |x2| <= 1 and
+    # outside the closure beyond
+    from hexablock.domains import UNIT_X3_EDGE
+    x = ((-0.5177119606104362 - 0.9196902687240394j),
+         (1.010456290952005 - 0.30468664004237994j),
+         (-0.7212267501822752 - 0.6926990506861649j))
+    v = tetra_classify(x)
+    regions, margins = tetra_classify_batch(columns([x]))
+    assert v.region is regions[0] is Region.EXTERIOR
+    assert "part7" not in v.margins and "beta1" not in v.witnesses
+    assert np.isnan(margins["part7"][0])
+    pts = []
+    for _ in range(1000):
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        x3 = complex(math.cos(t), math.sin(t))
+        x2 = rng.uniform(0.3, 1.6) * rand_unit(rng)
+        pts.append((x2.conjugate() * x3, x2, x3))
+    regions, margins = tetra_classify_batch(columns(pts))
+    for i, x in enumerate(pts):
+        v = tetra_classify(x)
+        assert regions[i] is v.region, x
+        if abs(abs(x[1]) - 1.0) > 1e-3:
+            assert v.region is (Region.EXTERIOR if abs(x[1]) > 1.0
+                                else Region.DISTINGUISHED_BOUNDARY), x
+        assert ("part7" in v.margins) == (1.0 - abs(x[2]) >= UNIT_X3_EDGE)
+    assert np.isnan(margins["part7"]).all()
+
+
+def test_vote_floor_abstains_below_any_tol():
+    # margins within VOTE_FLOOR of zero are rounding noise: they abstain
+    # at tol = 0 as well, so the first flag decides, and a margin past the
+    # floor still votes
+    from hexablock.domains import VOTE_FLOOR, _vote
+    noise = {"part4": 2.220446049250313e-16, "part5": -2.7755575615628914e-17}
+    for tol in (0.0, VOTE_FLOOR / 2):
+        assert _vote(False, noise, tol, "v", (0j,)) is False
+        assert _vote(True, noise, tol, "v", (0j,)) is True
+        got = _vote(np.array([False, True]),
+                    {k: np.full(2, m) for k, m in noise.items()}, tol, "v",
+                    (np.zeros(2),))
+        assert got.tolist() == [False, True]
+        assert _vote(False, {"a": 2 * VOTE_FLOOR, "b": 0.0}, tol, "v",
+                     (0j,)) is True
+        with pytest.raises(ConsistencyError):
+            _vote(False, {"a": 2 * VOTE_FLOOR, "b": -2 * VOTE_FLOOR}, tol,
+                  "v", (0j,))
 
 
 def test_tetra_beta_margins_near_unit_x3_match_mpmath(rng):

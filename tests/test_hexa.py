@@ -380,6 +380,31 @@ def test_classify_boundary_rejects_interior(rng):
         classify_boundary((0, 0, 0, 0))
 
 
+def test_psi_sup_outside_the_closed_tetrablock():
+    # |x3| = 1.5: psi_{z1,z2} is undefined, there is no supremum, and the
+    # point lies outside closed H, so not on its boundary
+    p = (0.5, 0, 0, 1.5)
+    assert psi_sup(p) == (None, None, "exterior")
+    with pytest.raises(DomainError, match="point is not on the boundary of H"):
+        classify_boundary(p)
+
+
+def test_tol_zero_verdicts_on_the_unit_x3_circle(rng):
+    # at tol = 0 the boundary margins that are rounding noise abstain
+    # (domains.VOTE_FLOOR) instead of splitting a vote: points of bE and
+    # points with |x3| = 1 off bE, with |a|^2 + |x1|^2 <= 1
+    for i in range(600):
+        if i % 2:
+            x = rand_be_point(rng)
+        else:
+            x = (rand_disc(rng, 0.9), rand_disc(rng, 0.9), rand_unit(rng))
+        a = rand_unit(rng) * rng.uniform() * math.sqrt(1.0 - abs(x[0]) ** 2)
+        p = (a, *x)
+        ok, margin = h_member(p, closed=True, tol=0.0)
+        v = classify_hexa(p, 0.0)
+        assert (v.in_h_closure, v.margins["h_closure"]) == (ok, margin)
+
+
 # ---------------------------------------------------------------------------
 # Distinguished boundary
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ from hexablock.realslice import (K_real, d2E_normal_form,
                                  face_classify, hessian_probe_K,
                                  levi_matrix, penta_real_sets,
                                  real_h_member, real_tetra_margin,
-                                 rho_and_levi, rho_value, s1_c5_match,
-                                 s1_surface_value)
+                                 rho_and_levi, rho_value, s1_surface_value)
 
-from conftest import rand_mat, rand_unit
+from conftest import rand_mat, rand_unit, s1_c5_match
 
 # the vertices of the real tetrahedron E intersect R^3
 _VERTICES = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], float)
@@ -188,7 +187,7 @@ def test_rho_and_levi_checks_the_chart_once(monkeypatch):
     got = rho_and_levi(x, w)
     assert len(calls) == 1
     wv = np.array(w, dtype=complex)
-    grad = rs.rho_gradient(x)
+    grad = rs._rho_gradient(rs._chart_check(x))
     want = (rho_value(x), grad, sum(g * t for g, t in zip(grad, wv)),
             complex(wv @ levi_matrix(x) @ np.conj(wv)).real)
     assert repr(got) == repr(want)
