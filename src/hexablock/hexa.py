@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (REFUSE_MARGIN, TOL, UNIT_SLACK, ConsistencyError,
-                       DomainError, Mat2, cx, cx_arrays, op_norm,
+                       DomainError, Mat2, SCALE_HI, SCALE_LO, _rescaled,
+                       _unit_scaled, cx, cx_arrays, op_norm,
                        spectral_radius)
 from .psi import (_k_star, _k_star_M, _k_star_of_M, _tetra_terms,
                   is_triangular, k_star, maximizer, tetra_interior_margin)
@@ -23,8 +24,6 @@ from .domains import (_BOUNDARY, _DISTINGUISHED, _EXTERIOR, _EXTERIOR_CODE,
 
 _INF = math.inf
 
-#: `mu_value`: a matrix norm that counts as the zero matrix
-MU_ZERO_NORM = 1e-300
 #: `mu_value`: a spectral radius negligible against the norm (mu = 0)
 MU_NEGLIGIBLE = 1e-12
 #: `mu_value`: the lowest lower end of the penta bisection, relative
@@ -78,13 +77,22 @@ def hmu_member(p, tol: float = TOL):
     """Membership of the mu-hexablock: the open hexablock test plus the
     triangularity obstruction x1 x2 = x3 when a = 0.
 
-    Returns (flag, margin)."""
+    The point is coerced once; the open H test runs only off the fibre
+    that H_mu cuts out (`_zero_fibre_cut`).  Returns (flag, margin)."""
     a, x = _point4(p)
+    return _zero_fibre_cut(a, x, tol) or _open_member(a, x, tol)
+
+
+def _zero_fibre_cut(a, x, tol: float):
+    """H_mu is H without the fibre a = 0 over non-triangular x.  For
+    coerced a and x = (x1, x2, x3): (False, -|x1 x2 - x3|) where |a| <= tol,
+    x is in the open tetrablock and |x1 x2 - x3| > tol (1 + |x3|), and None
+    elsewhere, where H_mu's (flag, margin) is open H's."""
     if abs(a) <= tol and tetra_interior_margin(x) > tol \
             and not is_triangular(x, tol):
         x1, x2, x3 = x
         return False, -abs(x1 * x2 - x3)
-    return h_member(p, tol=tol)
+    return None
 
 
 def _closure_test(p, tol: float):
@@ -149,9 +157,12 @@ def hn_member(p, closed: bool = False, tol: float = TOL):
 
     Open: (x1,x2,x3) in E and either (a = 0 and x1 x2 = x3) or
     m < |a|^2 < M.  Closed: closed E and the non-strict inequalities.
-    Returns (flag, margin).  For a != 0 the margin is min(1 - |a| K*,
+    Returns (flag, margin).  For |a| > tol the margin is min(1 - |a| K*,
     1 - sqrt(m)/|a|), K* = M^-1/2 (-1 where K* is infinite): its first term
-    is the float that H and its closure read, so H_N <= H by construction."""
+    is the float that H and its closure read, so H_N <= H by construction.
+    For |a| <= tol the point is decided as a = 0, on -|x1 x2 - x3|
+    against tol (1 + |x3|); off a = 0 the margin is min(-|x1 x2 - x3|,
+    1 - |a| K*) and the flag also needs H's own test of 1 - |a| K*."""
     a, x = _point4(p)
     if closed:
         v = tetra_classify(x, tol)
@@ -161,15 +172,21 @@ def hn_member(p, closed: bool = False, tol: float = TOL):
         m_int = tetra_interior_margin(x)
         if not m_int > tol:
             return False, min(m_int, 0.0)
-    if abs(a) <= tol:
+    a_a = abs(a)
+    if a_a <= tol:
         # membership at a = 0 pivots on triangularity alone and is a
         # knife-edge in the x3 direction; the margin reflects that
         x1, x2, x3 = x
         marg = -abs(x1 * x2 - x3)
-        return marg >= -tol * (1.0 + abs(x3)), marg
+        flag = marg >= -tol * (1.0 + abs(x3))
+        if a_a == 0.0:
+            return flag, marg
+        # off a = 0 the band also reads H's margin, so H_N <= H holds
+        k = _k_star(*x)
+        h = 1.0 - a_a * k if k < _INF else -1.0
+        return flag and (h >= -tol if closed else h > tol), min(marg, h)
     _, _, m, M = hn_params(x)
     k = _k_star_of_M(M)
-    a_a = abs(a)
     q = min(1.0 - a_a * k, 1.0 - math.sqrt(m) / a_a) if k < _INF else -1.0
     if closed:
         return q >= -tol, q
@@ -186,10 +203,21 @@ def h_member(p, closed: bool = False, tol: float = TOL):
     a, x = _point4(p)
     if closed:
         return _closed_member(a, x, tol)
+    return _open_member(a, x, tol)
+
+
+def _open_member(a, x, tol: float):
+    """(flag, margin) of open-H membership for coerced a and x = (x1, x2,
+    x3): the tetrablock interior margin where it does not clear tol, else
+    1 - |a| K*, read as `_closed_member` does where rounding leaves K*
+    infinite (the interior margin can round above a small tol on dE): 1 at
+    a = 0 and -1 elsewhere."""
     m_int = tetra_interior_margin(x)
     if not m_int > tol:
         return False, min(m_int, 0.0)
-    margin = 1.0 - abs(a) * _k_star(*x)
+    a_a = abs(a)
+    k = _k_star(*x) if a_a else 0.0
+    margin = 1.0 - a_a * k if k < _INF else -1.0
     return margin > tol, margin
 
 
@@ -306,11 +334,12 @@ class HexaVerdict:
 
 def classify_hexa(p, tol: float = TOL) -> HexaVerdict:
     """Full verdict (H, H_mu, H_N, closures, interiors, bH, boundary parts)
-    with the lattice H_N <= H_mu <= H <= H-closure asserted."""
+    with the lattice H_N <= H_mu <= H <= H-closure asserted.  H_mu is read
+    from the open H verdict on the point coerced once (`_zero_fibre_cut`)."""
     a, x = _point4(p)
-    f_h, m_h = h_member(p, tol=tol)
+    f_h, m_h = _open_member(a, x, tol)
     (f_hc, m_hc), v, sup_res = _closure_test(p, tol)
-    f_mu, m_mu = hmu_member(p, tol)
+    f_mu, m_mu = _zero_fibre_cut(a, x, tol) or (f_h, m_h)
     f_hn, m_hn = hn_member(p, closed=False, tol=tol)
     f_hnc, m_hnc = hn_member(p, closed=True, tol=tol)
     nonzero_a = abs(a) > tol
@@ -348,18 +377,23 @@ def _mu_tetra(A: Mat2) -> float:
     as sums of squares, so mu keeps full precision when the two singular
     values of B nearly coincide: with w^2 det A = d for a unit w and
     q = w^2 p, f -/+ 2d = |w a11 -/+ conj(w a22)|^2 + |q +/- |p||^2 / |p|.
+    At every scale (`numerics._rescaled`).
     """
-    det = A.det
-    s = cmath.sqrt(det)
-    w = s.conjugate() / abs(s) if s != 0 else 1.0
-    u, v = w * A.a11, (w * A.a22).conjugate()
-    p = A.a12 * A.a21
-    g = abs(p)
-    q = w * w * p
-    off_minus = abs(q + g) ** 2 / g if g > 0.0 else 0.0
-    off_plus = abs(q - g) ** 2 / g if g > 0.0 else 0.0
-    return 0.5 * (math.sqrt(abs(u + v) ** 2 + off_plus)
-                  + math.sqrt(abs(u - v) ** 2 + off_minus))
+    try:
+        det = A.det
+        s = cmath.sqrt(det)
+        w = s.conjugate() / abs(s) if s != 0 else 1.0
+        u, v = w * A.a11, (w * A.a22).conjugate()
+        p = A.a12 * A.a21
+        g = abs(p)
+        q = w * w * p
+        off_minus = abs(q + g) ** 2 / g if g > 0.0 else 0.0
+        off_plus = abs(q - g) ** 2 / g if g > 0.0 else 0.0
+        mu = 0.5 * (math.sqrt(abs(u + v) ** 2 + off_plus)
+                    + math.sqrt(abs(u - v) ** 2 + off_minus))
+    except OverflowError:
+        mu = math.nan
+    return mu if SCALE_LO <= mu <= SCALE_HI else _rescaled(_mu_tetra, A, mu)
 
 
 def _penta_member(A: Mat2, t: float) -> bool:
@@ -400,8 +434,16 @@ def mu_value(A: Mat2, structure: str = "hexa") -> float:
     closure margin, which vanishes as the eigenvalues of A meet: 5.9e-6
     ||A|| at eigenvalues 1e-5 |a11| apart, below sqrt(TOL) ||A||.  The
     three mu values are not totally ordered: diagonal and span{I, e12}
-    perturbations are not nested.  0 is returned for a vanishing matrix and when the penta
-    criterion holds at a vanishing scale.
+    perturbations are not nested.
+
+    Every structure holds at every scale.  The closed forms are recomputed
+    on A scaled by a power of two where their value is out of range
+    (`numerics._rescaled`).  Penta bisects on A scaled by the power of
+    two that puts its largest entry part in [1/2, 1), so mu_penta(2^k A) =
+    2^k mu_penta(A) bit for bit wherever the entries and the value stay
+    normal and the mu_hexa cap does not decide; it is 0 where the
+    criterion holds at the spectral radius and that is negligible against
+    ||A||.
     """
     if structure == "norm":
         return op_norm(A)
@@ -416,9 +458,15 @@ def mu_value(A: Mat2, structure: str = "hexa") -> float:
     mu_hexa = op_norm(A) if abs(A.a12) <= abs(A.a21) else _mu_tetra(A)
     if structure == "hexa":
         return mu_hexa
+    B, e = _unit_scaled(A)
+    return math.ldexp(_mu_penta(B, math.ldexp(mu_hexa, -e)), e)
+
+
+def _mu_penta(A: Mat2, mu_hexa: float) -> float:
+    """The penta bisection of `mu_value` for a21 != 0 and the largest
+    entry part in [1/2, 1), so ||A|| >= 1/2, capped by mu_hexa: that of
+    the caller's matrix, scaled as A is."""
     hi = op_norm(A)
-    if hi <= MU_ZERO_NORM:
-        return 0.0
     lo = spectral_radius(A)
     lo_b = max(lo, hi * MU_LO_FLOOR)
     if _penta_member(A, lo_b):
@@ -426,7 +474,7 @@ def mu_value(A: Mat2, structure: str = "hexa") -> float:
             return 0.0
         # mu equals the spectral radius up to roundoff
         return lo
-    hi_b = hi * (1.0 + MU_BRACKET_SLACK) + MU_ZERO_NORM
+    hi_b = hi * (1.0 + MU_BRACKET_SLACK)
     if not _penta_member(A, hi_b * (1.0 + MU_GUARD)):
         # numerical guard; mu_penta <= mu_hexa always holds mathematically
         return mu_hexa

@@ -60,6 +60,11 @@ UNIT_SLACK = 1e-9
 FR_HERMITIAN_SLACK = 1e-8
 #: `fejer_riesz`: |D|^2 against f on the circle, relative
 FR_RECON_SLACK = 1e-7
+#: a 2x2 norm, spectral radius or mu below this (2^-240) may have lost a
+#: product of entries to underflow: `_rescaled` recomputes it
+SCALE_LO = 5.659799424266695e-73
+#: the same above this (2^240), for overflow
+SCALE_HI = 1.7668470647783843e+72
 
 
 class DomainError(ValueError):
@@ -151,27 +156,74 @@ class Mat2:
         return Mat2(r * self.a11, r * self.a12, r * self.a21, r * self.a22)
 
 
-def singular_values(A: Mat2) -> tuple[float, float]:
-    """Both singular values of a 2x2 matrix by the closed-form quadratic on
-    the eigenvalues of A*A; no iterative eigensolver."""
-    f = (abs(A.a11) ** 2 + abs(A.a12) ** 2 + abs(A.a21) ** 2 + abs(A.a22) ** 2)
-    d = abs(A.det)
-    disc = f * f - 4.0 * d * d
-    disc = max(disc, 0.0)
-    top = 0.5 * (f + math.sqrt(disc))
-    smax = math.sqrt(top)
-    smin = d / smax if smax > 0.0 else 0.0
-    return smax, smin
+def _unit_scaled(A: Mat2) -> tuple["Mat2", int]:
+    """(2^-e A, e), e the binary exponent of the largest real or imaginary
+    part of an entry of A (0 for the zero matrix): every part of 2^-e A is
+    below 1 in modulus and one is at least 1/2.  The scaling is exact
+    wherever the parts stay normal."""
+    a11, a12, a21, a22 = A.a11, A.a12, A.a21, A.a22
+    e = math.frexp(max(abs(a11.real), abs(a11.imag), abs(a12.real),
+                       abs(a12.imag), abs(a21.real), abs(a21.imag),
+                       abs(a22.real), abs(a22.imag)))[1]
+    ld, f = math.ldexp, -e
+    return Mat2(complex(ld(a11.real, f), ld(a11.imag, f)),
+                complex(ld(a12.real, f), ld(a12.imag, f)),
+                complex(ld(a21.real, f), ld(a21.imag, f)),
+                complex(ld(a22.real, f), ld(a22.imag, f))), e
+
+
+def _rescaled(fn, A: Mat2, v: float) -> float:
+    """fn(A) given its plain value v = fn(A) (nan for an OverflowError of
+    a float power) outside [SCALE_LO, SCALE_HI], 0 included: fn is
+    positively homogeneous and forms products of up to four entries, so
+    it is recomputed on the `_unit_scaled` matrix 2^-e A and multiplied
+    back by 2^e; where A is unit-scaled already (e = 0), v stands.  Both
+    scalings are exact, so a recomputed value is 2^k fn(A0) bit for bit at
+    every 2^k A0 whose entries stay normal, A0 having its largest part in
+    [1/2, 1).  An in-range value costs its caller one comparison and is
+    today's arithmetic at the scale of A, which agrees with that to about
+    an ulp: a float ** is libm pow, not exactly homogeneous."""
+    B, e = _unit_scaled(A)
+    return math.ldexp(fn(B), e) if e else v
 
 
 def op_norm(A: Mat2) -> float:
-    """Largest singular value (operator norm) of a 2x2 matrix."""
-    return singular_values(A)[0]
+    """Largest singular value (operator norm) of a 2x2 matrix, the larger
+    root of the closed-form quadratic on the eigenvalues of A*A; at every
+    scale (`_rescaled`)."""
+    try:
+        f = (abs(A.a11) ** 2 + abs(A.a12) ** 2 + abs(A.a21) ** 2
+             + abs(A.a22) ** 2)
+        d = abs(A.det)
+        disc = max(f * f - 4.0 * d * d, 0.0)
+        v = math.sqrt(0.5 * (f + math.sqrt(disc)))
+    except OverflowError:
+        v = math.nan
+    return v if SCALE_LO <= v <= SCALE_HI else _rescaled(op_norm, A, v)
+
+
+def _smin(A: Mat2) -> float:
+    """The smaller singular value, |det A| over the larger; at every scale
+    (`_rescaled`)."""
+    smax = op_norm(A)
+    v = abs(A.det) / smax if smax > 0.0 else 0.0
+    return v if SCALE_LO <= v <= SCALE_HI else _rescaled(_smin, A, v)
+
+
+def singular_values(A: Mat2) -> tuple[float, float]:
+    """Both singular values of a 2x2 matrix by the closed-form quadratic on
+    the eigenvalues of A*A, smin = |det A| / smax; no iterative eigensolver.
+    Each holds at every scale (`_rescaled`)."""
+    return op_norm(A), _smin(A)
 
 
 def spectral_radius(A: Mat2) -> float:
-    l1, l2 = _quadratic_roots(A.trace, A.det)
-    return max(abs(l1), abs(l2))
+    """The largest eigenvalue modulus, at every scale (`_rescaled`)."""
+    # the first root has the larger modulus; the second is p / big or a
+    # difference by the absolute threshold _TINY on |big|, which could make
+    # the max round apart at two scales of A
+    v = abs(_quadratic_roots(A.trace, A.det)[0])
+    return v if SCALE_LO <= v <= SCALE_HI else _rescaled(spectral_radius, A, v)
 
 
 def stable_quadratic_roots(s: complex, p: complex) -> tuple[complex, complex]:

@@ -9,6 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hexablock
 from hexablock.cli import main
@@ -351,13 +352,15 @@ def test_cli_reuses_one_parser(monkeypatch):
 
 @pytest.mark.parametrize("args", [
     ["classify", "--domain", "tetra", "--point", "[[1e200,0],[0,0],[0,0]]"],
-    ["mu", "--structure", "hexa", "--matrix", "[[1e100,2e100],[1e100,0]]"],
-    ["mu", "--structure", "hexa", "--matrix", "[[1e100,0.5e100],[1e100,0]]",
-     "--json"],
+    ["mu", "--structure", "hexa", "--matrix",
+     "[[1.5e308,1.5e308],[1.5e308,0]]"],
+    ["mu", "--structure", "penta", "--matrix",
+     "[[1.5e308,1.5e308],[1.5e308,0]]", "--json"],
 ])
 def test_arithmetic_fault_is_internal(args):
     # an overflow, or a mu that is not finite, is an internal fault: exit 70
-    # with one line on stderr, never a region code or a NaN on stdout
+    # with one line on stderr, never a region code or a NaN on stdout.  The
+    # mu of these matrices, about 2.4e308, is beyond the float range
     code, out, err = _run_cli_all(args)
     assert code == 70
     assert out == ""
@@ -365,18 +368,20 @@ def test_arithmetic_fault_is_internal(args):
     assert err.count("\n") == 1
 
 
+def _refuse_constant(name):
+    """`json.loads`' parse_constant: strict JSON has no NaN or Infinity."""
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
 @pytest.mark.parametrize("domain", ["hexa", "hexa-n"])
 @pytest.mark.parametrize("closed", [[], ["--closed"]])
 def test_classify_json_is_strict_where_k_star_is_infinite(domain, closed):
     # K* is infinite at x = (1, 0, 0): every margin is a finite float
-    def refuse(name):
-        raise AssertionError(f"non-finite JSON constant {name}")
-
     code, out, err = _run_cli_all(
         ["classify", "--domain", domain, "--point",
          "[[0.5,0],[1,0],[0,0],[0,0]]", "--json", *closed])
     assert err == "" and code == 2
-    payload = json.loads(out, parse_constant=refuse)
+    payload = json.loads(out, parse_constant=_refuse_constant)
     assert payload["margins"]["hn_closure"] == -1.0
 
 
@@ -598,3 +603,136 @@ def test_sample_unwritable_out_is_a_usage_error(tmp_path):
                                    "--out", str(path)])
     assert (code, out) == (64, "")
     assert str(path) in err and err.count("\n") == 1
+
+
+def test_classify_small_a_on_the_lattice_fault_points():
+    # 0 < |a| <= tol over triangular x with K* infinite: closed H_N reads
+    # H's margin too, so the verdict lattice holds and the point is exterior
+    for domain in ("hexa", "hexa-mu", "hexa-n"):
+        code, out, err = _run_cli_all(["classify", "--domain", domain,
+                                       "--point", "[1e-12, 1, 1, 1]",
+                                       "--json"])
+        assert (code, err) == (2, "")
+        flags = json.loads(out)["flags"]
+        assert not (flags["h_closure"] or flags["hn_closure"] or flags["bh"])
+    code, out, err = _run_cli_all(["classify", "--domain", "hexa", "--point",
+                                   "[0, 1, 1, 1]", "--json"])
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["region"] == "distinguished_boundary"
+    assert payload["flags"]["boundary_parts"] == ["d0"]
+
+
+def test_mu_at_a_tiny_scale():
+    # a true value of 2e-100, whose products of four entries underflow
+    assert run_cli(["mu", "--structure", "hexa", "--matrix",
+                    "[[1e-100,2e-100],[1e-100,0]]"]) == \
+        (0, "structure: hexa\nvalue: 2e-100\n")
+
+
+# ---------------------------------------------------------------------------
+# the classify contract under a fuzzer
+# ---------------------------------------------------------------------------
+
+_ARITY = {"g2": 2, "tetra": 3, "penta": 3, "hexa": 4, "hexa-mu": 4,
+          "hexa-n": 4}
+_TOLS = (0.0, 1e-300, 1e-9, 0.01, 0.5)
+_st_unit_angle = st.floats(0.0, 2.0 * math.pi)
+_st_near_unit = st.builds(
+    lambda t, d: [(1.0 + d) * math.cos(t), (1.0 + d) * math.sin(t)],
+    _st_unit_angle, st.sampled_from([0.0, 1e-16, -1e-16, 1e-9, -1e-9]))
+_st_scalar = st.sampled_from([0.0, -0.0, 5e-324, 1e-155, 1e155, 1e308,
+                              -1e308, 1, -1, 0.5])
+_st_entry = st.one_of(_st_scalar,
+                      st.lists(_st_scalar, min_size=2, max_size=2),
+                      _st_near_unit,
+                      st.sampled_from([True, False, "0.1", None]))
+
+
+def _cx_pair(z):
+    return [z.real, z.imag]
+
+
+@st.composite
+def _st_be_point(draw, tol):
+    """(a, conj(x2) x3, x2, x3) with |x3| = 1, |x2| = 1 or U(0, 1) and a
+    of modulus 0, 1e-12, tol/2, 2 tol or sqrt(1 - |x1|^2)."""
+    def unit():
+        t = draw(_st_unit_angle)
+        return complex(math.cos(t), math.sin(t))
+
+    x3 = unit()
+    x2 = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))) * unit()
+    x1 = x2.conjugate() * x3
+    r = draw(st.sampled_from([0.0, 1e-12, tol / 2, 2 * tol,
+                              math.sqrt(max(0.0, 1.0 - abs(x1) ** 2))]))
+    return [_cx_pair(r * unit()), *map(_cx_pair, (x1, x2, x3))]
+
+
+@st.composite
+def _st_classify_argv(draw):
+    domain = draw(st.sampled_from(sorted(_ARITY)))
+    tol = draw(st.sampled_from(_TOLS))
+    arity = _ARITY[domain]
+    if draw(st.integers(0, 9)) == 0:
+        arity += draw(st.sampled_from([-1, 1]))
+    if draw(st.booleans()):
+        # the last `arity` coordinates of a bE point, padded with 0
+        point = ([0] * 4 + draw(_st_be_point(tol)))[-arity:]
+    else:
+        point = draw(st.lists(_st_entry, min_size=arity, max_size=arity))
+    closed = ["--closed"] if draw(st.booleans()) else []
+    return ["classify", "--domain", domain, "--point", json.dumps(point),
+            "--tol", repr(tol), "--json", *closed]
+
+
+def _huge(argv):
+    """Whether the point has a part of modulus >= 1e150."""
+    def parts(v):
+        if isinstance(v, list):
+            for t in v:
+                yield from parts(t)
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield abs(v)
+    return max(parts(json.loads(argv[4])), default=0.0) >= 1e150
+
+
+@given(_st_classify_argv())
+@example(["classify", "--domain", "hexa", "--point", "[1e-12, 1, 1, 1]",
+          "--tol", "1e-09", "--json"])
+@example(["classify", "--domain", "hexa-mu", "--point", "[1e-12, 1, 1, 1]",
+          "--tol", "1e-06", "--json", "--closed"])
+@example(["classify", "--domain", "hexa-n", "--point",
+          "[[0.1, 0], [0.9999896026888706, 0.004560100235139419], "
+          "[-0.9705677598410362, 0.24082820340888814], "
+          "[-0.971655869293058, 0.23639981317325873]]",
+          "--tol", "0.5", "--json"])
+# x = (x1, 1, x1), |x1| = 1, at tol 0: the interior margin rounds to
+# 1.1e-16 and K* is infinite, and open H read 1 - |a| K* as nan at a = 0
+# and as -inf at a = 0.5
+@example(["classify", "--domain", "hexa", "--point",
+          "[[0.0, 0.0], [0.6151774449047079, -0.7883886803350965], "
+          "[1.0, 0.0], [0.6151774449047079, -0.7883886803350965]]",
+          "--tol", "0.0", "--json"])
+@example(["classify", "--domain", "hexa-mu", "--point",
+          "[[0.5, 0.0], [0.6151774449047079, -0.7883886803350965], "
+          "[1.0, 0.0], [0.6151774449047079, -0.7883886803350965]]",
+          "--tol", "0.0", "--json"])
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_classify_contract_under_a_fuzzer(argv):
+    # README's contract: a listed exit code; strict JSON on stdout and an
+    # empty stderr for a verdict; one stderr line for malformed input or an
+    # internal fault; never a split vote.  An overflow on coordinates of
+    # about 1e155 or more is still an arithmetic fault (exit 70)
+    code, out, err = _run_cli_all(argv)
+    assert code in (0, 1, 2, 64, 70), (code, argv)
+    assert "internal consistency fault" not in out + err, argv
+    if code <= 2:
+        assert err == "", argv
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        assert payload["domain"] == argv[2]
+    else:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+    if code == 70:
+        assert err.startswith("internal arithmetic fault: OverflowError"), argv
+        assert _huge(argv), argv

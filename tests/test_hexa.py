@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hexablock import hexa
-from hexablock.numerics import TOL, DomainError, Mat2, op_norm, pi_hexa, \
-    pi_penta, pi_tetra, spectral_radius
+from hexablock.numerics import SCALE_HI, SCALE_LO, TOL, DomainError, Mat2, \
+    op_norm, pi_hexa, pi_penta, pi_tetra, singular_values, spectral_radius
 from hexablock.psi import k_star, k_star_closed, tetra_interior_margin
 from hexablock.hexa import (bh_member, classify_boundary, classify_hexa,
                             h_closure_batch, h_member, hartogs_u,
@@ -71,6 +71,62 @@ def test_hmu_closure_contains_zero_slice(rng):
 def test_hmu_closure_rejects_big_a():
     ok, margin = hmu_closure_member((2, 0, 0, 0))
     assert not ok and margin < -0.5
+
+
+def test_classify_hexa_reads_hmu_from_its_h_verdict(monkeypatch, rng):
+    # H_mu is H without the fibre a = 0 over non-triangular x: at an
+    # interior point classify_hexa evaluates open H once and no separate
+    # H_mu test, and hmu_member coerces the point once
+    import hexablock.autos as autos
+    import hexablock.domains as domains
+    import hexablock.numerics as numerics
+    import hexablock.psi as psi
+    mods = (numerics, psi, domains, hexa, autos)
+    counts = {name: counted(monkeypatch, name, mods[first:])
+              for name, first in (("h_member", 3), ("hmu_member", 3),
+                                  ("_point4", 3), ("_tetra_terms", 1),
+                                  ("tetra_interior_margin", 1))}
+
+    def read():
+        got = {name: c[0] for name, c in counts.items()}
+        for c in counts.values():
+            c[0] = 0
+        return got
+
+    for _ in range(20):
+        p = rand_hexa_point(rng)
+        read()
+        classify_hexa(p)
+        assert read() == {"h_member": 0, "hmu_member": 0, "_point4": 6,
+                          "_tetra_terms": 7, "tetra_interior_margin": 3}, p
+        hexa.hmu_member(p)
+        assert read() == {"h_member": 0, "hmu_member": 1, "_point4": 1,
+                          "_tetra_terms": 1, "tetra_interior_margin": 1}, p
+
+
+def _hmu_fixtures(rng, tol):
+    """The closed-H fixtures (a = 0 on triangular and non-triangular x, dE,
+    bE, outside closed E, the near-circle family) and the same x with
+    0 < |a| <= tol.  classify_hexa still overflows at |a| = 1e300, which
+    is left out."""
+    pts = [p for p in _closed_h_fixtures(rng) if abs(p[0]) < 1.0]
+    return pts + [(0.5 * tol * rand_unit(rng), *p[1:]) for p in pts[::3]] \
+        + [(tol * rand_unit(rng), *p[1:]) for p in pts[1::3]]
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-6])
+def test_classify_hexa_hmu_matches_hmu_member(rng, tol):
+    cut = kept = 0
+    for p in _hmu_fixtures(rng, tol):
+        v = classify_hexa(p, tol)
+        got = hmu_member(p, tol)
+        assert repr((v.in_hmu, v.margins["hmu"])) == repr(got), p
+        if got != (v.in_h, v.margins["h"]):
+            cut += 1
+            assert abs(complex(p[0])) <= tol and not got[0]
+        else:
+            kept += 1
+    assert cut > 20 and kept > 200
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +235,26 @@ def test_h_member_consistency_with_hmu(rng):
         if abs(mh) < 1e-7:
             continue
         assert ok_h == (ok_mu or (abs(p[0]) < 1e-12))
+
+
+def test_open_h_where_k_star_is_infinite():
+    # x = (x1, 1, x1) with |x1| = 1 is on dE, but its interior margin
+    # rounds to 1.1e-16, which clears tol 0; K* is infinite there, and
+    # open H reads 1 - |a| K* as closed H does: 1 at a = 0 (not 1 - 0 * inf
+    # = nan) and -1 elsewhere (not -inf)
+    x1 = 0.6151774449047079 - 0.7883886803350965j
+    x = (x1, 1.0, x1)
+    assert tetra_interior_margin(x) > 0.0 and k_star_closed(x) == math.inf
+    p = (0.0, *x)
+    assert h_member(p, tol=0.0) == hmu_member(p, tol=0.0) == (True, 1.0)
+    v = classify_hexa(p, 0.0)
+    assert v.in_h and v.in_hmu and v.in_hn and v.margins["h"] == 1.0
+    p = (0.5, *x)
+    assert h_member(p, tol=0.0) == hmu_member(p, tol=0.0) == (False, -1.0)
+    assert h_member(p, closed=True, tol=0.0) == (False, -1.0)
+    v = classify_hexa(p, 0.0)
+    assert not (v.in_h or v.in_h_closure or v.in_hn_closure)
+    assert v.margins["h"] == v.margins["hmu"] == -1.0
 
 
 def test_h_member_below_the_refusal_margin():
@@ -472,6 +548,28 @@ def test_classify_hexa_lattice(rng):
         else:
             p = tuple(complex(*rng.uniform(-1.1, 1.1, 2)) for _ in range(4))
         classify_hexa(p)  # lattice violations raise
+
+
+@pytest.mark.parametrize("p, tol", [
+    ((1e-12, 1.0, 1.0, 1.0), TOL),
+    ((1e-12, 1.0, 1.0, 1.0), 1e-6),
+    # K* is finite here (6.7e7): 1 - |a| K* = -6.7e6 against tol 0.5
+    ((0.1, 0.9999896026888706 + 0.004560100235139419j,
+      -0.9705677598410362 + 0.24082820340888814j,
+      -0.971655869293058 + 0.23639981317325873j), 0.5),
+])
+def test_hn_band_at_small_a_reads_the_h_margin(p, tol):
+    # for 0 < |a| <= tol H_N is decided as a = 0 on triangularity, and
+    # also on H's own 1 - |a| K*, so closed H_N <= closed H holds
+    v = classify_hexa(p, tol)
+    closed_h = h_member(p, closed=True, tol=tol)
+    assert not v.in_hn_closure and not v.in_hn and not closed_h[0]
+    assert hn_member(p, closed=True, tol=tol)[1] \
+        <= min(closed_h[1], -abs(p[1] * p[2] - p[3]))
+    # a = 0 itself is decided on triangularity alone, as before
+    zero = (0.0, *p[1:])
+    assert hn_member(zero, closed=True, tol=tol) == \
+        (True, -abs(p[1] * p[2] - p[3]))
 
 
 def test_hmu_strictly_larger_than_hn(rng):
@@ -865,6 +963,51 @@ def test_mu_homogeneous_at_small_scales():
             for c in (1e-6, 1e-8):
                 assert mu_value(A.scaled(c), s) == pytest.approx(c * base,
                                                                  rel=1e-8)
+
+
+@pytest.mark.parametrize("c", [1e-302, 1e-100, 1e-80, 2.0 ** -1000, 1e80,
+                               2.0 ** 1000])
+def test_mu_and_norms_at_every_scale(c):
+    # products of four entries underflow or overflow far inside the float
+    # range; each value is recomputed on A scaled by a power of two.  At
+    # 1e-302 every value used to read 0
+    A = Mat2(1, 2, 1, 0).scaled(c)
+    for s in ("tetra", "penta", "hexa", "spectral"):
+        assert mu_value(A, s) / c == pytest.approx(2.0, rel=1e-9), s
+    smax, smin = singular_values(A)
+    assert op_norm(A) == smax
+    assert smax / c == pytest.approx(2.2882456112707374, rel=1e-15)
+    assert smin / c == pytest.approx(2.0 / 2.2882456112707374, rel=1e-15)
+
+
+_part = st.floats(-1.0, 1.0).filter(lambda t: t == 0.0 or abs(t) >= 2.0 ** -20)
+
+
+@given(st.lists(st.builds(complex, _part, _part), min_size=4, max_size=4),
+       st.integers(-1000, 1000))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mu_scales_by_powers_of_two(entries, k):
+    # A with its largest entry part in [1/2, 1), then 2^k A exactly.  A value
+    # recomputed at unit scale, and a penta value off its mu_hexa cap, is
+    # 2^k mu(A) bit for bit; an in-range value comes from today's
+    # arithmetic at the scale of 2^k A, whose float powers (libm pow) round
+    # apart by an ulp or so
+    big = max(abs(t) for z in entries for t in (z.real, z.imag))
+    assume(big > 0.0)
+    e = math.frexp(big)[1]
+
+    def scaled(n):
+        return Mat2(*(complex(math.ldexp(z.real, n), math.ldexp(z.imag, n))
+                      for z in entries))
+
+    A, B = scaled(-e), scaled(k - e)
+    for s in ("tetra", "penta", "hexa", "spectral", "norm"):
+        got, want = mu_value(B, s), math.ldexp(mu_value(A, s), k)
+        capped = s == "penta" and got == mu_value(B, "hexa")
+        if not capped and (s == "penta" or not SCALE_LO <= got <= SCALE_HI):
+            assert got == want, s
+        else:
+            assert got == pytest.approx(want, rel=1e-15), s
 
 
 @given(st.lists(st_entry.filter(lambda z: abs(z) > 1e-3), min_size=4,
