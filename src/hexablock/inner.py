@@ -12,6 +12,7 @@ and a unimodular constant c, with first component c*B*A/D.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +23,7 @@ from .numerics import (CIRCLE_EDGE, TOL, _FR_CIRCLE, BlaschkeProduct,
                        cx, cx_arrays, cx_from_json, fejer_riesz, poly_abs2_trig,
                        trig_sub)
 from .psi import _tetra_terms, k_star
-from .domains import _bE_margin, _closure_margin, _tetra_verdict
+from .domains import _closure_margin, _tetra_verdict
 from .hexa import _closed_member, _h_closure_arrays, h_member
 
 #: the inner-function validation reports
@@ -33,7 +34,7 @@ INNER_FR_TOL = 1e-7
 SCHWARZ_TARGET_TOL = 1e-12
 #: a complex scalar with no phase to take (outer part, target)
 PHASE_ZERO = 1e-13
-#: |D| on the closed disc (and a denominator there) that counts as a zero
+#: a Schur-Cohn margin of D (or of a denominator) at or below this: a zero
 INNER_D_ZERO = 1e-9
 #: |D|^2 - |E1|^2 that is identically zero (A = 0), relative to |D|^2
 INNER_A_ZERO = 1e-12
@@ -64,9 +65,9 @@ BRIDGE_SLACK = 1e-8
 _CIRCLE_N = 512
 
 
-def _disc_samples(n: int, rmax: float = 0.93) -> np.ndarray:
+def _disc_samples(n: int) -> np.ndarray:
     k = np.arange(n)
-    r = rmax * np.sqrt((k + 0.5) / n)
+    r = 0.93 * np.sqrt((k + 0.5) / n)
     th = 2.0 * np.pi * k * 0.6180339887498949
     return _frozen(r * np.exp(1j * th))
 
@@ -74,40 +75,29 @@ def _disc_samples(n: int, rmax: float = 0.93) -> np.ndarray:
 # Sample grids shared by every validation; each circle grid is a stride of
 # the one circle `numerics._FR_CIRCLE`.  A validation evaluates all the
 # polynomials of its function in one product with `_VALIDATION_TABLE`, the
-# power table of `_DISC_CLOSED`, the circle, the tetra disc grid and the
-# hexa disc grid, in that order: its first two blocks are the closed-disc
-# grid, 200 disc points and their rim `_CIRCLE`.
+# power table of the circle, the tetra disc grid and the hexa disc grid.
 _CIRCLE = _FR_CIRCLE[:: len(_FR_CIRCLE) // _CIRCLE_N]
-_CIRCLE_K0 = _FR_CIRCLE[::16]      # 128 points
 _CIRCLE_SPOT = _FR_CIRCLE[::128]   # 16 points
-_DISC_CLOSED = _disc_samples(200, 0.999)
 _DISC_TETRA = _disc_samples(60)
 _DISC_HEXA = _disc_samples(100)
-# the stride of the circle samples that the tetra report's bE check reads
-_CIRCLE_STEP = max(1, len(_CIRCLE) // 64)
-_VALIDATION_TABLE = PowerTable(np.concatenate([_DISC_CLOSED, _CIRCLE,
-                                               _DISC_TETRA, _DISC_HEXA]))
-# the columns of `_VALIDATION_TABLE` whose images `tetra_inner_validate`
-# reads: every `_CIRCLE_STEP`-th circle point, then the tetra disc grid
-_TETRA_IMAGES = len(_DISC_CLOSED) + np.r_[0: len(_CIRCLE): _CIRCLE_STEP,
-                                          len(_CIRCLE): len(_CIRCLE) + len(_DISC_TETRA)]
+_VALIDATION_TABLE = PowerTable(np.concatenate([_CIRCLE, _DISC_TETRA,
+                                               _DISC_HEXA]))
 
 
 def _stack(polys) -> np.ndarray:
-    """The coefficient rows of `polys`, zero-padded to one length."""
+    """The coefficient rows of `polys` (E1, E2, D, ...), zero-padded to one
+    length and, where D's parts are all below 1, scaled by the power of two
+    that brings the largest into [1, 2): the functions are ratios with
+    denominator D, and the checks' absolute tolerances stay relative to D."""
     rows = np.zeros((len(polys), max(len(p.coeffs) for p in polys)),
                     dtype=complex)
     for row, p in zip(rows, polys):
         row[: len(p.coeffs)] = p.coeffs
+    m = float(np.abs(rows[2].view(float)).max())
+    if 0.0 < m < 1.0:
+        with np.errstate(over="ignore"):
+            rows = np.ldexp(rows.view(float), 1 - math.frexp(m)[1]).view(complex)
     return _frozen(rows)
-
-
-def _ratios(vals):
-    """(E1/D, E2/D, D~n/D) from the values of the rows E1, E2, D, D~n; not
-    finite, with no warning, where D vanishes: `cx_arrays` refuses them."""
-    E1, E2, D, Dr = vals[:4]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return E1 / D, E2 / D, Dr / D
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +134,10 @@ class RationalTetraInner:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RationalTetraInner":
-        """E1, E2 and D from the JSON form: the bound "n" and coefficient
-        arrays of complex scalars, each [re, im] or a real number."""
-        n = int(d["n"])
+        """E1, E2 and D from the JSON form: the integer bound "n" and
+        coefficient arrays of complex scalars, each [re, im] or a real number."""
+        if type(n := d["n"]) is not int:
+            raise ValueError(f"expected an integer bound n, got {n!r}")
         E1, E2, D = (Poly(np.array([cx_from_json(v) for v in d[key]]), n)
                      for key in ("E1", "E2", "D"))
         return cls(E1, E2, D, n)
@@ -155,56 +146,79 @@ class RationalTetraInner:
 def tetra_inner_validate(t: RationalTetraInner) -> dict:
     """Validation report for tetrablock inner data.
 
-    Checks D zero-free on a dense closed-disc grid, the reflection identity
-    E1 = E2~n, the circle bounds |Ei| <= |D|, circle images on the
-    distinguished boundary and disc images in the closed tetrablock.
+    Checks D zero-free on the closed disc (`_schur_cohn_margin`), the
+    reflection identity E1 = E2~n, the circle bounds |Ei| <= |D| and disc
+    images in the closed tetrablock.  On the circle |D~n| = |D| and
+    x1 - conj(x2) x3 = (E1 - E2~n)/D: the first three put the circle images
+    on the distinguished boundary.
     """
-    vals = _VALIDATION_TABLE.eval(t._rows)
-    nt = len(_DISC_TETRA)
-    # only the images the checks read are divided and coerced, once
-    x = cx_arrays(_ratios(vals[:, _TETRA_IMAGES]))
-    _, margins, _, _ = _tetra_verdict(*(v[-nt:] for v in x), TOL)
-    return _tetra_report(t._rows[:2], vals, _bE_margin(*(v[:-nt] for v in x)),
-                         _closure_margin(margins))
+    nc, nt = len(_CIRCLE), len(_DISC_TETRA)
+    # only the tetra disc images (E1, E2, D~n)/D are divided and coerced;
+    # values that leave the float range fail `cx_arrays` or the circle bound
+    with np.errstate(all="ignore"):
+        vals = _VALIDATION_TABLE.eval(t._rows)
+        disc = vals[:, nc: nc + nt]
+        x = cx_arrays(disc[[0, 1, 3]] / disc[2])
+        _, margins, _, _ = _tetra_verdict(*x, TOL)
+    return _tetra_report(t._rows[:3], vals[:3, :nc], _closure_margin(margins))
 
 
-def _tetra_report(e: np.ndarray, vals: np.ndarray, circle_bE: np.ndarray,
+def _schur_cohn_margin(coeffs) -> float:
+    """min_k (1 - |gamma_k|) over the Schur-Cohn recursion (Henrici 1974,
+    6.8) on the polynomial p with ascending coefficients `coeffs`, run on
+    p / max part so that no step overflows: gamma = p_d / conj(p_0), then
+    p <- p - gamma p^#, p^# with coefficients conj(p_{d-k}), truncated to
+    degree d - 1.  A step with |gamma| < 1 keeps the zeros on the circle and
+    their number inside it (Rouche), and |gamma| >= 1 puts one in the closed
+    disc, where the recursion stops: p is zero-free on the closed disc iff
+    the margin is positive.  1.0 for a nonzero constant; p = 0 and p(0) = 0
+    (margin -inf) raise."""
+    p = [complex(c) for c in coeffs]
+    while p and not p[-1]:
+        p.pop()
+    m = max((max(abs(z.real), abs(z.imag)) for z in p), default=1.0)
+    p = [z / m for z in p]
+    margin = 1.0 if p else -math.inf
+    while len(p) > 1 and margin > 0.0:
+        g = p[-1] / p[0].conjugate() if p[0] else math.inf
+        margin = min(margin, 1.0 - abs(g))
+        p = [a - g * b.conjugate() for a, b in zip(p[:-1], reversed(p[1:]))]
+    if margin == -math.inf:
+        raise DomainError("denominator vanishes on the closed disc")
+    return margin
+
+
+def _tetra_report(rows: np.ndarray, circle: np.ndarray,
                   disc_closure: np.ndarray) -> dict:
-    """`tetra_inner_validate` from the coefficient rows `e` of E1 and E2 at
-    the bound n, the values `vals` of E1, E2, D, D~n (and possibly more)
-    on the `_VALIDATION_TABLE` grid, the bE margin `circle_bE` of the
-    images of every `_CIRCLE_STEP`-th point of `_CIRCLE` and the smaller
-    closure margin of the tetrablock, `disc_closure`, at the images of
-    `_DISC_TETRA`.  D is zero-free on the closed-disc grid, whose rim is
-    every circle point that a circle check divides by."""
-    k, nc = len(_DISC_CLOSED), len(_CIRCLE)
-    E1, E2 = e
-    dmin = float(np.abs(vals[2, : k + nc]).min())
+    """`tetra_inner_validate` from the coefficient rows E1, E2, D at the
+    bound n, their values `circle` on `_CIRCLE` and the smaller closure
+    margin of the tetrablock, `disc_closure`, at the images of
+    `_DISC_TETRA`."""
+    E1, E2, D = rows
+    margin = _schur_cohn_margin(D)
     refl = float(np.abs(E1 - np.conj(E2[::-1])).max())
-    circ = np.abs(vals[:3, k: k + nc])
-    excess = float((circ[:2] - circ[2]).max())
-    worst_b = max(0.0, -float(circle_bE.min()))
+    excess = float((np.abs(circle[:2]) - np.abs(circle[2])).max())
     worst_in = max(0.0, -float(disc_closure.min()))
     return _report((
-        ("min_abs_D", dmin, dmin <= INNER_D_ZERO,
+        ("D_schur_margin", margin, margin <= INNER_D_ZERO,
          "D vanishes on the closed disc"),
         ("reflection_residual", refl,
          refl > INNER_REFL_SLACK * max(1.0, float(np.abs(E2).max())),
          "E1 != E2~n"),
         ("circle_bound_excess", excess, excess > INNER_TOL,
          "|E_i| exceeds |D| on the circle"),
-        ("circle_bE_violation", worst_b, worst_b > INNER_TOL,
-         "circle image leaves the distinguished boundary"),
         ("disc_closure_violation", worst_in, worst_in > INNER_TOL,
          "disc image leaves the closed tetrablock")))
 
 
 def _report(checks) -> dict:
     """A validation report from `checks`, tuples (key, value, failed,
-    issue): "ok", the issues of the failed checks, and each value."""
+    issue): "ok", the issues of the failed checks, and each value, where a
+    float beyond the float range reads as the largest float."""
     report = {"ok": True, "issues": []}
     for key, value, failed, issue in checks:
-        report[key] = value
+        report[key] = min(value, sys.float_info.max) \
+            if isinstance(value, float) else value
         if failed:
             report["ok"] = False
             report["issues"].append(issue)
@@ -302,36 +316,31 @@ def hexa_inner_construct(t: RationalTetraInner, B: BlaschkeProduct,
 
 def hexa_inner_validate(f: RationalHexaInner) -> dict:
     """Validation report for hexablock inner data: circle images satisfy
-    |a|^2 + |x1|^2 = 1 and land on the distinguished boundary of E; disc
-    images stay in the closed hexablock (to 1e-8); the tetra part validates.
+    |a|^2 + |x1|^2 = 1; disc images stay in the closed hexablock (to 1e-8);
+    the tetra part validates, which puts the circle images of x on the
+    distinguished boundary of E.
 
     The tetra part's report is `tetra_inner_validate`'s, made from the same
     samples: its disc check reads the tetrablock margins of the closure
     verdict, which covers both disc grids."""
-    vals = _VALIDATION_TABLE.eval(f._rows)
-    k, nc, nt = len(_DISC_CLOSED), len(_CIRCLE), len(_DISC_TETRA)
-    # f on the circle and on both disc grids, coerced once; a zero of D
-    # leaves a non-finite value that `cx_arrays` refuses
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = f.c * f.B(_VALIDATION_TABLE.points[k:]) * vals[4, k:] / vals[2, k:]
-    f_all = cx_arrays((a, *_ratios(vals[:, k:])))
-    circle = [v[:nc] for v in f_all]
-    _, margins, tm = _h_closure_arrays(*(v[nc:] for v in f_all), TOL)
-    circle_bE = _bE_margin(*circle[1:])
-
-    sub = _tetra_report(f._rows[:2, : f.tetra.n + 1], vals,
-                        circle_bE[::_CIRCLE_STEP], _closure_margin(tm)[:nt])
-    worst_norm = float(np.abs(np.abs(circle[0]) ** 2 + np.abs(circle[1]) ** 2
-                              - 1.0).max())
-    worst_b = max(0.0, -float(circle_bE.min()))
+    nc, nt = len(_CIRCLE), len(_DISC_TETRA)
+    # f = (cBA, E1, E2, D~n)/D on the circle and both disc grids, coerced
+    # once; overflow as in `tetra_inner_validate`, |a|^2 past 1e308 is inf
+    with np.errstate(all="ignore"):
+        vals = _VALIDATION_TABLE.eval(f._rows)
+        a = f.c * f.B(_VALIDATION_TABLE.points) * vals[4] / vals[2]
+        f_all = cx_arrays((a, *(vals[[0, 1, 3]] / vals[2])))
+        _, margins, tm = _h_closure_arrays(*(v[nc:] for v in f_all), TOL)
+        worst_norm = float(np.abs(np.abs(f_all[0][:nc]) ** 2
+                                  + np.abs(f_all[1][:nc]) ** 2 - 1.0).max())
+    sub = _tetra_report(f._rows[:3, : f.tetra.n + 1], vals[:3, :nc],
+                        _closure_margin(tm)[:nt])
     low = float(margins[nt:].min())
     worst_marg = -low if low < -INNER_CLOSURE_SLACK else 0.0
     return _report((
         ("tetra", sub, not sub["ok"], "tetra part invalid"),
         ("circle_norm_residual", worst_norm, worst_norm > INNER_TOL,
          "|a|^2 + |x1|^2 != 1 on the circle"),
-        ("circle_bE_violation", worst_b, worst_b > INNER_TOL,
-         "circle image off the distinguished boundary"),
         ("disc_closure_violation", worst_marg, worst_marg > INNER_CLOSURE_SLACK,
          "disc image leaves the closed hexablock")))
 
@@ -343,14 +352,12 @@ def rational_inner_outer(num: Poly, den: Poly):
     over the zeros of `num` in the open disc (with multiplicity) and the
     outer part is zero-free on the disc with a_in * out = num/den exactly.
     """
-    grid = _VALIDATION_TABLE.points[: len(_DISC_CLOSED) + len(_CIRCLE)]
-    dv = den(grid)
-    if float(np.min(np.abs(dv))) <= INNER_D_ZERO:
+    if _schur_cohn_margin(den.coeffs) <= INNER_D_ZERO:
         raise DomainError("denominator vanishes on the closed disc")
-    if float(np.max(np.abs(num(grid) / dv))) > 1.0 + INNER_BOUND_SLACK:
+    # den is zero-free on the closed disc, so |num/den| peaks on the circle
+    if float(np.max(np.abs(num(_CIRCLE) / den(_CIRCLE)))) > 1.0 + INNER_BOUND_SLACK:
         raise DomainError("rational data exceeds modulus 1 on the disc")
-    zero_list = [] if num.degree <= 0 else list(num.roots())
-    inner_zeros = [z for z in zero_list if abs(z) < 1.0 - CIRCLE_EDGE]
+    inner_zeros = [z for z in num.roots() if abs(z) < 1.0 - CIRCLE_EDGE]
     # divide out the disc zeros, multiply the reflected denominators back in
     q = num.coeffs.copy()
     for z in inner_zeros:
@@ -644,18 +651,10 @@ def hexa_inner_to_penta(f: RationalHexaInner) -> RationalPentaInner:
 
 
 def penta_inner_validate(f: RationalPentaInner) -> dict:
-    """Validate pentablock inner data through the hexablock bridge and the
-    direct circle conditions |a|^2 + |s|^2/4 = 1, (s, p) in b Gamma."""
-    report = hexa_inner_validate(penta_inner_to_hexa(f))
-    a, s, p = f(_CIRCLE_K0)
-    worst = max(float(np.max(np.abs(np.abs(a) ** 2 + np.abs(s) ** 2 / 4.0 - 1.0))),
-                float(np.max(np.abs(np.abs(p) - 1.0))),
-                float(np.max(np.abs(s - s.conjugate() * p))))
-    report["circle_K0_violation"] = worst
-    if worst > 10.0 * INNER_TOL:
-        report["ok"] = False
-        report["issues"].append("circle image off K0")
-    return report
+    """Validate pentablock inner data through the hexablock bridge
+    (a, s/2, s/2, p): on the circle |a|^2 + |s|^2/4 = 1 is its norm check
+    and (s, p) in b Gamma its distinguished-boundary identities."""
+    return hexa_inner_validate(penta_inner_to_hexa(f))
 
 
 def penta_schwarz_feasible(lambda0: complex, a: complex, s: complex,

@@ -34,7 +34,7 @@ FR_TOL = 1e-9
 
 # Structural zeros: a quantity that vanishes exactly in a degenerate case
 # counts as zero below these.
-#: a divisor of the 2x2 and quadratic algebra (det, big root, sqrt trace)
+#: a divisor of the 2x2 algebra (det, sqrt trace) and of a phase
 _TINY = 1e-14
 #: the denominator of a linear fractional map: a pole below this
 _DEN_TINY = 1e-14
@@ -219,9 +219,7 @@ def singular_values(A: Mat2) -> tuple[float, float]:
 
 def spectral_radius(A: Mat2) -> float:
     """The largest eigenvalue modulus, at every scale (`_rescaled`)."""
-    # the first root has the larger modulus; the second is p / big or a
-    # difference by the absolute threshold _TINY on |big|, which could make
-    # the max round apart at two scales of A
+    # the first root has the larger modulus
     v = abs(_quadratic_roots(A.trace, A.det)[0])
     return v if SCALE_LO <= v <= SCALE_HI else _rescaled(spectral_radius, A, v)
 
@@ -241,12 +239,10 @@ def _quadratic_roots(s: complex, p: complex) -> tuple[complex, complex]:
     sq = cmath.sqrt(s * s - 4.0 * p)
     if abs(s + sq) < abs(s - sq):
         sq = -sq
+    # big is formed without cancellation, so p / big is stable at every
+    # scale; big = 0 only where s = p = 0
     big = 0.5 * (s + sq)
-    if abs(big) > _TINY:
-        small = p / big
-    else:
-        small = 0.5 * (s - sq)
-    return big, small
+    return big, (p / big if big else 0j)
 
 
 def upper_tri_contraction(z1: complex, w: complex, z2: complex,

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -215,3 +216,20 @@ def s1_c5_match(a, s, p):
         faces = []
     return (("S1" in labels) == ("C5" in faces)) and \
         (("S2" in labels) == ("C6" in faces))
+
+
+# Tetrablock inner data E1 = E2 = 0, n = 1, with D and its Schur-Cohn
+# margin: D = t - w for w on the circle halfway between two of the
+# validators' 512 circle samples, or w just inside the circle (a zero in
+# the closed disc that no sample grid sees), and D = 1e-10 (2 + t),
+# zero-free, only small
+_W = cmath.exp(1j * math.pi / 512)
+D_CASES = {"on_the_circle": ([-_W, 1.0], 0.0),
+           "just_inside": ([-(1.0 - 1e-12) * _W, 1.0], -1e-12),
+           "small_scale": ([2e-10, 1e-10], 0.5)}
+
+
+def d_case_data(case):
+    """The JSON form of the tetrablock data of `D_CASES[case]`."""
+    return {"n": 1, "E1": [[0, 0]], "E2": [[0, 0]],
+            "D": [[z.real, z.imag] for z in map(complex, D_CASES[case][0])]}

@@ -21,7 +21,8 @@ from hexablock.numerics import (BlaschkeProduct, ConsistencyError, Mat2, Poly,
                                 fejer_riesz, op_norm, pi_hexa, poly_abs2_trig,
                                 spectral_radius)
 from hexablock.psi import k_star, maximizer
-from hexablock.domains import g2_classify, penta_classify, tetra_classify
+from hexablock.domains import (bE_margin, g2_classify, penta_classify,
+                               tetra_classify)
 from hexablock.hexa import (bh_member, classify_hexa, h_member, hn_member,
                             hmu_member, hp_param, mu_value)
 from hexablock.oracles import (GridSpec, grid_sup_kappa, levi_fd_matrix,
@@ -299,6 +300,7 @@ def test_criterion_09_inner_pipeline():
     worst_norm = 0.0
     worst_be = 0.0
     worst_disc = 0.0
+    circle = np.exp(2j * np.pi * np.arange(512) / 512)
     for _ in range(50):
         t = _random_tetra_inner(rng)
         deg = int(rng.integers(0, 4))
@@ -307,7 +309,8 @@ def test_criterion_09_inner_pipeline():
         f = hexa_inner_construct(t, B, rand_unit(rng))
         rep = hexa_inner_validate(f)
         worst_norm = max(worst_norm, rep["circle_norm_residual"])
-        worst_be = max(worst_be, rep["circle_bE_violation"])
+        # the circle images of x on bE, from f's own values
+        worst_be = max(worst_be, -float(bE_margin(f(circle)[1:]).min()))
         worst_disc = max(worst_disc, rep["disc_closure_violation"])
     # the monomial example (lam^m, 0, 0, lam^n)
     t0 = RationalTetraInner(Poly.const(0, 3), Poly.const(0, 3),

@@ -14,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 import hexablock
 from hexablock.cli import main
 
+from conftest import D_CASES, d_case_data
+
 
 def run_cli(args):
     """Invoke the CLI in-process, capturing stdout."""
@@ -168,6 +170,23 @@ def test_inner_construct_rejects_d_zero_on_the_circle():
     code, _ = run_cli(["inner", "construct", "--data", json.dumps(data),
                        "--json"])
     assert code == 64
+
+
+@pytest.mark.parametrize("case", sorted(D_CASES))
+def test_inner_construct_decides_d_zero_free_from_coefficients(case):
+    # a zero of D on the circle between samples or just inside it is
+    # malformed input; D = 1e-10 (2 + t) builds a function that validates
+    zero_free = D_CASES[case][1] > 0.0
+    code, out, err = _run_cli_all(["inner", "construct", "--data",
+                                   json.dumps(d_case_data(case)), "--json"])
+    if not zero_free:
+        assert (code, out) == (64, "")
+        assert err == ("domain error: invalid tetrablock inner data: "
+                       "['D vanishes on the closed disc']\n")
+        return
+    assert (code, err) == (0, "")
+    code, out = run_cli(["inner", "validate", "--data", out, "--json"])
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 @pytest.mark.parametrize("action, data", [
@@ -736,3 +755,129 @@ def test_classify_contract_under_a_fuzzer(argv):
     if code == 70:
         assert err.startswith("internal arithmetic fault: OverflowError"), argv
         assert _huge(argv), argv
+
+
+# ---------------------------------------------------------------------------
+# the inner contract under a fuzzer
+# ---------------------------------------------------------------------------
+
+_st_inner_scalar = st.sampled_from([
+    0.0, -0.0, 5e-324, 1e-308, 1e-155, 2e-10, 0.5, 1, -1, 1.5, 1e155, 1e308,
+    -1e308, math.nan, math.inf, -math.inf])
+# junk in the place of a complex scalar or of a coefficient array
+_st_inner_junk = st.one_of(
+    _st_inner_scalar,
+    st.lists(_st_inner_scalar, max_size=3),
+    st.sampled_from([True, False, "0.1", None, [[0, 0]], [[[0, 0]]], {}, []]))
+# D: zero-free, zero-free at a small or huge scale, a zero on the circle or
+# just inside it, or a long random array
+_st_inner_d = st.one_of(
+    st.builds(lambda s: [[2 * s, 0], [s, 0]],
+              st.sampled_from([1.0, 1e-10, 1e-300, 1e155, 1e300])),
+    st.builds(lambda t, d: [[-(1.0 + d) * math.cos(t),
+                             -(1.0 + d) * math.sin(t)], [1, 0]],
+              _st_unit_angle,
+              st.sampled_from([0.0, 1e-16, -1e-16, 1e-12, -1e-12, 1e-9,
+                               -1e-9, -1e-3])),
+    st.lists(st.floats(-2.0, 2.0), min_size=20, max_size=40),
+    _st_inner_junk)
+
+
+@st.composite
+def _st_inner_argv(draw):
+    """`inner construct` or `inner validate` on E1 = E2 = 0, A = D and
+    B = c = 1 with a drawn D and bound n, and at most one other field
+    replaced by junk or dropped."""
+    action = draw(st.sampled_from(["construct", "validate"]))
+    D = draw(_st_inner_d)
+    fits = len(D) - 1 if isinstance(D, list) and len(D) > 2 else 1
+    n = fits if draw(st.integers(0, 2)) else draw(st.sampled_from(
+        [2, 4, 0, -1, True, "1", 1.5, None, [1], 1e308, math.inf, math.nan]))
+    data = {"n": n, "E1": [[0, 0]], "E2": [[0, 0]], "D": D, "A": D,
+            "B_phase": 1, "B_zeros": [], "c": 1}
+    key = draw(st.sampled_from([None] * 7 + ["E1", "E2", "A", "B_phase",
+                                             "B_zeros", "c"]))
+    if key is not None:
+        if draw(st.booleans()):
+            data[key] = draw(_st_inner_junk)
+        else:
+            del data[key]
+    text = json.dumps(data)
+    broken = draw(st.sampled_from([None] * 15 + [text[:-1], "[]", "1", '"x"',
+                                                 "null"]))
+    return ["inner", action, "--data", broken or text, "--json"]
+
+
+def _huge_data(argv):
+    """Whether the data holds a finite number of modulus >= 1e150, or
+    coefficients beyond 1e150 times the largest of D, so that the functions
+    reach 1e150."""
+    def top(v):
+        if isinstance(v, dict):
+            v = list(v.values())
+        if isinstance(v, list):
+            return max(map(top, v), default=0.0)
+        if isinstance(v, (int, float)) and not isinstance(v, bool) \
+                and math.isfinite(v):
+            return abs(v)
+        return 0.0
+    try:
+        data = json.loads(argv[3])
+    except json.JSONDecodeError:
+        return False
+    d = top(data.get("D")) if isinstance(data, dict) else 0.0
+    return top(data) >= 1e150 * min(1.0, d or 1.0)
+
+
+def _inner_argv(action, **data):
+    """`inner <action>` on E1 = E2 = 0 and D = A = 2 + t at n = 1, with the
+    fields of `data` in their place."""
+    base = {"n": 1, "E1": [[0, 0]], "E2": [[0, 0]], "D": [[2, 0], [1, 0]],
+            "A": [[2, 0], [1, 0]], "B_phase": 1, "B_zeros": [], "c": 1}
+    return ["inner", action, "--data", json.dumps({**base, **data}), "--json"]
+
+
+@given(_st_inner_argv())
+# an infinite bound n: int() raised OverflowError (exit 70); a bound 1.5,
+# true or "1" was read as an integer
+@example(_inner_argv("construct", n=math.inf))
+@example(_inner_argv("validate", n=1.5))
+@example(_inner_argv("validate", n=True))
+# overflow warnings: |a|^2 at c = 1e155, the circle values of coefficients
+# 1e308, the tetrablock verdict on images 1e155, and D(1) subnormal
+@example(_inner_argv("validate", c=1e155))
+@example(_inner_argv("construct", D=[1e308, 1e308], A=[1e308, 1e308]))
+@example(_inner_argv("construct", E1=[1e155]))
+@example(_inner_argv("validate", D=[[-1.0, -2.2250738585e-313], [1, 0]],
+                     A=[[-1.0, -2.2250738585e-313], [1, 0]]))
+# |x1| = 6e164 at t = 1 squared to an infinite norm residual, which the
+# CLI refused to print (exit 70)
+@example(_inner_argv("validate", E1=[2e-10],
+                     D=[[-1.0, -3.167307360090437e-175], [1, 0]],
+                     A=[[-1.0, -3.167307360090437e-175], [1, 0]]))
+# a zero of D between circle samples (exit 64) and D = 1e-10 (2 + t)
+@example(["inner", "construct", "--data",
+          json.dumps(d_case_data("on_the_circle")), "--json"])
+@example(["inner", "construct", "--data",
+          json.dumps(d_case_data("small_scale")), "--json"])
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_inner_contract_under_a_fuzzer(argv):
+    # README's contract: construct exits 0 and validate 0 (valid) or 1 (not
+    # valid), with strict JSON on stdout and an empty stderr; malformed
+    # input exits 64 with one stderr line; no Python warning.  An overflow
+    # on coefficients of about 1e150 or more is still an arithmetic fault
+    # (exit 70)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run_cli_all(argv)
+    assert [str(w.message) for w in caught] == [], argv
+    assert code in ((0, 64, 70) if argv[1] == "construct" else (0, 1, 64, 70)), \
+        (code, err, argv)
+    if code <= 1:
+        assert err == "", argv
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+    if code == 70:
+        assert err.startswith("internal arithmetic fault: "), argv
+        assert _huge_data(argv), argv

@@ -16,7 +16,8 @@ from hexablock.inner import (RationalHexaInner,
                              schwarz_construct, schwarz_feasible,
                              tetra_inner_validate, tetra_ratio)
 
-from conftest import rand_disc, rand_tetra_point, rand_unit
+from conftest import (D_CASES, d_case_data, rand_disc, rand_tetra_point,
+                      rand_unit)
 
 
 _CIRC = np.exp(2j * np.pi * np.arange(512) / 512)
@@ -143,7 +144,7 @@ def test_hexa_inner_random_pipeline(rng):
         rep = hexa_inner_validate(f)
         assert rep["ok"], rep["issues"]
         assert rep["circle_norm_residual"] <= 1e-6
-        assert rep["circle_bE_violation"] <= 1e-6
+        assert rep["tetra"]["D_schur_margin"] > 0.0
         assert rep["disc_closure_violation"] <= 1e-8
 
 
@@ -180,14 +181,16 @@ def test_hexa_inner_validate_rejects_corrupted_c(rng):
 
 
 def test_hexa_inner_validate_rejects_circle_off_bE(rng):
+    # x1 - conj(1.1 x2) x3 = (E1 - 1.1 E2~n)/D = -0.1 x1 on the circle: the
+    # reflection identity fails by 0.1 E1
     t = _random_tetra_inner(rng)
     f = hexa_inner_construct(t, BlaschkeProduct(), 1.0)
     bad = RationalTetraInner(t.E1, t.E2.scale(1.1), t.D, t.n)
     rep = hexa_inner_validate(RationalHexaInner(bad, f.A, f.B, f.c))
-    assert "circle image off the distinguished boundary" in rep["issues"]
-    # x1 - conj(1.1 x2) x3 = -0.1 x1 on the circle
-    assert rep["circle_bE_violation"] == pytest.approx(
-        0.1 * float(np.max(np.abs(t.E1(_CIRC) / t.D(_CIRC)))), rel=1e-9)
+    assert "tetra part invalid" in rep["issues"]
+    assert "E1 != E2~n" in rep["tetra"]["issues"]
+    assert rep["tetra"]["reflection_residual"] == pytest.approx(
+        0.1 * float(np.max(np.abs(t.E1.padded()))), rel=1e-9)
 
 
 def test_tetra_inner_validate_rejects_circle_bound(rng):
@@ -202,14 +205,14 @@ def test_tetra_inner_validate_rejects_circle_bound(rng):
 
 
 def test_tetra_inner_validate_rejects_circle_off_bE(rng):
+    # circle images off bE are the reflection identity failing, here by
+    # 0.1 E1
     t = _random_tetra_inner(rng)
     rep = tetra_inner_validate(
         RationalTetraInner(t.E1, t.E2.scale(1.1), t.D, t.n))
-    assert "circle image leaves the distinguished boundary" in rep["issues"]
-    # checked on every eighth point of the circle
-    circ = _CIRC[::8]
-    assert rep["circle_bE_violation"] == pytest.approx(
-        0.1 * float(np.max(np.abs(t.E1(circ) / t.D(circ)))), rel=1e-9)
+    assert "E1 != E2~n" in rep["issues"]
+    assert rep["reflection_residual"] == pytest.approx(
+        0.1 * float(np.max(np.abs(t.E1.padded()))), rel=1e-9)
 
 
 def _vanishing_on_circle():
@@ -230,30 +233,111 @@ def test_tetra_inner_validate_rejects_d_zero_on_the_circle():
         hexa_inner_construct(t, BlaschkeProduct(), 1.0)
 
 
+@pytest.mark.parametrize("case", sorted(D_CASES))
+def test_d_zero_free_is_decided_from_coefficients(case):
+    coeffs, margin = D_CASES[case]
+    zero_free = margin > 0.0
+    t = RationalTetraInner.from_dict(d_case_data(case))
+    rep = tetra_inner_validate(t)
+    assert rep["D_schur_margin"] == pytest.approx(margin, rel=1e-3, abs=1e-15)
+    assert rep["ok"] is zero_free
+    assert ("D vanishes on the closed disc" in rep["issues"]) is not zero_free
+    den = Poly(np.array(coeffs), 1)
+    if zero_free:
+        f = hexa_inner_construct(t, BlaschkeProduct(), 1.0)
+        assert hexa_inner_validate(f)["ok"]
+        _, (_, out_den) = rational_inner_outer(Poly.const(1e-10, 0), den)
+        assert out_den is den
+    else:
+        with pytest.raises(DomainError, match="D vanishes on the closed disc"):
+            hexa_inner_construct(t, BlaschkeProduct(), 1.0)
+        with pytest.raises(DomainError, match="denominator vanishes"):
+            rational_inner_outer(Poly.const(0.0, 0), den)
+
+
+def test_small_scale_data_is_checked_relative_to_d():
+    # D = 1e-300 (2 + t) is zero-free, so E = 1e-145 (1 + t) makes
+    # |x1| = 1e155 |1 + t|/|2 + t|: the rows are scaled up with D, and the
+    # circle bound refuses what an absolute 1e-6 on |E_i| - |D| let through
+    E = Poly(np.array([1e-145, 1e-145]), 1)
+    t = RationalTetraInner(E, E, Poly(np.array([2e-300, 1e-300]), 1), 1)
+    rep = tetra_inner_validate(t)
+    assert "|E_i| exceeds |D| on the circle" in rep["issues"]
+    assert rep["circle_bound_excess"] > 1e150
+    # the scale is a power of two, so the rows of D = 1e-10 (2 + t) are
+    # exact multiples of its coefficients
+    small = RationalTetraInner.from_dict(d_case_data("small_scale"))
+    assert small._rows[2, :2].tolist() == [2e-10 * 2 ** 33, 1e-10 * 2 ** 33]
+
+
+def test_schur_cohn_margin_edge_cases():
+    from hexablock.inner import _schur_cohn_margin
+    assert _schur_cohn_margin([3.0 - 4.0j]) == 1.0
+    assert _schur_cohn_margin([2.0, 0.0, 0.0]) == 1.0
+    # zeros past the degree (D padded to a large bound n) are no steps
+    assert _schur_cohn_margin([2.0, 1.0] + [0.0] * 2000) == 0.5
+    # scale-free: D and 2^k D have one margin
+    coeffs = np.array([2.0, 1.0 + 1.0j, 0.25j])
+    assert {_schur_cohn_margin(coeffs * 2.0 ** k)
+            for k in (-1000, -30, 0, 30, 1000)} == {_schur_cohn_margin(coeffs)}
+    for zero_at_0 in ([0.0], [0.0, 1.0], [0.0, 0.0], [5e-324, 1.0], []):
+        with pytest.raises(DomainError, match="vanishes on the closed disc"):
+            _schur_cohn_margin(zero_at_0)
+
+
+def test_schur_cohn_matches_mpmath_roots():
+    # the margin is positive iff every root lies outside the closed disc,
+    # by 50-digit roots of the same float coefficients wherever the
+    # nearest root is more than 1e-9 off the circle; nearer, a root in the
+    # closed disc is still never accepted
+    mpmath = pytest.importorskip("mpmath")
+    from hexablock.inner import INNER_D_ZERO, _schur_cohn_margin
+    rng = np.random.default_rng(31)
+    checked = 0
+    for i in range(160):
+        radii = rng.uniform(0.3, 3.0, int(rng.integers(1, 9)))
+        if i < 120:
+            # a root at radius 1 +- 10^-k, k = 3..12
+            radii[0] = 1.0 + (-1) ** i * 10.0 ** -(3 + (i // 2) % 10)
+        roots = radii * np.exp(2j * np.pi * rng.random(len(radii)))
+        coeffs = np.poly(roots)[::-1] * complex(*rng.normal(size=2))
+        margin = _schur_cohn_margin(coeffs)
+        with mpmath.workdps(50):
+            ref = mpmath.polyroots([mpmath.mpc(c) for c in coeffs[::-1]],
+                                   maxsteps=200, extraprec=200)
+            gap = float(min(abs(r) for r in ref) - 1)
+        assert gap > 0 or margin <= INNER_D_ZERO, (i, gap, margin)
+        if abs(gap) > 1e-9:
+            assert (margin > 0) == (gap > 0), (i, gap, margin)
+            checked += 1
+    assert checked >= 120
+
+
 def test_every_circle_grid_is_one_circle():
     # each circle grid is the roots of unity of its size, bit for bit, and
-    # the closed-disc block of the validation table ends in the circle
+    # the validation table starts with the circle
     from hexablock import inner
     from hexablock.numerics import _FR_CIRCLE, _circle
-    for grid in (_FR_CIRCLE, inner._CIRCLE, inner._CIRCLE_K0,
-                 inner._CIRCLE_SPOT):
+    for grid in (_FR_CIRCLE, inner._CIRCLE, inner._CIRCLE_SPOT):
         assert grid.tobytes() == _circle(len(grid)).tobytes()
-    k, nc = len(inner._DISC_CLOSED), len(inner._CIRCLE)
-    closed = inner._VALIDATION_TABLE.points[: k + nc]
-    assert closed[:k].tobytes() == inner._DISC_CLOSED.tobytes()
-    assert closed[k:].tobytes() == inner._CIRCLE.tobytes()
+    nc = len(inner._CIRCLE)
+    assert inner._VALIDATION_TABLE.points[:nc].tobytes() \
+        == inner._CIRCLE.tobytes()
 
 
 def test_penta_inner_validate_rejects_non_inner_s():
-    # s = 1/2 is not inner: s != conj(s) p and |a|^2 + |s|^2/4 = 17/16 on
-    # the circle
+    # s = 1/2 is not inner: E = 1/2 != E~2 = t^2/2, so s != conj(s) p, and
+    # |a|^2 + |s|^2/4 = 17/16 on the circle
     n = 2
     p = RationalPentaInner(Poly.const(0.5, n), Poly.const(1.0, n),
                            Poly.const(1.0, n), BlaschkeProduct(-1.0, (0.0,)),
                            1.0, n)
     rep = penta_inner_validate(p)
-    assert "circle image off K0" in rep["issues"]
-    assert rep["circle_K0_violation"] == pytest.approx(1.0, abs=1e-12)
+    assert "E1 != E2~n" in rep["tetra"]["issues"]
+    assert rep["tetra"]["reflection_residual"] == pytest.approx(0.25,
+                                                                abs=1e-15)
+    assert "|a|^2 + |x1|^2 != 1 on the circle" in rep["issues"]
+    assert rep["circle_norm_residual"] == pytest.approx(1 / 16, abs=1e-12)
 
 
 def test_inner_array_evaluation_matches_scalar(rng):
@@ -280,11 +364,10 @@ def test_hexa_inner_validate_work_is_independent_of_circle_size(rng,
     from hexablock.numerics import _circle
     f = hexa_inner_construct(_random_tetra_inner(rng),
                              BlaschkeProduct(1.0, (0.2,)), 1.0)
-    counts = {"poly": 0, "product": 0, "bE": 0}
+    counts = {"poly": 0, "product": 0}
     grids = []
     poly_call = Poly.__call__
     product = PowerTable.eval
-    margin = inner._bE_margin
 
     def counted_poly(self, lam):
         counts["poly"] += 1
@@ -295,29 +378,22 @@ def test_hexa_inner_validate_work_is_independent_of_circle_size(rng,
         grids.append(len(self.points))
         return product(self, coeffs)
 
-    def counted_margin(*x):
-        counts["bE"] += 1
-        return margin(*x)
-
     monkeypatch.setattr(Poly, "__call__", counted_poly)
     monkeypatch.setattr(PowerTable, "eval", counted_product)
-    monkeypatch.setattr(inner, "_bE_margin", counted_margin)
     seen = []
     for n in (inner._CIRCLE_N, 8 * inner._CIRCLE_N):
         monkeypatch.setattr(inner, "_CIRCLE", _circle(n))
         monkeypatch.setattr(inner, "_VALIDATION_TABLE", PowerTable(
-            np.concatenate([inner._DISC_CLOSED, inner._CIRCLE,
-                            inner._DISC_TETRA, inner._DISC_HEXA])))
-        counts.update(poly=0, product=0, bE=0)
+            np.concatenate([inner._CIRCLE, inner._DISC_TETRA,
+                            inner._DISC_HEXA])))
+        counts.update(poly=0, product=0)
         assert hexa_inner_validate(f)["ok"]
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    others = len(inner._DISC_CLOSED) + len(inner._DISC_TETRA) \
-        + len(inner._DISC_HEXA)
+    others = len(inner._DISC_TETRA) + len(inner._DISC_HEXA)
     assert grids == [others + inner._CIRCLE_N, others + 8 * inner._CIRCLE_N]
-    # one stacked product for the tetra and hexa checks; one bE margin on
-    # the circle, which the tetra check reads every eighth point of
-    assert seen[0] == {"poly": 0, "product": 1, "bE": 1}
+    # one stacked product for the tetra and hexa checks
+    assert seen[0] == {"poly": 0, "product": 1}
 
 
 def test_hexa_inner_validate_takes_one_array_tetra_verdict(rng, monkeypatch):

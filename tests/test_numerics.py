@@ -56,6 +56,17 @@ def test_quadratic_roots_stable():
     assert abs(l1 + l2 - (1e8 + 1e-8)) < 1e-4
 
 
+def test_quadratic_roots_are_relative_at_every_scale():
+    # t^2 - (3c + 1e-9 c) t + 3e-9 c^2: the small root is p / big at every
+    # scale c, not a cancelling difference once |big| falls below a fixed
+    # threshold
+    for c in (1.0, 1e-10, 1e-20, 1e-100, 1e150):
+        big, small = stable_quadratic_roots((3.0 + 1e-9) * c, 3e-9 * c * c)
+        assert big / c == pytest.approx(3.0, rel=1e-15, abs=0.0)
+        assert small / c == pytest.approx(1e-9, rel=1e-15, abs=0.0), c
+    assert stable_quadratic_roots(0.0, 0.0) == (0j, 0j)
+
+
 def test_upper_tri_contraction_equality_case():
     assert upper_tri_contraction(0, 1, 0) is True
     assert upper_tri_contraction(0, 1, 0, strict=True) is False

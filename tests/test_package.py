@@ -166,3 +166,16 @@ def test_every_public_name_is_exported_or_used():
                        if id(n) not in own):
                 orphans.append(f"{mod}.{node.name}")
     assert orphans == []
+
+
+def test_changes_has_no_repeated_line():
+    # CHANGES.md holds one entry per change, once: no non-empty line occurs
+    # twice
+    lines = (pathlib.Path(__file__).parent.parent / "CHANGES.md") \
+        .read_text().splitlines()
+    seen, repeated = set(), []
+    for line in filter(str.strip, lines):
+        if line in seen:
+            repeated.append(line[:80])
+        seen.add(line)
+    assert repeated == []
